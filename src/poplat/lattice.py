@@ -137,9 +137,9 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """Build from (lower, upper) cover pairs; optionally verify latticehood.
 
-        Validation checks every pair for a unique meet and join and is O(n^2);
-        it can be switched off for large instances whose lattice property is
-        known in advance.
+        Validation tests a join for every two upper covers of a common
+        element, sum over z of C(#upper covers of z, 2) bitmask tests; it can
+        be switched off for large instances known in advance to be lattices.
         """
         keys = list(elements)
         guard = max_elements if max_elements is not None else max_elements_guard()
@@ -210,22 +210,21 @@ class FiniteLattice:
         return lat
 
     def _validate(self) -> None:
-        n = len(self.elements)
-        down, up = self._down, self._up
-        for i in range(n):
-            di, ui = down[i], up[i]
-            for j in range(i + 1, n):
-                meet_mask = di & down[j]
-                if not meet_mask or down[meet_mask.bit_length() - 1] != meet_mask:
-                    raise NotALatticeError(
-                        f"no meet for {self.elements[i]!r}, {self.elements[j]!r}"
-                    )
-                join_mask = ui & up[j]
-                low = (join_mask & -join_mask).bit_length() - 1
-                if not join_mask or up[low] != join_mask:
-                    raise NotALatticeError(
-                        f"no join for {self.elements[i]!r}, {self.elements[j]!r}"
-                    )
+        """Raise NotALatticeError unless the bounded poset is a lattice.
+
+        A finite poset with a unique minimum and maximum (checked by `build`)
+        is a lattice iff every two upper covers of a common element have a
+        join (Freese, Jezek and Nation, Free Lattices, ch. 11).
+        """
+        up = self._up
+        for z, covers in enumerate(self._uppers):
+            for k, a in enumerate(covers):
+                for b in covers[k + 1:]:
+                    if self._join_mask(up[a] & up[b]) is None:
+                        raise NotALatticeError(
+                            f"no join for {self.elements[a]!r}, {self.elements[b]!r}, "
+                            f"upper covers of {self.elements[z]!r}"
+                        )
 
     # -- queries ---------------------------------------------------------
 
@@ -301,7 +300,10 @@ class FiniteLattice:
         mask = self._down[i]
         for j in self._lowers[i]:
             mask &= self._down[j]
-        return self.elements[self._meet_mask(mask)]
+        got = self._meet_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no meet of the lower covers of {x!r}")
+        return self.elements[got]
 
     def pop_up(self, x):
         """Join of x with everything covering it."""
@@ -309,7 +311,10 @@ class FiniteLattice:
         mask = self._up[i]
         for j in self._uppers[i]:
             mask &= self._up[j]
-        return self.elements[self._join_mask(mask)]
+        got = self._join_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no join of the upper covers of {x!r}")
+        return self.elements[got]
 
     def pop_polynomial(self, direction: str = "down") -> QPoly:
         """q-census of the pop image.
@@ -392,11 +397,6 @@ class FiniteLattice:
             for i in members:
                 projection[self.elements[i]] = self.elements[lo]
         return projection
-
-    def congruence_project(
-        self, adjacency: Callable[[Hashable], Iterable[Hashable]], x
-    ):
-        return self.congruence_classes(adjacency)[x]
 
     # -- export ---------------------------------------------------------------
 

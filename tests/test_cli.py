@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from poplat import cli
 from poplat.cli import main
+from poplat.lattice import FiniteLattice
 
 
 def run(capsys, *argv):
@@ -143,3 +145,49 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "nonsense", "--max-n", "2"])
     assert exc.value.code == 2
+
+
+def test_pop_poly_j_a_9_validated_matches_unvalidated(capsys):
+    argv = ["pop-poly", "--lattice", "j-a", "--semilength", "9", "--json"]
+    code, validated, _ = run(capsys, *argv)
+    code_nv, unvalidated, _ = run(capsys, *argv, "--no-validate")
+    assert code == code_nv == 0
+    assert validated == unvalidated
+
+
+def test_pop_poly_on_non_lattice_exits_2(capsys, monkeypatch):
+    covers = [("bot", "x"), ("bot", "y"), ("x", "u"), ("x", "v"),
+              ("y", "u"), ("y", "v"), ("u", "top"), ("v", "top")]
+    broken = FiniteLattice.build(["bot", "x", "y", "u", "v", "top"], covers, validate=False)
+    monkeypatch.setattr(cli, "_build_lattice", lambda name, n, validate: broken)
+    code, out, err = run(capsys, "pop-poly", "--lattice", "weak-a", "--n", "3",
+                         "--no-validate")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no meet of the lower covers of 'top'")
+
+
+def test_verify_text_times_building_each_case(capsys, monkeypatch):
+    # A fake clock that only moves while the generator builds a case: each
+    # case must then report exactly that step, not the comparison alone.
+    now = [0.0]
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: now[0])
+    real_cases = cli._verify_cases
+
+    def slow_cases(*args):
+        for case in real_cases(*args):
+            now[0] += 2.5
+            yield case
+
+    monkeypatch.setattr(cli, "_verify_cases", slow_cases)
+    code, out, _ = run(capsys, "verify", "--theorem", "tam-a", "--max-n", "3")
+    assert code == 0
+    case_lines = out.strip().splitlines()[:-1]
+    assert len(case_lines) == 3
+    assert all(line.endswith("[2.500s]") for line in case_lines)
+
+    argv = ["verify", "--theorem", "tam-a", "--max-n", "3", "--json"]
+    _, faked_json, _ = run(capsys, *argv)
+    monkeypatch.undo()
+    _, real_json, _ = run(capsys, *argv)
+    assert faked_json == real_json

@@ -2,15 +2,91 @@ import json
 import random
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
+from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import GuardError, NonIntervalClassError, NotALatticeError
 from poplat.lattice import FiniteLattice, QPoly
-from poplat.tamari import tam_a_adjacent, tam_b_adjacent
+from poplat.tamari import tam_a_adjacent, tam_a_lattice, tam_b_adjacent, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
 
 
 def chain(k):
     return FiniteLattice.build(range(k), [(i, i + 1) for i in range(k - 1)])
+
+
+def pairwise_is_lattice(lat):
+    """Reference oracle: a meet and a join for every one of the n^2/2 pairs."""
+    n = len(lat.elements)
+    down, up = lat._down, lat._up
+    for i in range(n):
+        di, ui = down[i], up[i]
+        for j in range(i + 1, n):
+            meet_mask = di & down[j]
+            if not meet_mask or down[meet_mask.bit_length() - 1] != meet_mask:
+                return False
+            join_mask = ui & up[j]
+            low = (join_mask & -join_mask).bit_length() - 1
+            if not join_mask or up[low] != join_mask:
+                return False
+    return True
+
+
+def cover_local_is_lattice(lat):
+    try:
+        lat._validate()
+    except NotALatticeError:
+        return False
+    return True
+
+
+NON_LATTICE_ELEMENTS = ["bot", "x", "y", "u", "v", "top"]
+NON_LATTICE_COVERS = [
+    ("bot", "x"),
+    ("bot", "y"),
+    ("x", "u"),
+    ("x", "v"),
+    ("y", "u"),
+    ("y", "v"),
+    ("u", "top"),
+    ("v", "top"),
+]
+
+
+def non_lattice():
+    """Two atoms below two coatoms: bounded, but x, y have no join."""
+    return FiniteLattice.build(NON_LATTICE_ELEMENTS, NON_LATTICE_COVERS, validate=False)
+
+
+@st.composite
+def bounded_posets(draw):
+    """A random bounded poset on 0..k+1: 0 is the bottom, k+1 the top.
+
+    The k interior elements are drawn in up to four levels; each pair on
+    different levels is related or not at random, and the relation is closed
+    transitively.  Relations may skip levels, so the posets need not be
+    graded, and many of them are not lattices.  Returns (elements, covers),
+    with covers the transitive reduction.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    level = [None] + [lvl for lvl, size in enumerate(sizes) for _ in range(size)]
+    top = len(level)
+    above = [0] * (top + 1)  # above[i]: bitmask of the elements strictly above i
+    above[0] = (1 << (top + 1)) - 2
+    for i in range(top - 1, 0, -1):
+        above[i] = 1 << top
+        for j in range(i + 1, top):
+            if level[j] > level[i] and draw(st.booleans()):
+                above[i] |= 1 << j | above[j]
+    covers = [
+        (i, j)
+        for i in range(top + 1)
+        for j in range(i + 1, top + 1)
+        if above[i] >> j & 1
+        and not any(above[i] >> m & 1 and above[m] >> j & 1 for m in range(i + 1, j))
+    ]
+    return list(range(top + 1)), covers
 
 
 HEXAGON_COVERS = [
@@ -65,6 +141,67 @@ def test_not_a_lattice_reported():
         FiniteLattice.build("abc", [("a", "b"), ("a", "c")])
     with pytest.raises(NotALatticeError, match="cycle"):
         FiniteLattice.build("ab", [("a", "b"), ("b", "a")])
+
+
+FAMILY_INSTANCES = (
+    [(weak_a_lattice, n) for n in range(1, 6)]
+    + [(weak_b_lattice, n) for n in range(1, 5)]
+    + [(tam_a_lattice, n) for n in range(1, 7)]
+    + [(tam_b_lattice, n) for n in range(1, 6)]
+    + [(j_a_lattice, m) for m in range(1, 8)]
+    + [(j_b_lattice, n) for n in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "builder,n", FAMILY_INSTANCES, ids=[f"{b.__name__}-{n}" for b, n in FAMILY_INSTANCES]
+)
+def test_cover_local_validation_matches_pairwise_on_families(builder, n):
+    lat = builder(n, validate=False)
+    assert pairwise_is_lattice(lat)
+    assert cover_local_is_lattice(lat)
+
+
+def test_cover_local_validation_matches_pairwise_on_small_lattices():
+    pentagon = FiniteLattice.build("0abc1", ["0a", "ab", "b1", "0c", "c1"])
+    diamond = FiniteLattice.build("0abc1", ["0a", "0b", "0c", "a1", "b1", "c1"])
+    for lat in [chain(k) for k in range(1, 8)] + [hexagon(), pentagon, diamond]:
+        assert pairwise_is_lattice(lat)
+        assert cover_local_is_lattice(lat)
+    assert not pairwise_is_lattice(non_lattice())
+    assert not cover_local_is_lattice(non_lattice())
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_posets())
+def test_cover_local_validation_matches_pairwise_on_random_posets(poset):
+    lat = FiniteLattice.build(*poset, validate=False)
+    assert cover_local_is_lattice(lat) == pairwise_is_lattice(lat)
+
+
+def test_random_posets_include_non_lattices():
+    elements, covers = find(
+        bounded_posets(),
+        lambda p: not pairwise_is_lattice(FiniteLattice.build(*p, validate=False)),
+    )
+    assert len(elements) >= 6  # the smallest bounded non-lattice
+
+
+def test_validation_error_names_witness_pair_and_lower_cover():
+    with pytest.raises(NotALatticeError) as exc:
+        FiniteLattice.build(NON_LATTICE_ELEMENTS, NON_LATTICE_COVERS)
+    assert str(exc.value) == "no join for 'x', 'y', upper covers of 'bot'"
+
+
+def test_pop_on_non_lattice_raises_typed_error():
+    lat = non_lattice()
+    with pytest.raises(NotALatticeError, match="lower covers of 'top'"):
+        lat.pop_down("top")
+    with pytest.raises(NotALatticeError, match="upper covers of 'bot'"):
+        lat.pop_up("bot")
+    for direction in ("down", "up"):
+        with pytest.raises(NotALatticeError):
+            lat.pop_polynomial(direction)
 
 
 def test_incomparable_minimal_upper_bounds_detected():
