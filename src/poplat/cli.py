@@ -61,9 +61,9 @@ def _parse_element(name: str, text: str):
         signed.validate_signed(word)
     else:
         words.check_permutation(word)
-    if name == "tam-a" and words.contains_pattern(word, words.P312):
+    if name == "tam-a" and not words.avoids_312(word):
         raise ValueError(f"{text!r} is not 312-avoiding")
-    if name == "tam-b" and words.contains_pattern(word, words.P312_STAR):
+    if name == "tam-b" and not words.avoids_312_star(word):
         raise ValueError(f"{text!r} is not in the type-B Tamari carrier")
     return word
 
@@ -106,6 +106,8 @@ def _cmd_pop(args) -> int:
     if args.up:
         if args.lattice in ("j-a", "j-b"):
             result = dyck.flip_valleys_up(element)
+        elif args.lattice in ("weak-a", "weak-b"):
+            result = weak.pop_weak_up(element)
         else:
             lat = _build_lattice(
                 args.lattice, _rank_for(args.lattice, element), validate=False
@@ -133,15 +135,8 @@ def _cmd_pop(args) -> int:
 
 
 def _rank_for(name: str, element) -> int:
-    if name == "weak-a":
-        return len(element)
-    if name in ("weak-b", "tam-b"):
-        return len(element) // 2
-    if name == "tam-a":
-        return len(element) - 1
-    if name == "j-a":
-        return dyck.semi_length(element)
-    return dyck.semi_length(element) // 2
+    """Size parameter of the tam-a or tam-b lattice holding `element`."""
+    return len(element) - 1 if name == "tam-a" else len(element) // 2
 
 
 def _cmd_pop_poly(args) -> int:

@@ -2,9 +2,12 @@
 
 The type-A carrier is the set of 312-avoiding permutations, the type-B
 carrier the set of signed permutations avoiding 312-with-large-middle-value
-(the "2"-valued entry at least n+1).  Both sit inside their weak orders as
-sublattices; covers are obtained by transitive reduction of the restricted
-order, with the order itself read off inversion-set containment.
+(the "2"-valued entry at least n+1).  Both are generated directly by
+backtracking with the gap test of `words.scan_312_gaps`, which prunes a
+prefix as soon as it contains the pattern.  Each carrier element is the
+minimum of its class under a lattice congruence of the weak order, and the
+carrier is a sublattice; its lower covers are the projections of the
+element's weak-order lower covers (Reading, "Cambrian lattices", 2006).
 
 Projections to the carrier are computed two independent ways that the tests
 force to agree:
@@ -21,23 +24,25 @@ from functools import lru_cache
 
 from .errors import GuardError
 from .lattice import FiniteLattice
-from .signed import (
-    complement_reverse,
-    enumerate_signed,
-    half_decomposition,
-    validate_signed,
+from .signed import complement_reverse, half_decomposition, validate_signed
+from .weak import (
+    weak_a_lattice,
+    weak_a_lower_covers,
+    weak_b_lattice,
+    weak_b_lower_covers,
 )
-from .weak import weak_a_lattice, weak_b_lattice
 from .words import (
-    P312,
-    P312_STAR,
+    EMPTY_GAPS,
+    GapState,
     Word,
+    avoids_312,
+    avoids_312_star,
     check_permutation,
-    contains_pattern,
     has_double_descent,
     index_of,
     reduction,
     reverse_runs,
+    scan_312_gaps,
 )
 
 TAM_A_GUARD = 8  # carrier inside S_{n+1}
@@ -52,76 +57,93 @@ def tam_a_elements(n: int) -> tuple[Word, ...]:
     """312-avoiding permutations of {1, ..., n+1}, lexicographically sorted."""
     if n + 1 > TAM_A_GUARD:
         raise GuardError(f"type-A carrier guard exceeded at n={n}")
-    return tuple(
-        p
-        for p in itertools.permutations(range(1, n + 2))
-        if not contains_pattern(p, P312)
-    )
+    m = n + 1
+    out: list[Word] = []
+    word: list[int] = []
+
+    def grow(state: GapState) -> None:
+        if len(word) == m:
+            out.append(tuple(word))
+            return
+        for v in range(1, m + 1):
+            if v in word:
+                continue
+            nxt = scan_312_gaps((v,), None, state)
+            if nxt is not None:
+                word.append(v)
+                grow(nxt)
+                word.pop()
+
+    grow(EMPTY_GAPS)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def tam_b_elements(n: int) -> tuple[Word, ...]:
-    """Signed permutations of rank n avoiding the starred 312 pattern."""
+    """Signed permutations of rank n avoiding the starred 312 pattern.
+
+    The first half takes one value from each complementary pair, in
+    lexicographic order; the mirrored second half is then forced and must
+    pass the same check.
+    """
     if n > TAM_B_GUARD:
         raise GuardError(f"type-B carrier guard exceeded at n={n}")
-    return tuple(
-        x for x in enumerate_signed(n) if not contains_pattern(x, P312_STAR)
-    )
+    floor = n + 1
+    out: list[Word] = []
+    half: list[int] = []
+
+    def grow(state: GapState) -> None:
+        if len(half) == n:
+            mirror = tuple(2 * n + 1 - v for v in reversed(half))
+            if scan_312_gaps(mirror, floor, state) is not None:
+                out.append(tuple(half) + mirror)
+            return
+        for v in range(1, 2 * n + 1):
+            if v in half or 2 * n + 1 - v in half:
+                continue
+            nxt = scan_312_gaps((v,), floor, state)
+            if nxt is not None:
+                half.append(v)
+                grow(nxt)
+                half.pop()
+
+    grow(EMPTY_GAPS)
+    return tuple(out)
 
 
-def _inversion_mask(p: Word) -> int:
-    """Bitmask over value pairs (a, b), a < b, set when b precedes a."""
-    pos = {v: i for i, v in enumerate(p)}
-    m = len(p)
-    out = 0
-    bit = 0
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            if pos[b] < pos[a]:
-                out |= 1 << bit
-            bit += 1
-    return out
+# --- covers -------------------------------------------------------------------
 
 
-def _restricted_lattice(elements: tuple[Word, ...], validate: bool) -> FiniteLattice:
-    """Sublattice of the weak order on a carrier, by transitive reduction."""
-    masks = [_inversion_mask(p) for p in elements]
-    order = sorted(range(len(elements)), key=lambda i: (bin(masks[i]).count("1"), elements[i]))
-    n = len(elements)
-    down = [0] * n
-    for a_pos, i in enumerate(order):
-        mask = 1 << a_pos
-        mi = masks[i]
-        for b_pos in range(a_pos):
-            if masks[order[b_pos]] & ~mi == 0:
-                mask |= 1 << b_pos
-        down[a_pos] = mask
-    covers = []
-    for a_pos in range(n):
-        strict = down[a_pos] ^ (1 << a_pos)
-        shadow = 0
-        rest = strict
-        while rest:
-            low = rest & -rest
-            shadow |= down[low.bit_length() - 1] ^ low
-            rest ^= low
-        cover_mask = strict & ~shadow
-        hi = elements[order[a_pos]]
-        while cover_mask:
-            low = cover_mask & -cover_mask
-            covers.append((elements[order[low.bit_length() - 1]], hi))
-            cover_mask ^= low
-    return FiniteLattice.build(elements, covers, validate=validate)
+def _inversions(p: Word) -> int:
+    return sum(1 for i, a in enumerate(p) for b in p[i + 1 :] if a > b)
+
+
+def _quotient_lattice(elements: tuple[Word, ...], lower_covers, project,
+                      validate: bool) -> FiniteLattice:
+    """Sublattice of the weak order on a carrier of congruence-class minima.
+
+    Each carrier element y is the minimum of its class, so the classes it
+    covers in the quotient are those of its weak-order lower covers w, and
+    (project(w), y) are exactly its lower covers in the carrier (Reading,
+    "Cambrian lattices", Adv. Math. 2006).  Pairs are sorted by (inversion
+    count, word) of the upper element, then of the lower one: Kahn's linear
+    extension in `FiniteLattice.build` follows the cover order, and this one
+    fixes the element order that every report prints.
+    """
+    key = {p: (_inversions(p), p) for p in elements}
+    covers = {(project(w), y) for y in elements for w in lower_covers(y)}
+    ordered = sorted(covers, key=lambda pair: (key[pair[1]], key[pair[0]]))
+    return FiniteLattice.build(elements, ordered, validate=validate)
 
 
 @lru_cache(maxsize=None)
 def tam_a_lattice(n: int, validate: bool = True) -> FiniteLattice:
-    return _restricted_lattice(tam_a_elements(n), validate)
+    return _quotient_lattice(tam_a_elements(n), weak_a_lower_covers, project_tam_a, validate)
 
 
 @lru_cache(maxsize=None)
 def tam_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
-    return _restricted_lattice(tam_b_elements(n), validate)
+    return _quotient_lattice(tam_b_elements(n), weak_b_lower_covers, project_tam_b, validate)
 
 
 # --- congruence adjacency and projections ------------------------------------
@@ -228,14 +250,14 @@ def project_tam_b_by_classes(n: int) -> dict[Word, Word]:
 def pop_tam_a(p: Word) -> Word:
     """Pop on the type-A carrier: project the run reversal."""
     p = check_permutation(p)
-    if contains_pattern(p, P312):
+    if not avoids_312(p):
         raise ValueError(f"{p} is not 312-avoiding")
     return project_tam_a(reverse_runs(p))
 
 
 def pop_tam_b(x: Word) -> Word:
     x = validate_signed(x)
-    if contains_pattern(x, P312_STAR):
+    if not avoids_312_star(x):
         raise ValueError(f"{x} is not in the type-B carrier")
     return project_tam_b(reverse_runs(x))
 
@@ -250,7 +272,7 @@ def hong_image_predicate(p: Word) -> bool:
     return (
         p[-1] == len(p)
         and not has_double_descent(p)
-        and not contains_pattern(p, P312)
+        and avoids_312(p)
     )
 
 

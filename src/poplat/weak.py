@@ -2,7 +2,8 @@
 
 Covers turn one adjacent ascent into a descent; in the signed case the move
 at position i < n is paired with its mirror at 2n-i, and the central move at
-position n stands alone.  The one-shot pop map is run reversal.
+position n stands alone.  The one-shot pop map reverses descending runs, its
+dual reverses ascending runs.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from functools import lru_cache
 from .errors import GuardError
 from .lattice import FiniteLattice
 from .signed import ascent_decomposition, enumerate_signed, validate_signed
-from .words import Word, bounded_ascent_count, reverse_runs
+from .words import Word, ascending_runs, bounded_ascent_count, reverse_runs
 
 
 def _swap(word: Word, i: int) -> Word:
@@ -26,17 +27,32 @@ def weak_a_covers(p: Word) -> list[Word]:
     return [_swap(p, i) for i in range(len(p) - 1) if p[i] < p[i + 1]]
 
 
-def weak_b_covers(x: Word) -> list[Word]:
-    """Upper covers in the signed weak order (mirrored double swaps)."""
+def weak_a_lower_covers(p: Word) -> list[Word]:
+    """Lower covers: swap one adjacent descent."""
+    return [_swap(p, i) for i in range(len(p) - 1) if p[i] > p[i + 1]]
+
+
+def _weak_b_swaps(x: Word, descents: bool) -> list[Word]:
+    """Swap each ascent (or descent) at positions <= n, mirrored when off-center."""
     n = len(x) // 2
     out = []
     for i in range(n):
-        if x[i] < x[i + 1]:
+        if (x[i] > x[i + 1]) == descents:
             y = _swap(x, i)
             if i < n - 1:
                 y = _swap(y, 2 * n - 2 - i)
             out.append(y)
     return out
+
+
+def weak_b_covers(x: Word) -> list[Word]:
+    """Upper covers in the signed weak order (mirrored double swaps)."""
+    return _weak_b_swaps(x, descents=False)
+
+
+def weak_b_lower_covers(x: Word) -> list[Word]:
+    """Lower covers in the signed weak order (mirrored double swaps)."""
+    return _weak_b_swaps(x, descents=True)
 
 
 @lru_cache(maxsize=None)
@@ -60,6 +76,15 @@ def weak_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
 def pop_weak(x: Word) -> Word:
     """One-shot pop on the weak order: reverse every descending run."""
     return reverse_runs(x)
+
+
+def pop_weak_up(x: Word) -> Word:
+    """Dual one-shot pop on either weak order: reverse every ascending run.
+
+    The join of x with its upper covers, read off the word without building
+    the lattice.
+    """
+    return tuple(v for run in ascending_runs(x) for v in reversed(run))
 
 
 def image_run_condition(x: Word) -> bool:

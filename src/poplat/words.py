@@ -209,6 +209,52 @@ def contains_pattern(host: Sequence[int], spec: PatternSpec) -> bool:
     return extend(0, -1, [])
 
 
+# --- 312 gap scan ------------------------------------------------------------
+
+# A 312-avoiding prefix is summarised by its gaps and its maximum.  A gap
+# (a, c) is an entry a placed after a larger entry, with c the maximum before
+# a: a later value v completes a 312 with v as its "2" exactly when a < v < c
+# for some gap.  Containment is monotone in the prefix, so a scan can stop at
+# the first refused entry and a generator can prune there.
+GapState = tuple[tuple[tuple[int, int], ...], int]
+EMPTY_GAPS: GapState = ((), 0)
+
+
+def scan_312_gaps(
+    word: Sequence[int], floor: int | None = None, state: GapState = EMPTY_GAPS
+) -> GapState | None:
+    """Append the positive entries of `word` to a prefix summarised by `state`.
+
+    Returns the extended state, or None as soon as an entry v would be the
+    "2" of a 312.  With `floor` set, only entries v >= floor are refused,
+    which is the starred pattern when floor = n+1.  O(m) per entry.
+    """
+    gaps, top = state
+    for v in word:
+        if (floor is None or v >= floor) and any(a < v < c for a, c in gaps):
+            return None
+        if v < top:
+            gaps += ((v, top),)
+        else:
+            top = v
+    return gaps, top
+
+
+def avoids_312(word: Sequence[int]) -> bool:
+    """True when no entries c, a, b occur in that order with a < b < c."""
+    return scan_312_gaps(word) is not None
+
+
+def avoids_312_star(word: Sequence[int]) -> bool:
+    """True when no 312 occurrence has its "2" >= n+1, n = len(word)/2.
+
+    The O(m^2) counterpart of `contains_pattern(word, P312_STAR)`.
+    """
+    if len(word) % 2 != 0:
+        raise ValueError("size-bounded patterns need an even-length host")
+    return scan_312_gaps(word, len(word) // 2 + 1) is not None
+
+
 # --- binomials -------------------------------------------------------------
 
 

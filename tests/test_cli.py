@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from poplat import cli
+from poplat import cli, weak
 from poplat.cli import main
 from poplat.lattice import FiniteLattice
+from poplat.words import format_word
+from test_tamari import filtered_tam_b_elements, transitive_reduction_lattice
 
 
 def run(capsys, *argv):
@@ -56,6 +58,31 @@ def test_enumerate(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "6 elements"
     assert "2,1,4,3" in lines
+
+
+def test_enumerate_tam_b_6_matches_oracle_order(capsys):
+    code, out, _ = run(capsys, "enumerate", "--lattice", "tam-b", "--n", "6", "--json")
+    assert code == 0
+    oracle = transitive_reduction_lattice(filtered_tam_b_elements(6))
+    names = [format_word(x) for x in oracle.elements]
+    payload = {"command": "enumerate", "lattice": "tam-b", "n": 6,
+               "count": 924, "elements": names}
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_pop_up_weak_reads_word_without_building(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the lattice")
+
+    monkeypatch.setattr(weak, "weak_a_lattice", refuse)
+    monkeypatch.setattr(weak, "weak_b_lattice", refuse)
+    code, out, _ = run(capsys, "pop", "--lattice", "weak-b", "--up",
+                       "--x", "3,11,1,9,6,8,5,7,4,12,2,10")
+    assert code == 0
+    assert out.strip() == "11,3,9,1,8,6,7,5,12,4,10,2"
+    code, out, _ = run(capsys, "pop", "--lattice", "weak-a", "--up", "--x", "2,5,1,3,4")
+    assert code == 0
+    assert out.strip() == "5,2,4,3,1"
 
 
 def test_image_with_predicate(capsys):

@@ -1,8 +1,12 @@
+import itertools
 import math
+from functools import lru_cache
 
 import pytest
 
-from poplat.signed import half_decomposition
+from poplat.errors import GuardError
+from poplat.lattice import FiniteLattice
+from poplat.signed import enumerate_signed, half_decomposition
 from poplat.tamari import (
     adjacency_chain,
     hong_image_predicate,
@@ -23,11 +27,92 @@ from poplat.tamari import (
     tam_b_lattice,
 )
 from poplat.words import (
+    P312,
+    P312_STAR,
+    avoids_312,
+    avoids_312_star,
+    contains_pattern,
     descent_count,
     index_of,
     reduction,
     reverse_runs,
 )
+
+# --- reference oracles -------------------------------------------------------
+# The filter-then-reduce construction: keep the pattern avoiders of the whole
+# ambient weak order by backtracking search, then read the covers off
+# inversion-set containment by transitive reduction.  Independent of the
+# direct generators and of the congruence projections.
+
+
+@lru_cache(maxsize=None)
+def filtered_tam_a_elements(n):
+    return tuple(
+        p
+        for p in itertools.permutations(range(1, n + 2))
+        if not contains_pattern(p, P312)
+    )
+
+
+@lru_cache(maxsize=None)
+def filtered_tam_b_elements(n):
+    return tuple(
+        x for x in enumerate_signed(n) if not contains_pattern(x, P312_STAR)
+    )
+
+
+def _inversion_mask(p):
+    """Bitmask over value pairs (a, b), a < b, set when b precedes a."""
+    pos = {v: i for i, v in enumerate(p)}
+    m = len(p)
+    out = 0
+    bit = 0
+    for a in range(1, m + 1):
+        for b in range(a + 1, m + 1):
+            if pos[b] < pos[a]:
+                out |= 1 << bit
+            bit += 1
+    return out
+
+
+def transitive_reduction_lattice(elements):
+    """Sublattice of the weak order on a carrier, by transitive reduction."""
+    masks = [_inversion_mask(p) for p in elements]
+    order = sorted(range(len(elements)), key=lambda i: (bin(masks[i]).count("1"), elements[i]))
+    n = len(elements)
+    down = [0] * n
+    for a_pos, i in enumerate(order):
+        mask = 1 << a_pos
+        mi = masks[i]
+        for b_pos in range(a_pos):
+            if masks[order[b_pos]] & ~mi == 0:
+                mask |= 1 << b_pos
+        down[a_pos] = mask
+    covers = []
+    for a_pos in range(n):
+        strict = down[a_pos] ^ (1 << a_pos)
+        shadow = 0
+        rest = strict
+        while rest:
+            low = rest & -rest
+            shadow |= down[low.bit_length() - 1] ^ low
+            rest ^= low
+        cover_mask = strict & ~shadow
+        hi = elements[order[a_pos]]
+        while cover_mask:
+            low = cover_mask & -cover_mask
+            covers.append((elements[order[low.bit_length() - 1]], hi))
+            cover_mask ^= low
+    return FiniteLattice.build(elements, covers, validate=False)
+
+
+ORACLE_CASES = [
+    pytest.param(tam_a_elements, tam_a_lattice, filtered_tam_a_elements, n, id=f"tam-a-{n}")
+    for n in range(8)
+] + [
+    pytest.param(tam_b_elements, tam_b_lattice, filtered_tam_b_elements, n, id=f"tam-b-{n}")
+    for n in range(7)
+]
 
 
 def catalan(k):
@@ -35,10 +120,40 @@ def catalan(k):
 
 
 def test_carrier_sizes():
-    for n in (1, 2, 3, 4, 5, 6):
+    for n in range(8):
         assert len(tam_a_elements(n)) == catalan(n + 1)
-    for n in (1, 2, 3, 4, 5):
+    for n in range(7):
         assert len(tam_b_elements(n)) == math.comb(2 * n, n)
+
+
+@pytest.mark.parametrize("elements, lattice, oracle, n", ORACLE_CASES)
+def test_direct_build_matches_filter_and_reduction_oracle(elements, lattice, oracle, n):
+    carrier = elements(n)
+    assert carrier == oracle(n)
+    reference = transitive_reduction_lattice(carrier)
+    built = lattice(n, validate=False)
+    assert built.elements == reference.elements
+    assert built.cover_pairs() == reference.cover_pairs()
+
+
+def test_avoids_312_matches_backtracking_search():
+    for m in range(1, 9):
+        kept = set(filtered_tam_a_elements(m - 1))
+        for p in itertools.permutations(range(1, m + 1)):
+            assert avoids_312(p) == (p in kept), p
+    for n in range(5):
+        kept = set(filtered_tam_b_elements(n))
+        for x in enumerate_signed(n):
+            assert avoids_312_star(x) == (x in kept), x
+    with pytest.raises(ValueError):
+        avoids_312_star((3, 1, 2))
+
+
+def test_carrier_guards():
+    with pytest.raises(GuardError):
+        tam_a_elements(8)
+    with pytest.raises(GuardError):
+        tam_b_elements(7)
 
 
 def test_tam_b_carrier_n2():
@@ -123,8 +238,6 @@ def test_largest_value_sits_right_of_center_on_image():
 
 
 def test_block_pattern_commutes_with_projection():
-    from poplat.signed import enumerate_signed
-
     for n in (1, 2, 3, 4):
         for x in enumerate_signed(n):
             lhs = reduction(half_decomposition(project_tam_b(x)).half)
@@ -273,7 +386,6 @@ def test_adjacency_chain_single_step():
 def test_adjacency_chain_sweep_rank3():
     from itertools import permutations
 
-    from poplat.signed import enumerate_signed
     from poplat.tamari import tam_a_adjacent
 
     by_pattern = {}

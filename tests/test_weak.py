@@ -7,9 +7,12 @@ from poplat.weak import (
     image_census_by_first_entry,
     image_run_condition,
     pop_weak,
+    pop_weak_up,
     staircase_image_element,
     weak_a_lattice,
+    weak_a_lower_covers,
     weak_b_lattice,
+    weak_b_lower_covers,
     weak_b_upper_cover_count,
 )
 
@@ -18,6 +21,8 @@ def test_pop_direct_examples():
     assert pop_weak((5, 1, 7, 6, 3, 2, 8, 4)) == (1, 5, 2, 3, 6, 7, 4, 8)
     assert pop_weak((1, 2, 3, 4)) == (1, 2, 3, 4)
     assert pop_weak((3, 4, 1, 2)) == (3, 1, 4, 2)
+    assert pop_weak_up((3, 4, 1, 2)) == (4, 3, 2, 1)
+    assert pop_weak_up((1, 3, 2, 4)) == (3, 1, 4, 2)
 
 
 def test_pop_direct_equals_lattice_pop_a():
@@ -25,6 +30,7 @@ def test_pop_direct_equals_lattice_pop_a():
         lat = weak_a_lattice(m)
         for p in lat.elements:
             assert lat.pop_down(p) == pop_weak(p)
+            assert lat.pop_up(p) == pop_weak_up(p)
 
 
 def test_pop_direct_equals_lattice_pop_b():
@@ -32,6 +38,18 @@ def test_pop_direct_equals_lattice_pop_b():
         lat = weak_b_lattice(n)
         for x in lat.elements:
             assert lat.pop_down(x) == pop_weak(x)
+            assert lat.pop_up(x) == pop_weak_up(x)
+
+
+def test_lower_covers_read_off_word():
+    for m in (1, 2, 3, 4, 5):
+        lat = weak_a_lattice(m)
+        for p in lat.elements:
+            assert sorted(weak_a_lower_covers(p)) == sorted(lat.lower_covers(p))
+    for n in (0, 1, 2, 3, 4):
+        lat = weak_b_lattice(n)
+        for x in lat.elements:
+            assert sorted(weak_b_lower_covers(x)) == sorted(lat.lower_covers(x))
 
 
 def test_weak_a_cover_counts_are_ascents():
