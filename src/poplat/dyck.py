@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import GuardError
-from .lattice import FiniteLattice, QPoly
+from .lattice import FiniteLattice, QPoly, memoised_builder
 
 J_A_GUARD = 10
 J_B_GUARD = 5
@@ -59,11 +59,12 @@ def is_symmetric(path: str) -> bool:
 
 def valleys(path: str) -> list[int]:
     """x-coordinates preceded by a fall and followed by a rise."""
-    return [
-        i + 1
-        for i in range(len(path) - 1)
-        if path[i] == FALL and path[i + 1] == RISE
-    ]
+    out = []
+    i = path.find(FALL + RISE)
+    while i >= 0:
+        out.append(i + 1)
+        i = path.find(FALL + RISE, i + 2)
+    return out
 
 
 def peaks(path: str) -> list[int]:
@@ -92,17 +93,15 @@ def half_peak_count(path: str) -> int:
 
 
 def flip_valleys_up(path: str) -> str:
-    """Turn every valley into a peak simultaneously (the dual pop map)."""
-    steps = list(path)
-    for x in valleys(path):
-        steps[x - 1], steps[x] = RISE, FALL
-    return "".join(steps)
+    """Turn every valley into a peak simultaneously (the dual pop map).
+
+    Valleys never overlap, so this is one left-to-right replacement.
+    """
+    return path.replace(FALL + RISE, RISE + FALL)
 
 
 def _flip_valley(path: str, x: int) -> str:
-    steps = list(path)
-    steps[x - 1], steps[x] = RISE, FALL
-    return "".join(steps)
+    return path[: x - 1] + RISE + FALL + path[x + 1 :]
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +160,7 @@ def _height_leq(a: str, b: str) -> bool:
     return all(x <= y for x, y in zip(ha, hb))
 
 
-@lru_cache(maxsize=None)
+@memoised_builder
 def j_a_lattice(m: int, validate: bool = True) -> FiniteLattice:
     """Ideal lattice on all paths of semi-length m; covers flip one valley."""
     if m > J_A_GUARD:
@@ -182,7 +181,7 @@ def _flip_orbit(path: str, x: int) -> str:
     return out
 
 
-@lru_cache(maxsize=None)
+@memoised_builder
 def j_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     """Ideal lattice on symmetric paths of semi-length 2n.
 

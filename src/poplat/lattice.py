@@ -1,18 +1,30 @@
 """Generic finite-lattice kernel built from an explicit cover relation.
 
-Construction computes a linear extension, re-indexes the elements along it,
-and stores the order as per-element downset/upset bitmasks (Python ints).
-The linear extension makes meet and join extraction cheap: in the intersection
-of two downsets the highest set bit is a maximal common lower bound, and the
-intersection is a principal ideal exactly when that bit's own downset equals
-the intersection.  All queries are pure; instances are immutable after build
-and safe to share.
+Construction computes a linear extension (Kahn's algorithm, in cover order),
+re-indexes the elements along it, and keeps the order as two halves, each a
+table of bitmasks (Python ints) with the covers below every entry:
+
+* the down half, indexed by element: `_down[i]` has bit j for every element
+  j <= i;
+* the up half, indexed from the top: position k stands for element n-1-k, and
+  `_up[k]` has bit n-1-j for every element j >= n-1-k.  It is the downset
+  table of the dual lattice, so an upset is as short as a downset instead of
+  carrying bits up to the top element.
+
+In either half a mask has no bit above its own position.  So the highest set
+bit of an intersection of masks is a maximal element of it, and the
+intersection is principal exactly when that element's own mask equals it.
+A meet is read off the down half that way, and a join off the up half: its
+highest bit k is the least common upper bound, element n-1-k.  The pops, the
+census and validation all use this one rule.  All queries are pure; instances
+are immutable after build and safe to share.
 """
 from __future__ import annotations
 
 import json
 import os
 from collections import deque
+from functools import wraps
 from typing import Callable, Hashable, Iterable
 
 from .errors import GuardError, NonIntervalClassError, NotALatticeError
@@ -101,18 +113,38 @@ def max_elements_guard() -> int:
     return int(value) if value else DEFAULT_MAX_ELEMENTS
 
 
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _extremum(masks: list[int], mask: int) -> int | None:
+    """Index whose own mask is `mask`, or None when `mask` is not principal.
+
+    In `masks` index j holds bit j, and every other bit of masks[j] is lower.
+    The highest bit of an intersection of masks is then a maximal element of
+    it, and the intersection is principal exactly when it is that element's
+    own mask.
+    """
+    top = mask.bit_length() - 1
+    return top if masks[top] == mask else None
+
+
+def _closure(below: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Downset masks of a half whose covers `below` point to lower indices."""
+    masks: list[int] = []
+    for i, covers in enumerate(below):
+        mask = 1 << i
+        for j in covers:
+            mask |= masks[j]
+        masks.append(mask)
+    return masks
 
 
 class FiniteLattice:
     """A finite lattice given by elements and covers.
 
     `elements` is stored in linear-extension order; all public methods accept
-    and return the original element keys.
+    and return the original element keys.  The order is kept as two halves,
+    each a table of masks and the covers below every entry: the down half
+    (`_down`, `_lowers`) indexed by element index, and the up half (`_up`,
+    `_uppers`) indexed from the top, where position k stands for element
+    n-1-k.
     """
 
     __slots__ = ("elements", "_index", "_uppers", "_lowers", "_down", "_up")
@@ -142,25 +174,29 @@ class FiniteLattice:
         be switched off for large instances known in advance to be lattices.
         """
         keys = list(elements)
+        n = len(keys)
         guard = max_elements if max_elements is not None else max_elements_guard()
-        if len(keys) > guard:
-            raise GuardError(f"{len(keys)} elements exceed guard {guard}")
-        if len(set(keys)) != len(keys):
+        if n > guard:
+            raise GuardError(f"{n} elements exceed guard {guard}")
+        key_index = {k: i for i, k in enumerate(keys)}
+        if len(key_index) != n:
             raise ValueError("duplicate elements")
-        tmp_index = {k: i for i, k in enumerate(keys)}
         up_adj: list[list[int]] = [[] for _ in keys]
-        down_adj: list[list[int]] = [[] for _ in keys]
+        indegree = [0] * n
         seen = set()
         for lo, hi in covers:
-            pair = (tmp_index[lo], tmp_index[hi])
+            a, b = key_index[lo], key_index[hi]
+            pair = a * n + b
             if pair in seen:
                 continue
             seen.add(pair)
-            up_adj[pair[0]].append(pair[1])
-            down_adj[pair[1]].append(pair[0])
+            up_adj[a].append(b)
+            indegree[b] += 1
+        # Scratch tables are dropped before the masks are allocated, which
+        # sets peak memory.
+        del key_index, seen
 
         # Kahn's algorithm: linear extension + cycle detection.
-        indegree = [len(down_adj[i]) for i in range(len(keys))]
         queue = deque(i for i, d in enumerate(indegree) if d == 0)
         topo: list[int] = []
         while queue:
@@ -170,40 +206,38 @@ class FiniteLattice:
                 indegree[j] -= 1
                 if indegree[j] == 0:
                     queue.append(j)
-        if len(topo) != len(keys):
+        if len(topo) != n:
             raise NotALatticeError("cycle detected in cover relation")
 
-        order = [keys[i] for i in topo]
-        index = {k: i for i, k in enumerate(order)}
-        uppers = [
-            tuple(sorted(index[keys[j]] for j in up_adj[old]))
-            for old in topo
-        ]
-        lowers = [
-            tuple(sorted(index[keys[j]] for j in down_adj[old]))
-            for old in topo
-        ]
-        n = len(order)
-        down = [0] * n
-        for i in range(n):
-            mask = 1 << i
-            for j in lowers[i]:
-                mask |= down[j]
-            down[i] = mask
-        up = [0] * n
-        for i in range(n - 1, -1, -1):
-            mask = 1 << i
-            for j in uppers[i]:
-                mask |= up[j]
-            up[i] = mask
+        # Re-index along the extension.  Scanning lower ends upward fills
+        # each lower-cover list in increasing order, and scanning those lists
+        # from the top down fills each upper-cover list (indexed from the
+        # top) in increasing order too: no sort is needed.
+        position = [0] * n
+        for new, old in enumerate(topo):
+            position[old] = new
+        lowers: list[list[int]] = [[] for _ in keys]
+        for i, old in enumerate(topo):
+            for j in up_adj[old]:
+                lowers[position[j]].append(i)
+        del up_adj, position
+        last = n - 1
+        uppers: list[list[int]] = [[] for _ in keys]
+        for j in range(last, -1, -1):
+            for i in lowers[j]:
+                uppers[last - i].append(last - j)
+        lowers = tuple(map(tuple, lowers))
+        uppers = tuple(map(tuple, uppers))
 
-        lat = cls(tuple(order), index, tuple(uppers), tuple(lowers), down, up)
+        order = tuple(keys[i] for i in topo)
+        index = {k: i for i, k in enumerate(order)}
+        lat = cls(order, index, uppers, lowers, _closure(lowers), _closure(uppers))
         if n:
-            bottoms = [i for i in range(n) if not lowers[i]]
-            tops = [i for i in range(n) if not uppers[i]]
-            if len(bottoms) != 1 or len(tops) != 1:
+            bottoms = sum(1 for covers in lowers if not covers)
+            tops = sum(1 for covers in uppers if not covers)
+            if bottoms != 1 or tops != 1:
                 raise NotALatticeError(
-                    f"{len(bottoms)} minimal and {len(tops)} maximal elements"
+                    f"{bottoms} minimal and {tops} maximal elements"
                 )
         if validate:
             lat._validate()
@@ -214,15 +248,18 @@ class FiniteLattice:
 
         A finite poset with a unique minimum and maximum (checked by `build`)
         is a lattice iff every two upper covers of a common element have a
-        join (Freese, Jezek and Nation, Free Lattices, ch. 11).
+        join (Freese, Jezek and Nation, Free Lattices, ch. 11).  Elements and
+        pairs are scanned in linear-extension order.
         """
-        up = self._up
-        for z, covers in enumerate(self._uppers):
-            for k, a in enumerate(covers):
-                for b in covers[k + 1:]:
-                    if self._join_mask(up[a] & up[b]) is None:
+        up, last = self._up, len(self.elements) - 1
+        for z in range(last + 1):
+            covers = self._uppers[last - z][::-1]
+            for p, a in enumerate(covers):
+                for b in covers[p + 1:]:
+                    if _extremum(up, up[a] & up[b]) is None:
                         raise NotALatticeError(
-                            f"no join for {self.elements[a]!r}, {self.elements[b]!r}, "
+                            f"no join for {self.elements[last - a]!r}, "
+                            f"{self.elements[last - b]!r}, "
                             f"upper covers of {self.elements[z]!r}"
                         )
 
@@ -246,74 +283,88 @@ class FiniteLattice:
         return bool(self._down[self._index[y]] >> self._index[x] & 1)
 
     def upper_covers(self, x) -> tuple:
-        return tuple(self.elements[j] for j in self._uppers[self._index[x]])
+        last = len(self.elements) - 1
+        return tuple(
+            self.elements[last - k] for k in reversed(self._uppers[last - self._index[x]])
+        )
 
     def lower_covers(self, x) -> tuple:
         return tuple(self.elements[j] for j in self._lowers[self._index[x]])
 
     def cover_pairs(self) -> list[tuple]:
+        last = len(self.elements) - 1
         return [
-            (self.elements[i], self.elements[j])
-            for i in range(len(self.elements))
-            for j in self._uppers[i]
+            (x, self.elements[last - k])
+            for i, x in enumerate(self.elements)
+            for k in reversed(self._uppers[last - i])
         ]
 
-    def _meet_mask(self, mask: int):
-        top_bit = mask.bit_length() - 1
-        if self._down[top_bit] != mask:
-            return None
-        return top_bit
+    def _half(self, direction: str):
+        """(masks, covers below, position) of the half that pops `direction`.
 
-    def _join_mask(self, mask: int):
-        low_bit = (mask & -mask).bit_length() - 1
-        if self._up[low_bit] != mask:
-            return None
-        return low_bit
+        `position[i]` is the half's index of element i; the map is its own
+        inverse, so it also takes a half index back to an element index.
+        """
+        n = len(self.elements)
+        if direction == "down":
+            return self._down, self._lowers, range(n)
+        if direction == "up":
+            return self._up, self._uppers, range(n - 1, -1, -1)
+        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+
+    def _bound(self, direction: str, xs: tuple):
+        """Meet ("down") or join ("up") of the keys xs, as a key."""
+        masks, _, position = self._half(direction)
+        mask = -1
+        for x in xs:
+            mask &= masks[position[self._index[x]]]
+        got = _extremum(masks, mask)
+        if got is None:
+            raise NotALatticeError(
+                f"no {'meet' if direction == 'down' else 'join'} of {xs!r}"
+            )
+        return self.elements[position[got]]
 
     def meet(self, *xs):
-        if not xs:
-            return self.top
-        mask = -1
-        for x in xs:
-            mask &= self._down[self._index[x]]
-        got = self._meet_mask(mask)
-        if got is None:
-            raise NotALatticeError(f"no meet of {xs!r}")
-        return self.elements[got]
+        return self._bound("down", xs) if xs else self.top
 
     def join(self, *xs):
-        if not xs:
-            return self.bottom
-        mask = -1
-        for x in xs:
-            mask &= self._up[self._index[x]]
-        got = self._join_mask(mask)
-        if got is None:
-            raise NotALatticeError(f"no join of {xs!r}")
-        return self.elements[got]
+        return self._bound("up", xs) if xs else self.bottom
 
     # -- pop operators -----------------------------------------------------
 
+    def _image(self, direction: str, indices: Iterable[int]) -> set[int]:
+        """Element indices of the pops of the elements at `indices`.
+
+        "down" meets an element with its lower covers; "up" joins it with
+        its upper covers, which is the same meet taken in the up half.  A
+        non-lattice names the first element, in the order given, whose pop
+        does not exist.
+        """
+        masks, below, position = self._half(direction)
+        image = set()
+        for i in indices:
+            k = position[i]
+            mask = masks[k]
+            for j in below[k]:
+                mask &= masks[j]
+            got = _extremum(masks, mask)
+            if got is None:
+                word, side = ("meet", "lower") if direction == "down" else ("join", "upper")
+                raise NotALatticeError(
+                    f"no {word} of the {side} covers of {self.elements[i]!r}"
+                )
+            image.add(got)
+        return {position[k] for k in image}
+
     def pop_down(self, x):
         """Meet of x with everything it covers."""
-        i = self._index[x]
-        mask = self._down[i]
-        for j in self._lowers[i]:
-            mask &= self._down[j]
-        got = self._meet_mask(mask)
-        if got is None:
-            raise NotALatticeError(f"no meet of the lower covers of {x!r}")
+        (got,) = self._image("down", (self._index[x],))
         return self.elements[got]
 
     def pop_up(self, x):
         """Join of x with everything covering it."""
-        i = self._index[x]
-        mask = self._up[i]
-        for j in self._uppers[i]:
-            mask &= self._up[j]
-        got = self._join_mask(mask)
-        if got is None:
-            raise NotALatticeError(f"no join of the upper covers of {x!r}")
+        (got,) = self._image("up", (self._index[x],))
         return self.elements[got]
 
     def pop_polynomial(self, direction: str = "down") -> QPoly:
@@ -323,24 +374,20 @@ class FiniteLattice:
         "up":   sum q^(#lower covers) over distinct pop_up images.
         The two agree on every lattice (duality), which the tests exercise.
         """
-        coeffs: dict[int, int] = {}
+        image = self._image(direction, range(len(self.elements)))
         if direction == "down":
-            image = {self.pop_down(x) for x in self.elements}
-            for z in image:
-                d = len(self._uppers[self._index[z]])
-                coeffs[d] = coeffs.get(d, 0) + 1
-        elif direction == "up":
-            image = {self.pop_up(x) for x in self.elements}
-            for z in image:
-                d = len(self._lowers[self._index[z]])
-                coeffs[d] = coeffs.get(d, 0) + 1
+            last = len(self.elements) - 1
+            degrees = [len(self._uppers[last - i]) for i in image]
         else:
-            raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+            degrees = [len(self._lowers[i]) for i in image]
+        coeffs: dict[int, int] = {}
+        for d in degrees:
+            coeffs[d] = coeffs.get(d, 0) + 1
         return QPoly(coeffs)
 
     def pop_image(self, direction: str = "down") -> set:
-        op = self.pop_down if direction == "down" else self.pop_up
-        return {op(x) for x in self.elements}
+        image = self._image(direction, range(len(self.elements)))
+        return {self.elements[i] for i in image}
 
     # -- congruences ---------------------------------------------------------
 
@@ -354,6 +401,7 @@ class FiniteLattice:
         minimum, unique maximum, and equal to the full segment between them).
         """
         n = len(self.elements)
+        last = n - 1
         parent = list(range(n))
 
         def find(a: int) -> int:
@@ -373,24 +421,31 @@ class FiniteLattice:
         for i in range(n):
             groups.setdefault(find(i), []).append(i)
 
+        down, up = self._down, self._up
         projection: dict = {}
         for members in groups.values():
-            class_mask = 0
+            class_mask = up_mask = 0
             for i in members:
                 class_mask |= 1 << i
-            minima = [
-                i for i in members if (self._down[i] & class_mask) == 1 << i
-            ]
+                up_mask |= 1 << (last - i)
+            minima = [i for i in members if (down[i] & class_mask) == 1 << i]
             maxima = [
-                i for i in members if (self._up[i] & class_mask) == 1 << i
+                i for i in members if (up[last - i] & up_mask) == 1 << (last - i)
             ]
             if len(minima) != 1 or len(maxima) != 1:
                 raise NonIntervalClassError(
                     f"class {sorted(self.elements[i] for i in members)!r} has "
                     f"{len(minima)} minimal and {len(maxima)} maximal elements"
                 )
-            lo, hi = minima[0], maxima[0]
-            if (self._up[lo] & self._down[hi]) != class_mask:
+            lo = minima[0]
+            # With a unique minimum and maximum the class lies in the segment
+            # between them; it fills the segment iff no member has a lower
+            # cover outside the class that is still above the minimum.
+            if any(
+                not class_mask >> c & 1 and down[c] >> lo & 1
+                for i in members
+                for c in self._lowers[i]
+            ):
                 raise NonIntervalClassError(
                     f"class of {self.elements[lo]!r} is not an interval"
                 )
@@ -408,3 +463,32 @@ class FiniteLattice:
             ],
         }
         return json.dumps(payload, sort_keys=True)
+
+
+def memoised_builder(build: Callable[[int, bool], FiniteLattice]):
+    """Memoise a family builder `build(n, validate=True)`: one build per n.
+
+    The lattice is built once without validation; a call with validate=True
+    validates that same instance (once), so every call for n, however
+    `validate` is passed, returns one object.  `cache_clear()` forgets both,
+    as on an `lru_cache` builder.
+    """
+    built: dict[int, FiniteLattice] = {}
+    validated: set[int] = set()
+
+    @wraps(build)
+    def builder(n: int, validate: bool = True) -> FiniteLattice:
+        if n not in built:
+            built[n] = build(n, False)
+        lat = built[n]
+        if validate and n not in validated:
+            lat._validate()
+            validated.add(n)
+        return lat
+
+    def cache_clear() -> None:
+        built.clear()
+        validated.clear()
+
+    builder.cache_clear = cache_clear
+    return builder

@@ -23,7 +23,7 @@ import itertools
 from functools import lru_cache
 
 from .errors import GuardError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, memoised_builder
 from .signed import complement_reverse, half_decomposition, validate_signed
 from .weak import (
     weak_a_lattice,
@@ -136,12 +136,12 @@ def _quotient_lattice(elements: tuple[Word, ...], lower_covers, project,
     return FiniteLattice.build(elements, ordered, validate=validate)
 
 
-@lru_cache(maxsize=None)
+@memoised_builder
 def tam_a_lattice(n: int, validate: bool = True) -> FiniteLattice:
     return _quotient_lattice(tam_a_elements(n), weak_a_lower_covers, project_tam_a, validate)
 
 
-@lru_cache(maxsize=None)
+@memoised_builder
 def tam_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     return _quotient_lattice(tam_b_elements(n), weak_b_lower_covers, project_tam_b, validate)
 

@@ -8,10 +8,9 @@ dual reverses ascending runs.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import GuardError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, memoised_builder
 from .signed import ascent_decomposition, enumerate_signed, validate_signed
 from .words import Word, ascending_runs, bounded_ascent_count, reverse_runs
 
@@ -55,7 +54,7 @@ def weak_b_lower_covers(x: Word) -> list[Word]:
     return _weak_b_swaps(x, descents=True)
 
 
-@lru_cache(maxsize=None)
+@memoised_builder
 def weak_a_lattice(num_letters: int, validate: bool = True) -> FiniteLattice:
     """Weak order on the permutations of {1, ..., num_letters}."""
     if num_letters > 7:
@@ -65,7 +64,7 @@ def weak_a_lattice(num_letters: int, validate: bool = True) -> FiniteLattice:
     return FiniteLattice.build(elements, covers, validate=validate)
 
 
-@lru_cache(maxsize=None)
+@memoised_builder
 def weak_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     """Weak order on the rank-n signed permutations."""
     elements = enumerate_signed(n)

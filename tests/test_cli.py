@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from poplat import cli, weak
+from poplat import cli, dyck, weak
 from poplat.cli import main
 from poplat.lattice import FiniteLattice
 from poplat.words import format_word
+from test_lattice import family_inputs, reference_build
 from test_tamari import filtered_tam_b_elements, transitive_reduction_lattice
 
 
@@ -68,6 +69,31 @@ def test_enumerate_tam_b_6_matches_oracle_order(capsys):
     payload = {"command": "enumerate", "lattice": "tam-b", "n": 6,
                "count": 924, "elements": names}
     assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "lattice,size,builder",
+    [(["j-a", "--semilength", "10"], 10, dyck.j_a_lattice),
+     (["weak-a", "--n", "7"], 7, weak.weak_a_lattice)],
+    ids=["j-a-10", "weak-a-7"],
+)
+def test_enumerate_and_pop_poly_json_match_reference(capsys, monkeypatch, lattice, size, builder):
+    name = lattice[0]
+    ref = reference_build(*family_inputs(builder, size, monkeypatch))
+    code, out, _ = run(capsys, "enumerate", "--lattice", *lattice, "--json")
+    assert code == 0
+    names = [cli._format_element(name, x) for x in ref.elements]
+    payload = {"command": "enumerate", "lattice": name, "n": size,
+               "count": len(names), "elements": names}
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "pop-poly", "--lattice", *lattice, "--json")
+    assert code == 0
+    down, up = ref.pop_polynomial("down"), ref.pop_polynomial("up")
+    payload = {"command": "pop-poly", "lattice": name, "n": size,
+               "down_with_upper_covers": down.to_json_dict(),
+               "up_with_lower_covers": up.to_json_dict(), "verdict": "match"}
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    builder.cache_clear()
 
 
 def test_pop_up_weak_reads_word_without_building(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import deque
 
 import pytest
 from hypothesis import find, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import GuardError, NonIntervalClassError, NotALatticeError
-from poplat.lattice import FiniteLattice, QPoly
+from poplat.lattice import FiniteLattice, QPoly, memoised_builder
 from poplat.tamari import tam_a_adjacent, tam_a_lattice, tam_b_adjacent, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
 
@@ -16,10 +17,202 @@ def chain(k):
     return FiniteLattice.build(range(k), [(i, i + 1) for i in range(k - 1)])
 
 
+# --- reference oracle ----------------------------------------------------------
+# The kernel's first construction: covers deduplicated as key pairs and looked
+# up through a key dict, both cover lists sorted, and the order kept as
+# forward-indexed masks along one Kahn linear extension: down[i] holds bit j
+# for every j <= i below i, up[i] bit j for every j >= i above i (so every
+# upset is full width).  Queries go through keys one element at a time.  It
+# shares no code with `FiniteLattice` and never validates.
+
+
+class ReferenceLattice:
+    def __init__(self, elements, covers):
+        keys = list(elements)
+        tmp_index = {k: i for i, k in enumerate(keys)}
+        up_adj = [[] for _ in keys]
+        down_adj = [[] for _ in keys]
+        seen = set()
+        for lo, hi in covers:
+            pair = (tmp_index[lo], tmp_index[hi])
+            if pair in seen:
+                continue
+            seen.add(pair)
+            up_adj[pair[0]].append(pair[1])
+            down_adj[pair[1]].append(pair[0])
+        indegree = [len(down_adj[i]) for i in range(len(keys))]
+        queue = deque(i for i, d in enumerate(indegree) if d == 0)
+        topo = []
+        while queue:
+            i = queue.popleft()
+            topo.append(i)
+            for j in up_adj[i]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    queue.append(j)
+        if len(topo) != len(keys):
+            raise NotALatticeError("cycle detected in cover relation")
+        self.elements = tuple(keys[i] for i in topo)
+        self.index = index = {k: i for i, k in enumerate(self.elements)}
+        self.uppers = [tuple(sorted(index[keys[j]] for j in up_adj[old])) for old in topo]
+        self.lowers = [tuple(sorted(index[keys[j]] for j in down_adj[old])) for old in topo]
+        n = len(self.elements)
+        self.down = [0] * n
+        for i in range(n):
+            mask = 1 << i
+            for j in self.lowers[i]:
+                mask |= self.down[j]
+            self.down[i] = mask
+        self.up = [0] * n
+        for i in range(n - 1, -1, -1):
+            mask = 1 << i
+            for j in self.uppers[i]:
+                mask |= self.up[j]
+            self.up[i] = mask
+        bottoms = sum(1 for c in self.lowers if not c)
+        tops = sum(1 for c in self.uppers if not c)
+        if n and (bottoms != 1 or tops != 1):
+            raise NotALatticeError(f"{bottoms} minimal and {tops} maximal elements")
+
+    def cover_pairs(self):
+        return [(self.elements[i], self.elements[j])
+                for i in range(len(self.elements)) for j in self.uppers[i]]
+
+    def upper_covers(self, x):
+        return tuple(self.elements[j] for j in self.uppers[self.index[x]])
+
+    def lower_covers(self, x):
+        return tuple(self.elements[j] for j in self.lowers[self.index[x]])
+
+    def leq(self, x, y):
+        return bool(self.down[self.index[y]] >> self.index[x] & 1)
+
+    def _meet_mask(self, mask):
+        top_bit = mask.bit_length() - 1
+        return top_bit if self.down[top_bit] == mask else None
+
+    def _join_mask(self, mask):
+        low_bit = (mask & -mask).bit_length() - 1
+        return low_bit if self.up[low_bit] == mask else None
+
+    def meet(self, *xs):
+        mask = -1
+        for x in xs:
+            mask &= self.down[self.index[x]]
+        got = self._meet_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no meet of {xs!r}")
+        return self.elements[got]
+
+    def join(self, *xs):
+        mask = -1
+        for x in xs:
+            mask &= self.up[self.index[x]]
+        got = self._join_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no join of {xs!r}")
+        return self.elements[got]
+
+    def pop_down(self, x):
+        i = self.index[x]
+        mask = self.down[i]
+        for j in self.lowers[i]:
+            mask &= self.down[j]
+        got = self._meet_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no meet of the lower covers of {x!r}")
+        return self.elements[got]
+
+    def pop_up(self, x):
+        i = self.index[x]
+        mask = self.up[i]
+        for j in self.uppers[i]:
+            mask &= self.up[j]
+        got = self._join_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no join of the upper covers of {x!r}")
+        return self.elements[got]
+
+    def pop_image(self, direction):
+        op = self.pop_down if direction == "down" else self.pop_up
+        return {op(x) for x in self.elements}
+
+    def pop_polynomial(self, direction):
+        covers = self.uppers if direction == "down" else self.lowers
+        coeffs = {}
+        for z in self.pop_image(direction):
+            d = len(covers[self.index[z]])
+            coeffs[d] = coeffs.get(d, 0) + 1
+        return QPoly(coeffs)
+
+    def congruence_classes(self, adjacency):
+        n = len(self.elements)
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for x in self.elements:
+            for y in adjacency(x):
+                ra, rb = find(self.index[x]), find(self.index[y])
+                if ra != rb:
+                    parent[ra] = rb
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        projection = {}
+        for members in groups.values():
+            class_mask = sum(1 << i for i in members)
+            minima = [i for i in members if (self.down[i] & class_mask) == 1 << i]
+            maxima = [i for i in members if (self.up[i] & class_mask) == 1 << i]
+            if len(minima) != 1 or len(maxima) != 1:
+                raise NonIntervalClassError(
+                    f"class {sorted(self.elements[i] for i in members)!r} has "
+                    f"{len(minima)} minimal and {len(maxima)} maximal elements"
+                )
+            lo, hi = minima[0], maxima[0]
+            if (self.up[lo] & self.down[hi]) != class_mask:
+                raise NonIntervalClassError(
+                    f"class of {self.elements[lo]!r} is not an interval"
+                )
+            for i in members:
+                projection[self.elements[i]] = self.elements[lo]
+        return projection
+
+
+def reference_build(elements, covers):
+    """The kernel's first `FiniteLattice.build`, without the lattice check."""
+    return ReferenceLattice(elements, covers)
+
+
+def family_inputs(builder, n, monkeypatch):
+    """The (elements, covers) a family builder hands to `FiniteLattice.build`."""
+    calls = []
+    real_build = FiniteLattice.build
+
+    def record(elements, covers, validate=True, max_elements=None):
+        calls.append((list(elements), list(covers)))
+        return real_build(calls[-1][0], calls[-1][1], validate, max_elements)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteLattice, "build", record)
+        builder.__wrapped__(n, False)
+    (inputs,) = calls
+    return inputs
+
+
 def pairwise_is_lattice(lat):
-    """Reference oracle: a meet and a join for every one of the n^2/2 pairs."""
-    n = len(lat.elements)
-    down, up = lat._down, lat._up
+    """Reference oracle: a meet and a join for every one of the n^2/2 pairs.
+
+    Works on its own forward-indexed downsets and upsets, rebuilt from the
+    cover pairs, not on the kernel's tables.
+    """
+    ref = reference_build(lat.elements, lat.cover_pairs())
+    n = len(ref.elements)
+    down, up = ref.down, ref.up
     for i in range(n):
         di, ui = down[i], up[i]
         for j in range(i + 1, n):
@@ -31,6 +224,39 @@ def pairwise_is_lattice(lat):
             if not join_mask or up[low] != join_mask:
                 return False
     return True
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the lattice error it raises."""
+    try:
+        return fn(*args)
+    except (NotALatticeError, NonIntervalClassError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_matches_reference(lat, ref, adjacencies=(), pairs=500, seed=0):
+    """Every query of the kernel agrees with the reference oracle."""
+    els = lat.elements
+    assert els == ref.elements
+    assert lat.cover_pairs() == ref.cover_pairs()
+    for x in els:
+        assert lat.upper_covers(x) == ref.upper_covers(x)
+        assert lat.lower_covers(x) == ref.lower_covers(x)
+        assert all(lat.leq(x, y) == ref.leq(x, y) for y in els)
+        assert outcome(lat.pop_down, x) == outcome(ref.pop_down, x)
+        assert outcome(lat.pop_up, x) == outcome(ref.pop_up, x)
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        xs = tuple(rng.choice(els) for _ in range(rng.randint(1, 3)))
+        assert outcome(lat.meet, *xs) == outcome(ref.meet, *xs)
+        assert outcome(lat.join, *xs) == outcome(ref.join, *xs)
+    for direction in ("down", "up"):
+        assert outcome(lat.pop_polynomial, direction) == outcome(ref.pop_polynomial, direction)
+        assert outcome(lat.pop_image, direction) == outcome(ref.pop_image, direction)
+    for adjacency in (lambda x: (),) + tuple(adjacencies):
+        assert outcome(lat.congruence_classes, adjacency) == outcome(
+            ref.congruence_classes, adjacency
+        )
 
 
 def cover_local_is_lattice(lat):
@@ -153,13 +379,55 @@ FAMILY_INSTANCES = (
 )
 
 
-@pytest.mark.parametrize(
-    "builder,n", FAMILY_INSTANCES, ids=[f"{b.__name__}-{n}" for b, n in FAMILY_INSTANCES]
-)
+FAMILY_IDS = [f"{b.__name__}-{n}" for b, n in FAMILY_INSTANCES]
+TAMARI_ADJACENCY = {weak_a_lattice: (tam_a_adjacent,), weak_b_lattice: (tam_b_adjacent,)}
+
+
+@pytest.mark.parametrize("builder,n", FAMILY_INSTANCES, ids=FAMILY_IDS)
 def test_cover_local_validation_matches_pairwise_on_families(builder, n):
     lat = builder(n, validate=False)
     assert pairwise_is_lattice(lat)
     assert cover_local_is_lattice(lat)
+
+
+@pytest.mark.parametrize("builder,n", FAMILY_INSTANCES, ids=FAMILY_IDS)
+def test_kernel_matches_reference_on_families(builder, n, monkeypatch):
+    elements, covers = family_inputs(builder, n, monkeypatch)
+    lat = FiniteLattice.build(elements, covers, validate=False)
+    ref = reference_build(elements, covers)
+    assert_matches_reference(lat, ref, TAMARI_ADJACENCY.get(builder, ()))
+    assert builder(n, False).elements == ref.elements
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [weak_a_lattice, weak_b_lattice, tam_a_lattice, tam_b_lattice, j_a_lattice, j_b_lattice],
+)
+def test_one_build_per_lattice(builder):
+    lat = builder(3, False)
+    assert builder(3) is lat
+    assert builder(3, True) is lat
+    assert builder(3, validate=True) is lat
+    assert builder(3, validate=False) is lat
+    builder.cache_clear()
+    validated_first = builder(3)
+    assert validated_first is not lat
+    assert builder(3, validate=False) is validated_first
+
+
+def test_memoised_builder_validates_the_cached_instance():
+    builds = []
+
+    @memoised_builder
+    def bad(n, validate=True):
+        builds.append(n)
+        return FiniteLattice.build(NON_LATTICE_ELEMENTS, NON_LATTICE_COVERS, validate=validate)
+
+    lat = bad(1, validate=False)
+    with pytest.raises(NotALatticeError, match="no join for 'x', 'y'"):
+        bad(1)
+    assert bad(1, False) is lat
+    assert builds == [1]
 
 
 def test_cover_local_validation_matches_pairwise_on_small_lattices():
@@ -177,6 +445,27 @@ def test_cover_local_validation_matches_pairwise_on_small_lattices():
 def test_cover_local_validation_matches_pairwise_on_random_posets(poset):
     lat = FiniteLattice.build(*poset, validate=False)
     assert cover_local_is_lattice(lat) == pairwise_is_lattice(lat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bounded_posets(),
+    st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_kernel_matches_reference_on_random_posets(poset, glue, rng):
+    # Shuffled input with repeated covers: Kahn's order and the cover
+    # deduplication see more than the strategy's sorted output.
+    elements, covers = poset
+    rng.shuffle(elements)
+    covers = covers + rng.sample(covers, len(covers) // 2)
+    rng.shuffle(covers)
+    lat = FiniteLattice.build(elements, covers, validate=False)
+    ref = reference_build(elements, covers)
+    top = len(elements) - 1
+    glue = [(a, b) for a, b in glue if a <= top and b <= top]
+    adjacency = lambda x: [b for a, b in glue if a == x]  # noqa: E731
+    assert_matches_reference(lat, ref, (adjacency,), pairs=50)
 
 
 def test_random_posets_include_non_lattices():
