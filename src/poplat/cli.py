@@ -55,6 +55,8 @@ def _parse_element(name: str, text: str):
         path = dyck.check_path(text.strip())
         if name == "j-b" and not dyck.is_symmetric(path):
             raise ValueError(f"not symmetric: {path!r}")
+        if name == "j-b" and dyck.semi_length(path) % 2:
+            raise ValueError(f"odd semi-length, not a type-B path: {path!r}")
         return path
     word = words.parse_word(text)
     if name in ("weak-b", "tam-b"):
@@ -121,13 +123,7 @@ def _cmd_pop(args) -> int:
         elif args.lattice == "tam-b":
             result = tamari.pop_tam_b(element)
         else:
-            n = (
-                dyck.semi_length(element)
-                if args.lattice == "j-a"
-                else dyck.semi_length(element) // 2
-            )
-            lat = _build_lattice(args.lattice, n, validate=False)
-            result = lat.pop_down(element)
+            result = dyck.flip_peaks_down(element)
     text = _format_element(args.lattice, result)
     _emit({"command": "pop", "lattice": args.lattice, "x": args.x,
            "result": text}, args.json, [text])

@@ -4,8 +4,9 @@ Paths are strings over 'r' (rise) and 'f' (fall), e.g. "rrfrff".  The
 type-A ideal lattice on semi-length m orders paths by pointwise height;
 covers flip one valley.  The type-B lattice consists of the paths of
 semi-length 2n symmetric about their midpoint; covers flip the central
-valley alone or a mirror pair of off-center valleys.  The dual pop map
-flips every valley at once.
+valley alone or a mirror pair of off-center valleys.  On both lattices the
+pop map flips every peak of height at least 2 into a valley at once, and
+the dual pop map flips every valley at once.
 """
 from __future__ import annotations
 
@@ -98,6 +99,18 @@ def flip_valleys_up(path: str) -> str:
     Valleys never overlap, so this is one left-to-right replacement.
     """
     return path.replace(FALL + RISE, RISE + FALL)
+
+
+def flip_peaks_down(path: str) -> str:
+    """Turn every peak of height at least 2 into a valley simultaneously
+    (the pop map on both ideal lattices).
+
+    Peaks never overlap, so each swap reads the original path.
+    """
+    steps = list(path)
+    for x in flippable_peaks(path):
+        steps[x - 1 : x + 1] = FALL, RISE
+    return "".join(steps)
 
 
 def _flip_valley(path: str, x: int) -> str:

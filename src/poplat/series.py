@@ -1,10 +1,15 @@
 """Exact truncated bivariate power series and the functional-equation checks.
 
 A series is truncated in x at a fixed order; each x-coefficient is a finite
-polynomial in y with Fraction coefficients.  All arithmetic is exact; square
-roots and reciprocals are computed order by order in x and require constant
-term 1.  Fixed points of the defining functional equations are contractions
-x-adically, so iteration stabilizes after at most order+1 rounds.
+polynomial in y.  A coefficient is an `int` when it is integral and a
+`Fraction` only where a real denominator appears (the 1/2 of a square root);
+a float raises `TypeError`, so all arithmetic stays exact.  Square roots and
+reciprocals are computed order by order in x and require constant term 1.
+
+G is solved by its triangular coefficient recurrence, since [x^n] of the
+right-hand side of its equation reads only G_0..G_{n-1}; I is linear in
+itself and solved by one series inversion.  Each solution is substituted
+back into its defining equation, and a mismatch raises `ArithmeticError`.
 """
 from __future__ import annotations
 
@@ -15,15 +20,25 @@ from .formulas import exact_div
 from .lattice import QPoly
 from .words import binomial
 
-YPoly = dict[int, Fraction]
+Exact = int | Fraction
+YPoly = dict[int, Exact]
 
 SERIES_ORDER_GUARD = 16
+
+
+def _exact(v) -> Exact:
+    """`v` as an `int` when integral, else as a `Fraction`; floats raise."""
+    if isinstance(v, int):
+        return int(v)
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"series coefficients must be int or Fraction, not {v!r}")
 
 
 def _yp_add(a: YPoly, b: YPoly) -> YPoly:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
+        s = out.get(k, 0) + v
         if s:
             out[k] = s
         else:
@@ -31,10 +46,10 @@ def _yp_add(a: YPoly, b: YPoly) -> YPoly:
     return out
 
 
-def _yp_scale(a: YPoly, c: Fraction) -> YPoly:
+def _yp_scale(a: YPoly, c: Exact) -> YPoly:
     if not c:
         return {}
-    return {k: v * c for k, v in a.items()}
+    return {k: _exact(v * c) for k, v in a.items()}
 
 
 def _yp_mul(a: YPoly, b: YPoly) -> YPoly:
@@ -42,7 +57,7 @@ def _yp_mul(a: YPoly, b: YPoly) -> YPoly:
     for ka, va in a.items():
         for kb, vb in b.items():
             k = ka + kb
-            s = out.get(k, Fraction(0)) + va * vb
+            s = out.get(k, 0) + va * vb
             if s:
                 out[k] = s
             else:
@@ -62,30 +77,26 @@ class BiSeries:
         self.coeffs: dict[int, YPoly] = {}
         for n, poly in (coeffs or {}).items():
             if n <= order:
-                cleaned = {k: Fraction(v) for k, v in poly.items() if v}
+                cleaned = {k: _exact(v) for k, v in poly.items() if v}
                 if cleaned:
                     self.coeffs[n] = cleaned
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls(order)
-
-    @classmethod
     def constant(cls, order: int, value) -> "BiSeries":
-        return cls(order, {0: {0: Fraction(value)}})
+        return cls(order, {0: {0: value}})
 
     @classmethod
     def monomial(cls, order: int, n: int, k: int, value=1) -> "BiSeries":
-        return cls(order, {n: {k: Fraction(value)}})
+        return cls(order, {n: {k: value}})
 
     @classmethod
-    def from_terms(cls, order: int, terms: dict[tuple[int, int], int]) -> "BiSeries":
+    def from_terms(cls, order: int, terms: dict[tuple[int, int], Exact]) -> "BiSeries":
         coeffs: dict[int, YPoly] = {}
         for (n, k), v in terms.items():
             if n <= order and v:
-                coeffs.setdefault(n, {})[k] = Fraction(v)
+                coeffs.setdefault(n, {})[k] = v
         return cls(order, coeffs)
 
     # -- access -------------------------------------------------------------
@@ -96,20 +107,20 @@ class BiSeries:
         poly = self.coeffs.get(n, {})
         if k is None:
             return dict(poly)
-        return poly.get(k, Fraction(0))
+        return poly.get(k, 0)
 
     def y_polynomial(self, n: int) -> QPoly:
         """The x^n coefficient as an integer polynomial in q (integrality checked)."""
         poly = self.coefficient(n)
         out: dict[int, int] = {}
         for k, v in poly.items():
-            if v.denominator != 1:
+            if not isinstance(v, int):
                 raise ArithmeticError(f"non-integer coefficient at x^{n} y^{k}: {v}")
-            out[k] = v.numerator
+            out[k] = v
         return QPoly(out)
 
-    def at_y1(self, n: int) -> Fraction:
-        return sum(self.coefficient(n).values(), Fraction(0))
+    def at_y1(self, n: int) -> Exact:
+        return sum(self.coefficient(n).values(), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -142,7 +153,7 @@ class BiSeries:
         return self + other.scale(-1)
 
     def scale(self, c) -> "BiSeries":
-        c = Fraction(c)
+        c = _exact(c)
         return BiSeries(
             self.order, {n: _yp_scale(p, c) for n, p in self.coeffs.items()}
         )
@@ -177,13 +188,6 @@ class BiSeries:
             {2 * n: p for n, p in self.coeffs.items() if 2 * n <= target},
         )
 
-    def substitute_y_squared(self) -> "BiSeries":
-        """y -> y^2."""
-        return BiSeries(
-            self.order,
-            {n: {2 * k: v for k, v in p.items()} for n, p in self.coeffs.items()},
-        )
-
     def odd_part_half_shift(self) -> "BiSeries":
         """Sum of a_{2t+1} x^{t+1} over the odd x-coefficients a_s.
 
@@ -201,36 +205,33 @@ class BiSeries:
         return BiSeries(target, out)
 
     def _unit_constant(self) -> None:
-        if self.coeffs.get(0, {}) != {0: Fraction(1)}:
+        if self.coeffs.get(0, {}) != {0: 1}:
             raise ValueError("operation requires constant term 1")
 
     def inverse(self) -> "BiSeries":
         """Reciprocal of a series with constant term 1, order by order."""
         self._unit_constant()
-        inv: dict[int, YPoly] = {0: {0: Fraction(1)}}
+        inv: dict[int, YPoly] = {0: {0: 1}}
         for n in range(1, self.order + 1):
             acc: YPoly = {}
             for i in range(1, n + 1):
                 bi = self.coeffs.get(i)
                 if bi:
                     acc = _yp_add(acc, _yp_mul(bi, inv.get(n - i, {})))
-            negated = _yp_scale(acc, Fraction(-1))
+            negated = _yp_scale(acc, -1)
             if negated:
                 inv[n] = negated
         return BiSeries(self.order, inv)
 
-    def divide(self, denominator: "BiSeries") -> "BiSeries":
-        return self * denominator.inverse()
-
     def sqrt(self) -> "BiSeries":
         """Square root of a series with constant term 1, order by order."""
         self._unit_constant()
-        root: dict[int, YPoly] = {0: {0: Fraction(1)}}
+        root: dict[int, YPoly] = {0: {0: 1}}
         for n in range(1, self.order + 1):
             cross: YPoly = {}
             for i in range(1, n):
                 cross = _yp_add(cross, _yp_mul(root.get(i, {}), root.get(n - i, {})))
-            residual = _yp_add(self.coeffs.get(n, {}), _yp_scale(cross, Fraction(-1)))
+            residual = _yp_add(self.coeffs.get(n, {}), _yp_scale(cross, -1))
             half = _yp_scale(residual, Fraction(1, 2))
             if half:
                 root[n] = half
@@ -271,20 +272,34 @@ def _xy(order: int) -> tuple[BiSeries, BiSeries, BiSeries]:
     )
 
 
+def _g_coefficients(order: int) -> dict[int, YPoly]:
+    """G_0..G_order by the triangular recurrence of G's equation.
+
+    For n >= 1, [x^n] of 1 + x y G + x (G - 1) + x^2 y G (G - 1) is
+    (y + 1) G_{n-1} - [n = 1] + y * sum_{j=1}^{n-2} G_{n-2-j} G_j,
+    which reads only lower coefficients.
+    """
+    y = {1: 1}
+    g: dict[int, YPoly] = {0: {0: 1}}
+    for n in range(1, order + 1):
+        cross: YPoly = {}
+        for j in range(1, n - 1):
+            cross = _yp_add(cross, _yp_mul(g[n - 2 - j], g[j]))
+        prev = g[n - 1]
+        coeff = _yp_add(prev, _yp_mul(y, _yp_add(prev, cross)))
+        if n == 1:
+            coeff = _yp_add(coeff, {0: -1})
+        g[n] = coeff
+    return g
+
+
 @lru_cache(maxsize=None)
 def _solve_g(order: int) -> BiSeries:
     one, x, y = _xy(order)
-    g = one
-    for round_no in range(order + 1):
-        nxt = one + x * y * g + x * (g - one) + x.shift_x(1) * y * g * (g - one)
-        if not nxt.agrees_with(g, round_no):
-            raise ArithmeticError("fixed-point iteration lost agreement")
-        if nxt == g:
-            return g
-        g = nxt
-    nxt = one + x * y * g + x * (g - one) + x.shift_x(1) * y * g * (g - one)
-    if nxt != g:
-        raise ArithmeticError("fixed point not reached within order+1 rounds")
+    g = BiSeries(order, _g_coefficients(order))
+    rhs = one + x * y * g + x * (g - one) + x.shift_x(1) * y * g * (g - one)
+    if rhs != g:
+        raise ArithmeticError("solved series does not satisfy its equation")
     return g
 
 
@@ -383,7 +398,7 @@ def tamari_image_series(order: int) -> dict[str, BiSeries]:
         regraded: YPoly = {}
         for d, v in poly.items():
             u = xn - (d + 1) // 2
-            regraded[u] = regraded.get(u, Fraction(0)) + v
+            regraded[u] = regraded.get(u, 0) + v
         k_coeffs[xn] = regraded
     k = BiSeries(order, k_coeffs)
     return {"M": m, "P": p, "Q": q, "N": n, "K": k}

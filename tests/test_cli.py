@@ -111,6 +111,31 @@ def test_pop_up_weak_reads_word_without_building(capsys, monkeypatch):
     assert out.strip() == "5,2,4,3,1"
 
 
+def test_pop_down_on_paths_reads_path_without_building(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the lattice")
+
+    monkeypatch.setattr(dyck, "j_a_lattice", refuse)
+    monkeypatch.setattr(dyck, "j_b_lattice", refuse)
+    code, out, _ = run(capsys, "pop", "--lattice", "j-a", "--x", "rrfrrfrfffrrfrfrrfff")
+    assert code == 0
+    assert out.strip() == "rfrrfrfrffrfrfrrfrff"
+    # semi-length 11 lies beyond the j-a lattice guard; the pop still answers
+    code, out, _ = run(capsys, "pop", "--lattice", "j-a", "--x", "rrfrrfrfffrrfrfrrfffrf")
+    assert code == 0
+    assert out.strip() == "rfrrfrfrffrfrfrrfrffrf"
+    code, out, _ = run(capsys, "pop", "--lattice", "j-b", "--x", "rrfrfrff", "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == "rfrfrfrf"
+
+
+def test_pop_j_b_rejects_odd_semilength(capsys):
+    for path in ("rf", "rrrfff"):
+        code, _, err = run(capsys, "pop", "--lattice", "j-b", "--x", path)
+        assert code == 2
+        assert "odd semi-length" in err
+
+
 def test_image_with_predicate(capsys):
     code, out, _ = run(
         capsys, "image", "--lattice", "tam-b", "--n", "3", "--check-predicate",
@@ -177,6 +202,28 @@ def test_series_command(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "match"
     assert payload["coefficients"]["2"] == {"1": "2", "2": "1"}
+
+
+@pytest.mark.parametrize("name", cli.SERIES_NAMES)
+def test_series_command_every_name_at_guard(capsys, name):
+    code, out, _ = run(capsys, "series", "--check", name, "--order", "16", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "match"
+    assert payload["order"] == 16
+
+
+def test_series_command_text(capsys):
+    code, out, _ = run(capsys, "series", "--check", "J", "--order", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "x^0: 1*y^0",
+        "x^1: 1*y^1",
+        "x^2: 2*y^1 + 1*y^2",
+        "x^3: 2*y^1 + 6*y^2 + 1*y^3",
+        "matches_image_formula: ok",
+        "radical_form: ok",
+    ]
 
 
 def test_guard_errors_exit_2(capsys):

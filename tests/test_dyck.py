@@ -6,6 +6,7 @@ from poplat.dyck import (
     all_paths,
     check_path,
     elevate,
+    flip_peaks_down,
     flip_valleys_up,
     flippable_peaks,
     half_peak_count,
@@ -120,6 +121,18 @@ def test_pop_up_direct_equals_lattice():
         lat = j_b_lattice(n)
         for p in lat.elements:
             assert lat.pop_up(p) == flip_valleys_up(p)
+
+
+def test_pop_down_direct_equals_lattice():
+    for m in range(0, 9):
+        lat = j_a_lattice(m)
+        for p in lat.elements:
+            assert lat.pop_down(p) == flip_peaks_down(p), p
+    for n in range(1, 6):
+        lat = j_b_lattice(n)
+        for p in lat.elements:
+            assert lat.pop_down(p) == flip_peaks_down(p), p
+    assert flip_peaks_down("rfrrfrff") == "rfrfrfrf"  # the height-1 peak stays
 
 
 def test_pop_up_preserves_symmetry():

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poplat import series
 from poplat.dyck import (
     all_paths,
     half_peak_count,
@@ -179,3 +182,151 @@ def test_fixed_point_contraction_guard():
     low_i = symmetric_avoider_series(6)
     high_i = symmetric_avoider_series(12)
     assert high_i.agrees_with(low_i, 6)
+
+
+def fixed_point_g(order: int) -> BiSeries:
+    """Reference solver for G: iterate the defining equation from G = 1.
+
+    The right-hand side is an x-adic contraction, so round r fixes the
+    coefficients through x^r; each round is checked to keep them.
+    """
+    one = BiSeries.constant(order, 1)
+    x = BiSeries.monomial(order, 1, 0)
+    y = BiSeries.monomial(order, 0, 1)
+    g = one
+    for round_no in range(order + 1):
+        nxt = one + x * y * g + x * (g - one) + x.shift_x(1) * y * g * (g - one)
+        if not nxt.agrees_with(g, round_no):
+            raise ArithmeticError("fixed-point iteration lost agreement")
+        if nxt == g:
+            return g
+        g = nxt
+    nxt = one + x * y * g + x * (g - one) + x.shift_x(1) * y * g * (g - one)
+    if nxt != g:
+        raise ArithmeticError("fixed point not reached within order+1 rounds")
+    return g
+
+
+def test_g_recurrence_matches_fixed_point():
+    for order in range(17):
+        assert ffrr_avoider_series(order) == fixed_point_g(order), order
+
+
+def test_g_substitution_check_rejects_a_wrong_coefficient(monkeypatch):
+    recurrence = series._g_coefficients
+
+    for n in range(7):
+        def perturbed(order, n=n):
+            g = recurrence(order)
+            g[n] = series._yp_add(g[n], {2: 1})
+            return g
+
+        monkeypatch.setattr(series, "_g_coefficients", perturbed)
+        series._solve_g.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="does not satisfy"):
+                series._solve_g(6)
+        finally:
+            series._solve_g.cache_clear()
+    monkeypatch.undo()
+    assert series._solve_g(6) == fixed_point_g(6)
+
+
+def all_coefficients(s: BiSeries):
+    return [v for poly in s.coeffs.values() for v in poly.values()]
+
+
+def test_integral_coefficients_are_int():
+    bundle = tamari_image_series(16)
+    for s in (
+        ffrr_avoider_series(16),
+        path_image_series(16),
+        symmetric_avoider_series(16),
+        symmetric_image_series(16),
+        radical_symmetric_series(10),
+        tamari_block_series(16),
+        radical_block_series(16),
+        *bundle.values(),
+    ):
+        assert all(type(v) is int for v in all_coefficients(s))
+    assert type(BiSeries.constant(3, Fraction(4, 2)).coefficient(0, 0)) is int
+
+    one = BiSeries.constant(3, 1)
+    root = (one + BiSeries.monomial(3, 1, 0)).sqrt()  # sqrt(1 + x)
+    assert root.coefficient(1, 0) == Fraction(1, 2)
+    assert type(root.coefficient(1, 0)) is Fraction
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        root.y_polynomial(1)
+    assert type((root * root).coefficient(1, 0)) is int
+
+
+def test_float_coefficients_raise():
+    with pytest.raises(TypeError):
+        BiSeries.constant(3, 0.5)
+    with pytest.raises(TypeError):
+        BiSeries.monomial(3, 1, 0, 2.0)
+    with pytest.raises(TypeError):
+        BiSeries.from_terms(3, {(1, 0): 1.5})
+    with pytest.raises(TypeError):
+        BiSeries.constant(3, 1).scale(0.5)
+
+
+exact_numbers = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+
+@st.composite
+def unit_series(draw, order):
+    """A series with constant term 1 and mixed int/Fraction coefficients."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(1, 8), st.integers(0, 3)), exact_numbers, max_size=10
+    ))
+    terms[0, 0] = 1
+    return BiSeries.from_terms(order, terms)
+
+
+def to_ring(s: BiSeries, ring):
+    from sympy.polys.domains import QQ
+
+    return ring.from_dict({
+        (n, k): QQ(v.numerator, v.denominator)
+        for n, poly in s.coeffs.items() for k, v in poly.items()
+    })
+
+
+def from_ring(p, order: int) -> BiSeries:
+    return BiSeries.from_terms(order, {
+        nk: Fraction(int(c.numerator), int(c.denominator)) for nk, c in p.items()
+    })
+
+
+def is_normalised(s: BiSeries) -> bool:
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator != 1)
+        for v in all_coefficients(s)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_sympy_ring_series(data):
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    ring_xy, x, _ = ring("x,y", QQ)
+    order = data.draw(st.integers(0, 8))
+    a = data.draw(unit_series(order))
+    b = data.draw(unit_series(data.draw(st.integers(0, 8))))
+    pa, pb = to_ring(a, ring_xy), to_ring(b, ring_xy)
+    low = min(order, b.order)
+
+    product = a * b
+    assert product == from_ring(ring_series.rs_mul(pa, pb, x, low + 1), low)
+    inverse = a.inverse()
+    assert inverse == from_ring(ring_series.rs_series_inversion(pa, x, order + 1), order)
+    root = a.sqrt()
+    assert root == from_ring(ring_series.rs_nth_root(pa, 2, x, order + 1), order)
+    assert all(is_normalised(s) for s in (product, inverse, root))
