@@ -1,10 +1,14 @@
 """Batch command-line interface with machine-readable reports.
 
-Exit codes: 0 all verdicts match, 1 at least one mismatch, 2 usage or guard
-error.  JSON output is deterministic: sorted keys, no timestamps.  Wall-clock
-timings appear only in the human-readable text output.
+Exit codes: 0 all verdicts match, 1 at least one mismatch, 2 usage, bad
+input, a size below the smallest valid one, a guard or a non-lattice.  JSON
+output is deterministic: sorted keys, no timestamps.  Wall-clock timings
+appear only in the human-readable text output.
 
-Lattice names and parameters:
+Every lattice, theorem and formula name, and what each one means, comes from
+the registry in `poplat.families`; the handlers here only look them up.
+
+Lattice names and parameters (sizes start at 0):
   weak-a  --n N   weak order on the permutations of {1..N}
   weak-b  --n N   weak order on rank-N signed permutations
   tam-a   --n N   type-A Tamari lattice inside S_{N+1}
@@ -12,9 +16,14 @@ Lattice names and parameters:
   j-a     --semilength M   ideal lattice on Dyck paths of semi-length M
   j-b     --n N   ideal lattice on symmetric paths of semi-length 2N
 
+`--no-validate` (skip the lattice-property check) is taken by the
+subcommands that build a lattice of a given size: enumerate, pop-poly, image
+and verify.
+
 Formula/theorem names deliberately decouple the user from indexing pitfalls:
 `verify --theorem jay-a --max-n K` checks the closed form at index n against
-brute force over paths of semi-length n+2 for n = 0..K.
+brute force over paths of semi-length n+2 for n = 0..K; the other theorems
+start at n = 1, and a smaller --max-n exits 2.
 """
 from __future__ import annotations
 
@@ -22,64 +31,36 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable
 
-from . import dyck, formulas, series, signed, tamari, weak, words
-from .errors import GuardError, NonIntervalClassError, NotALatticeError
+from . import formulas, series
+from .families import FAMILIES, FORMULAS, THEOREMS, check_least
 from .lattice import FiniteLattice, QPoly
 
-LATTICE_NAMES = ("weak-a", "weak-b", "tam-a", "tam-b", "j-a", "j-b")
-THEOREM_NAMES = ("weak", "tam-a", "tam-b", "jay-a", "jay-b")
-FORMULA_NAMES = ("weak-b", "tam-a", "tam-b", "jay-a", "jay-b")
 SERIES_NAMES = ("G", "F", "H", "I", "J", "M", "N", "K")
 
 
-def _build_lattice(name: str, n: int, validate: bool) -> FiniteLattice:
-    if name == "weak-a":
-        return weak.weak_a_lattice(n, validate=validate)
-    if name == "weak-b":
-        return weak.weak_b_lattice(n, validate=validate)
-    if name == "tam-a":
-        return tamari.tam_a_lattice(n, validate=validate)
-    if name == "tam-b":
-        return tamari.tam_b_lattice(n, validate=validate)
-    if name == "j-a":
-        return dyck.j_a_lattice(n, validate=validate)
-    if name == "j-b":
-        return dyck.j_b_lattice(n, validate=validate)
-    raise ValueError(f"unknown lattice {name!r}")
-
-
-def _parse_element(name: str, text: str):
-    if name in ("j-a", "j-b"):
-        path = dyck.check_path(text.strip())
-        if name == "j-b" and not dyck.is_symmetric(path):
-            raise ValueError(f"not symmetric: {path!r}")
-        if name == "j-b" and dyck.semi_length(path) % 2:
-            raise ValueError(f"odd semi-length, not a type-B path: {path!r}")
-        return path
-    word = words.parse_word(text)
-    if name in ("weak-b", "tam-b"):
-        signed.validate_signed(word)
-    else:
-        words.check_permutation(word)
-    if name == "tam-a" and not words.avoids_312(word):
-        raise ValueError(f"{text!r} is not 312-avoiding")
-    if name == "tam-b" and not words.avoids_312_star(word):
-        raise ValueError(f"{text!r} is not in the type-B Tamari carrier")
-    return word
-
-
-def _format_element(name: str, element) -> str:
-    return element if isinstance(element, str) else words.format_word(element)
-
-
 def _size_param(args) -> int:
-    if getattr(args, "semilength", None) is not None:
-        return args.semilength
-    if args.n is None:
-        raise ValueError("--n (or --semilength for j-a) is required")
-    return args.n
+    family = FAMILIES[args.lattice]
+    n = args.semilength if args.semilength is not None else args.n
+    if n is None:
+        raise ValueError(f"{family.size_flag} is required for {family.name}")
+    return check_least(family.size_flag, n, family.min_size)
+
+
+def _predicate_for(name: str):
+    predicate = FAMILIES[name].predicate
+    if predicate is None:
+        raise ValueError(f"no image predicate for lattice {name!r}")
+    return predicate
+
+
+def _offered_by(field: str) -> str:
+    """The families whose record fills `field`, for an error message."""
+    return " and ".join(f.name for f in FAMILIES.values() if getattr(f, field))
+
+
+def _as_json(value: QPoly | int):
+    return value.to_json_dict() if isinstance(value, QPoly) else str(value)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -93,10 +74,14 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 # --- subcommand handlers --------------------------------------------------
 
 
-def _cmd_enumerate(args) -> int:
+def _lattice(args) -> tuple[int, FiniteLattice]:
     n = _size_param(args)
-    lat = _build_lattice(args.lattice, n, validate=not args.no_validate)
-    names = [_format_element(args.lattice, x) for x in lat.elements]
+    return n, FAMILIES[args.lattice].build(n, validate=not args.no_validate)
+
+
+def _cmd_enumerate(args) -> int:
+    n, lat = _lattice(args)
+    names = [FAMILIES[args.lattice].format(x) for x in lat.elements]
     payload = {"command": "enumerate", "lattice": args.lattice, "n": n,
                "count": len(names), "elements": names}
     _emit(payload, args.json, [f"{len(names)} elements"] + names)
@@ -104,40 +89,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_pop(args) -> int:
-    element = _parse_element(args.lattice, args.x)
-    if args.up:
-        if args.lattice in ("j-a", "j-b"):
-            result = dyck.flip_valleys_up(element)
-        elif args.lattice in ("weak-a", "weak-b"):
-            result = weak.pop_weak_up(element)
-        else:
-            lat = _build_lattice(
-                args.lattice, _rank_for(args.lattice, element), validate=False
-            )
-            result = lat.pop_up(element)
-    else:
-        if args.lattice in ("weak-a", "weak-b"):
-            result = weak.pop_weak(element)
-        elif args.lattice == "tam-a":
-            result = tamari.pop_tam_a(element)
-        elif args.lattice == "tam-b":
-            result = tamari.pop_tam_b(element)
-        else:
-            result = dyck.flip_peaks_down(element)
-    text = _format_element(args.lattice, result)
+    family = FAMILIES[args.lattice]
+    element = family.parse(args.x)
+    result = (family.pop_up if args.up else family.pop_down)(element)
+    text = family.format(result)
     _emit({"command": "pop", "lattice": args.lattice, "x": args.x,
            "result": text}, args.json, [text])
     return 0
 
 
-def _rank_for(name: str, element) -> int:
-    """Size parameter of the tam-a or tam-b lattice holding `element`."""
-    return len(element) - 1 if name == "tam-a" else len(element) // 2
-
-
 def _cmd_pop_poly(args) -> int:
-    n = _size_param(args)
-    lat = _build_lattice(args.lattice, n, validate=not args.no_validate)
+    n, lat = _lattice(args)
     down = lat.pop_polynomial("down")
     up = lat.pop_polynomial("up")
     verdict = "match" if down == up else "mismatch"
@@ -153,28 +115,11 @@ def _cmd_pop_poly(args) -> int:
     return 0 if verdict == "match" else 1
 
 
-def _image_of(name: str, lat: FiniteLattice) -> set:
-    return lat.pop_image("up" if name in ("j-a", "j-b") else "down")
-
-
-def _predicate_for(name: str) -> Callable:
-    predicates = {
-        "tam-a": tamari.hong_image_predicate,
-        "tam-b": tamari.tam_b_image_predicate,
-        "j-a": dyck.image_predicate_a,
-        "j-b": dyck.image_predicate_b,
-        "weak-b": weak.image_run_condition,
-    }
-    if name not in predicates:
-        raise ValueError(f"no image predicate for lattice {name!r}")
-    return predicates[name]
-
-
 def _cmd_image(args) -> int:
-    n = _size_param(args)
-    lat = _build_lattice(args.lattice, n, validate=not args.no_validate)
-    image = _image_of(args.lattice, lat)
-    names = sorted(_format_element(args.lattice, x) for x in image)
+    family = FAMILIES[args.lattice]
+    n, lat = _lattice(args)
+    image = lat.pop_image(family.image_direction)
+    names = sorted(family.format(x) for x in image)
     payload: dict = {"command": "image", "lattice": args.lattice, "n": n,
                      "count": len(names)}
     lines = [f"{len(names)} image elements"]
@@ -184,8 +129,7 @@ def _cmd_image(args) -> int:
         lines += names
     if args.check_predicate:
         predicate = _predicate_for(args.lattice)
-        if args.lattice == "weak-b":
-            # necessary condition only: every image element satisfies it
+        if family.predicate_necessary_only:
             ok = all(predicate(x) for x in image)
         else:
             ok = all(predicate(x) == (x in image) for x in lat.elements)
@@ -197,28 +141,27 @@ def _cmd_image(args) -> int:
 
 
 def _cmd_preimage(args) -> int:
-    element = _parse_element(args.lattice, args.x)
-    if args.lattice == "tam-a":
-        result = tamari.preimage_ending_in_one(element)
-    elif args.lattice == "tam-b":
-        result = tamari.preimage_tam_b(element)
-    else:
-        raise ValueError("preimage is available for tam-a and tam-b only")
-    text = _format_element(args.lattice, result)
+    family = FAMILIES[args.lattice]
+    element = family.parse(args.x)
+    if family.preimage is None:
+        raise ValueError(f"preimage is available for {_offered_by('preimage')} only")
+    text = family.format(family.preimage(element))
     _emit({"command": "preimage", "lattice": args.lattice, "x": args.x,
            "result": text}, args.json, [text])
     return 0
 
 
 def _cmd_census(args) -> int:
-    if args.lattice != "weak-b":
-        raise ValueError("census is available for weak-b only")
-    n = args.n
-    counted = weak.image_census_by_first_entry(n)
-    predicted = formulas.census_prediction(n)
+    census = FAMILIES[args.lattice].first_entry_census
+    if census is None:
+        raise ValueError(
+            f"census is available for {_offered_by('first_entry_census')} only"
+        )
+    n = _size_param(args)
+    counted, predicted = census[0](n), census[1](n)
     verdict = "match" if counted == predicted else "mismatch"
     payload = {
-        "command": "census", "lattice": "weak-b", "n": n,
+        "command": "census", "lattice": args.lattice, "n": n,
         "by_first_entry": {str(i): counted[i] for i in sorted(counted)},
         "predicted": {str(i): predicted[i] for i in sorted(predicted)},
         "verdict": verdict,
@@ -229,59 +172,23 @@ def _cmd_census(args) -> int:
     return 0 if verdict == "match" else 1
 
 
-def _formula_value(name: str, n: int, as_printed: bool) -> QPoly | int:
-    if name == "weak-b":
-        return formulas.weak_b_coefficient(n)
-    if name == "tam-a":
-        return formulas.tam_a_polynomial(n)
-    if name == "tam-b":
-        return formulas.tam_b_polynomial(n)
-    if name == "jay-a":
-        return formulas.j_a_polynomial(n)
-    if name == "jay-b":
-        return formulas.j_b_polynomial(n, include_j0=not as_printed)
-    raise ValueError(f"unknown formula {name!r}")
-
-
 def _cmd_formula(args) -> int:
-    value = _formula_value(args.name, args.n, args.as_printed)
-    rendered = str(value)
+    value = FORMULAS[args.name].formula(args.n, args.as_printed)
     payload = {"command": "formula", "name": args.name, "n": args.n,
-               "value": value.to_json_dict() if isinstance(value, QPoly) else str(value)}
-    _emit(payload, args.json, [rendered])
+               "value": _as_json(value)}
+    _emit(payload, args.json, [str(value)])
     return 0
 
 
 def _verify_cases(theorem: str, max_n: int, as_printed: bool, no_validate: bool):
-    """Yield (label, computed QPoly or int, formula QPoly or int) per case."""
-    if theorem == "weak":
-        for n in range(1, max_n + 1):
-            lat = weak.weak_b_lattice(n, validate=not no_validate and n <= 4)
-            computed = lat.pop_polynomial("down")[n - 1]
-            yield n, computed, formulas.weak_b_coefficient(n)
-    elif theorem == "tam-a":
-        for n in range(1, max_n + 1):
-            lat = tamari.tam_a_lattice(n, validate=not no_validate)
-            yield n, lat.pop_polynomial("down"), formulas.tam_a_polynomial(n)
-    elif theorem == "tam-b":
-        for n in range(1, max_n + 1):
-            lat = tamari.tam_b_lattice(n, validate=not no_validate)
-            yield n, lat.pop_polynomial("down"), formulas.tam_b_polynomial(n)
-    elif theorem == "jay-a":
-        for n in range(0, max_n + 1):
-            yield n, dyck.pop_up_polynomial_a(n + 2), formulas.j_a_polynomial(n)
-    elif theorem == "jay-b":
-        for n in range(1, max_n + 1):
-            yield (
-                n,
-                dyck.pop_up_polynomial_b(n),
-                formulas.j_b_polynomial(n, include_j0=not as_printed),
-            )
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
+    """Yield (n, computed QPoly or int, formula QPoly or int) per case."""
+    t = THEOREMS[theorem]
+    for n in range(t.first_n, max_n + 1):
+        yield n, t.census(n, not no_validate), t.formula(n, as_printed)
 
 
 def _cmd_verify(args) -> int:
+    check_least("--max-n", args.max_n, THEOREMS[args.theorem].first_n)
     records = []
     lines = []
     mismatches = 0
@@ -296,8 +203,8 @@ def _cmd_verify(args) -> int:
             mismatches += 1
         record = {
             "n": n,
-            "computed": computed.to_json_dict() if isinstance(computed, QPoly) else str(computed),
-            "formula": formula.to_json_dict() if isinstance(formula, QPoly) else str(formula),
+            "computed": _as_json(computed),
+            "formula": _as_json(formula),
             "verdict": "match" if matched else "mismatch",
         }
         if not matched and isinstance(computed, QPoly) and isinstance(formula, QPoly):
@@ -393,15 +300,21 @@ def _cmd_series(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, lattice: bool = True) -> None:
+def _subcommand(subs, name: str, help: str, handler, lattice: bool = True,
+                validate: bool = False) -> argparse.ArgumentParser:
+    p = subs.add_parser(name, help=help)
     if lattice:
-        sub.add_argument("--lattice", required=True, choices=LATTICE_NAMES)
-        sub.add_argument("--n", type=int)
-        sub.add_argument("--semilength", type=int, help="size parameter for j-a")
-    sub.add_argument("--json", action="store_true", help="deterministic JSON output")
-    sub.add_argument("--no-validate", action="store_true",
-                     help="skip the lattice-property validation (one join test "
-                     "per pair of upper covers of a common element)")
+        p.add_argument("--lattice", required=True, choices=tuple(FAMILIES))
+        p.add_argument("--n", type=int)
+        p.add_argument("--semilength", type=int, help="size parameter for " + ", ".join(
+            f.name for f in FAMILIES.values() if f.size_flag == "--semilength"))
+    p.add_argument("--json", action="store_true", help="deterministic JSON output")
+    if validate:
+        p.add_argument("--no-validate", action="store_true",
+                       help="skip the lattice-property validation (one join test "
+                       "per pair of upper covers of a common element)")
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,70 +327,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("enumerate", help="list the elements of a lattice")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_enumerate)
+    _subcommand(subs, "enumerate", "list the elements of a lattice", _cmd_enumerate,
+                validate=True)
 
-    p = subs.add_parser("pop", help="apply the pop operator to one element")
-    _add_common(p)
+    p = _subcommand(subs, "pop", "apply the pop operator to one element", _cmd_pop)
     p.add_argument("--x", required=True, help="element (word or path)")
     p.add_argument("--up", action="store_true", help="use the dual operator")
-    p.set_defaults(handler=_cmd_pop)
 
-    p = subs.add_parser("pop-poly", help="q-census of the pop image, both directions")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_pop_poly)
+    _subcommand(subs, "pop-poly", "q-census of the pop image, both directions",
+                _cmd_pop_poly, validate=True)
 
-    p = subs.add_parser("image", help="brute-force pop image, optional predicate check")
-    _add_common(p)
+    p = _subcommand(subs, "image", "brute-force pop image, optional predicate check",
+                    _cmd_image, validate=True)
     p.add_argument("--list", action="store_true")
     p.add_argument("--check-predicate", action="store_true")
-    p.set_defaults(handler=_cmd_image)
 
-    p = subs.add_parser("preimage", help="construct a pop preimage of an image element")
-    _add_common(p)
+    p = _subcommand(subs, "preimage", "construct a pop preimage of an image element",
+                    _cmd_preimage)
     p.add_argument("--x", required=True)
-    p.set_defaults(handler=_cmd_preimage)
 
-    p = subs.add_parser("census", help="image census by first entry (weak-b)")
-    _add_common(p)
+    p = _subcommand(subs, "census", "image census by first entry (weak-b)", _cmd_census)
     p.add_argument("--by-first-entry", action="store_true")
-    p.set_defaults(handler=_cmd_census)
 
-    p = subs.add_parser("formula", help="evaluate a closed-form formula")
-    _add_common(p, lattice=False)
-    p.add_argument("--name", required=True, choices=FORMULA_NAMES)
+    p = _subcommand(subs, "formula", "evaluate a closed-form formula", _cmd_formula,
+                    lattice=False)
+    p.add_argument("--name", required=True, choices=tuple(FORMULAS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--as-printed", action="store_true",
                    help="jay-b only: the displayed sum without the j=0 term")
-    p.set_defaults(handler=_cmd_formula)
 
-    p = subs.add_parser("verify", help="closed form vs brute force, per n")
-    _add_common(p, lattice=False)
-    p.add_argument("--theorem", required=True, choices=THEOREM_NAMES)
+    p = _subcommand(subs, "verify", "closed form vs brute force, per n", _cmd_verify,
+                    lattice=False, validate=True)
+    p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--as-printed", action="store_true",
                    help="jay-b only: expect the documented deviation")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = subs.add_parser("series", help="coefficient table and identity checks")
-    _add_common(p, lattice=False)
+    p = _subcommand(subs, "series", "coefficient table and identity checks", _cmd_series,
+                    lattice=False)
     p.add_argument("--check", required=True, choices=SERIES_NAMES)
     p.add_argument("--order", type=int, default=12)
-    p.set_defaults(handler=_cmd_series)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (GuardError, NotALatticeError, NonIntervalClassError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError) as exc:
+        # ValueError covers the guard, non-lattice and non-interval errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,16 +83,6 @@ def flippable_peaks(path: str) -> list[int]:
     return [x for x in peaks(path) if h[x] >= 2]
 
 
-def peak_count(path: str) -> int:
-    return len(peaks(path))
-
-
-def half_peak_count(path: str) -> int:
-    """Peaks with x-coordinate at most the midpoint (the symmetric statistic)."""
-    mid = semi_length(path)
-    return sum(1 for x in peaks(path) if x <= mid)
-
-
 def flip_valleys_up(path: str) -> str:
     """Turn every valley into a peak simultaneously (the dual pop map).
 
@@ -117,11 +107,10 @@ def _flip_valley(path: str, x: int) -> str:
     return path[: x - 1] + RISE + FALL + path[x + 1 :]
 
 
-@lru_cache(maxsize=None)
-def all_paths(m: int) -> tuple[str, ...]:
-    """Every path of semi-length m, lexicographically sorted ('f' < 'r')."""
-    if m < 0:
-        raise ValueError("negative semi-length")
+def _prefixes(length: int, closed: bool) -> list[str]:
+    """Step sequences of the given length that never dip below the axis, in
+    lexicographic order ('f' < 'r'); closed ones end on the axis."""
+    out: list[str] = []
 
     def extend(prefix: list[str], h: int, left: int) -> None:
         if left == 0:
@@ -131,46 +120,36 @@ def all_paths(m: int) -> tuple[str, ...]:
             prefix.append(FALL)
             extend(prefix, h - 1, left - 1)
             prefix.pop()
-        if h < left:
+        if h < left or not closed:
             prefix.append(RISE)
             extend(prefix, h + 1, left - 1)
             prefix.pop()
 
-    out: list[str] = []
-    extend([], 0, 2 * m)
-    return tuple(out)
+    extend([], 0, length)
+    return out
+
+
+@lru_cache(maxsize=None)
+def all_paths(m: int) -> tuple[str, ...]:
+    """Every path of semi-length m, lexicographically sorted ('f' < 'r')."""
+    if m < 0:
+        raise ValueError("negative semi-length")
+    return tuple(_prefixes(2 * m, closed=True))
+
+
+_MIRROR = str.maketrans(RISE + FALL, FALL + RISE)
 
 
 @lru_cache(maxsize=None)
 def symmetric_paths(n: int) -> tuple[str, ...]:
-    """Paths of semi-length 2n symmetric about the midpoint."""
+    """Paths of semi-length 2n symmetric about the midpoint, sorted.
+
+    Each is a first half of 2n steps followed by its reversed complement;
+    distinct first halves of one length keep their order when extended.
+    """
     if n < 0:
         raise ValueError("negative rank")
-
-    def extend(prefix: list[str], h: int, left: int) -> None:
-        if left == 0:
-            first = "".join(prefix)
-            second = "".join(
-                RISE if s == FALL else FALL for s in reversed(prefix)
-            )
-            out.append(first + second)
-            return
-        if h > 0:
-            prefix.append(FALL)
-            extend(prefix, h - 1, left - 1)
-            prefix.pop()
-        prefix.append(RISE)
-        extend(prefix, h + 1, left - 1)
-        prefix.pop()
-
-    out: list[str] = []
-    extend([], 0, 2 * n)
-    return tuple(sorted(out))
-
-
-def _height_leq(a: str, b: str) -> bool:
-    ha, hb = heights(a), heights(b)
-    return all(x <= y for x, y in zip(ha, hb))
+    return tuple(p + p[::-1].translate(_MIRROR) for p in _prefixes(2 * n, closed=False))
 
 
 @memoised_builder
@@ -217,28 +196,18 @@ def j_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
 # --- image characterization and direct statistics -----------------------------
 
 
-def _has_ffrr(path: str) -> bool:
-    return "ffrr" in path
-
-
-def _interior_positive(path: str) -> bool:
-    h = heights(path)
-    return all(v > 0 for v in h[1:-1])
-
-
 def image_predicate_a(path: str) -> bool:
     """Membership test for the upward pop image: no 'ffrr' factor and no
     interior return to the axis."""
     check_path(path)
-    return not _has_ffrr(path) and _interior_positive(path)
+    return "ffrr" not in path and all(v > 0 for v in heights(path)[1:-1])
 
 
 def image_predicate_b(path: str) -> bool:
     """Type-B variant of the same test, on a symmetric path."""
-    check_path(path)
-    if not is_symmetric(path):
+    if not is_symmetric(check_path(path)):
         raise ValueError(f"not symmetric: {path!r}")
-    return not _has_ffrr(path) and _interior_positive(path)
+    return image_predicate_a(path)
 
 
 def lower_cover_count_a(path: str) -> int:
@@ -252,32 +221,20 @@ def lower_cover_count_b(path: str) -> int:
     return sum(1 for x in flippable_peaks(path) if x <= mid)
 
 
-def pop_up_polynomial_a(m: int) -> QPoly:
-    """q-census of the upward pop image over semi-length m, O(#paths)."""
-    image = {flip_valleys_up(p) for p in all_paths(m)}
+def _up_census(paths: tuple[str, ...], lower_cover_count) -> QPoly:
+    """q-census of the upward pop image of `paths`, O(#paths)."""
     coeffs: dict[int, int] = {}
-    for z in image:
-        d = lower_cover_count_a(z)
+    for z in {flip_valleys_up(p) for p in paths}:
+        d = lower_cover_count(z)
         coeffs[d] = coeffs.get(d, 0) + 1
     return QPoly(coeffs)
+
+
+def pop_up_polynomial_a(m: int) -> QPoly:
+    """q-census of the upward pop image over semi-length m."""
+    return _up_census(all_paths(m), lower_cover_count_a)
 
 
 def pop_up_polynomial_b(n: int) -> QPoly:
-    image = {flip_valleys_up(p) for p in symmetric_paths(n)}
-    coeffs: dict[int, int] = {}
-    for z in image:
-        d = lower_cover_count_b(z)
-        coeffs[d] = coeffs.get(d, 0) + 1
-    return QPoly(coeffs)
-
-
-def elevate(path: str) -> str:
-    """Wrap in a rise and a fall; inverse of `strip_elevation`."""
-    return RISE + path + FALL
-
-
-def strip_elevation(path: str) -> str:
-    """Remove the first rise and last fall of an axis-avoiding path."""
-    if not path or path[0] != RISE or path[-1] != FALL:
-        raise ValueError(f"cannot strip {path!r}")
-    return path[1:-1]
+    """q-census of the upward pop image over the symmetric paths of rank n."""
+    return _up_census(symmetric_paths(n), lower_cover_count_b)

@@ -132,8 +132,3 @@ def n_coefficient(n: int, d: int) -> int:
         return binomial(n - 1, k) * binomial(n - k, k)
     k = (d + 1) // 2
     return binomial(n - 1, k) * binomial(n - k, k - 1)
-
-
-def k_coefficient(n: int, k: int) -> int:
-    """Coefficient of q^{n-k} in `tam_b_polynomial`, directly."""
-    return binomial(n - 1, k) * binomial(n - k + 1, k)

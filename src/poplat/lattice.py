@@ -21,7 +21,6 @@ are immutable after build and safe to share.
 """
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from functools import wraps
@@ -42,10 +41,6 @@ class QPoly:
         self.coeffs = {d: c for d, c in (coeffs or {}).items() if c != 0}
         if any(d < 0 for d in self.coeffs):
             raise ValueError("negative degree")
-
-    @classmethod
-    def q_power(cls, degree: int, coeff: int = 1) -> "QPoly":
-        return cls({degree: coeff})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
@@ -79,10 +74,6 @@ class QPoly:
 
     def to_json_dict(self) -> dict[str, str]:
         return {str(d): str(c) for d, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, str]) -> "QPoly":
-        return cls({int(d): int(c) for d, c in data.items()})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -452,17 +443,6 @@ class FiniteLattice:
             for i in members:
                 projection[self.elements[i]] = self.elements[lo]
         return projection
-
-    # -- export ---------------------------------------------------------------
-
-    def to_cover_json(self, serialize: Callable[[Hashable], str] = str) -> str:
-        payload = {
-            "elements": [serialize(x) for x in self.elements],
-            "covers": [
-                [serialize(a), serialize(b)] for a, b in self.cover_pairs()
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def memoised_builder(build: Callable[[int, bool], FiniteLattice]):

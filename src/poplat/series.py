@@ -119,9 +119,6 @@ class BiSeries:
             out[k] = v
         return QPoly(out)
 
-    def at_y1(self, n: int) -> Exact:
-        return sum(self.coefficient(n).values(), 0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BiSeries)

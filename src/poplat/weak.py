@@ -12,7 +12,7 @@ import itertools
 from .errors import GuardError
 from .lattice import FiniteLattice, memoised_builder
 from .signed import ascent_decomposition, enumerate_signed, validate_signed
-from .words import Word, ascending_runs, bounded_ascent_count, reverse_runs
+from .words import Word, ascending_runs, reverse_runs
 
 
 def _swap(word: Word, i: int) -> Word:
@@ -133,9 +133,3 @@ def image_census_by_first_entry(n: int) -> dict[int, int]:
         if len(lat.upper_covers(z)) == n - 1:
             counts[z[0]] += 1
     return counts
-
-
-def weak_b_upper_cover_count(x: Word) -> int:
-    """Cover count read off the word itself: ascents at positions <= n."""
-    n = len(x) // 2
-    return bounded_ascent_count(x, n)

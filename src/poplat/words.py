@@ -107,17 +107,6 @@ def reverse_runs(word: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def descent_count(word: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(word, word[1:]) if a > b)
-
-
-def bounded_ascent_count(word: Sequence[int], bound: int) -> int:
-    """Number of ascent positions i <= bound (1-based)."""
-    if not 1 <= bound <= len(word) - 1:
-        raise ValueError(f"bound {bound} out of range for length {len(word)}")
-    return sum(1 for i in range(bound) if word[i] < word[i + 1])
-
-
 def has_double_descent(word: Sequence[int]) -> bool:
     """True when three consecutive entries strictly decrease."""
     return any(word[i] > word[i + 1] > word[i + 2] for i in range(len(word) - 2))

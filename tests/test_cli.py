@@ -1,9 +1,13 @@
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from poplat import cli, dyck, weak
 from poplat.cli import main
+from poplat.families import FAMILIES, THEOREMS
 from poplat.lattice import FiniteLattice
 from poplat.words import format_word
 from test_lattice import family_inputs, reference_build
@@ -82,7 +86,7 @@ def test_enumerate_and_pop_poly_json_match_reference(capsys, monkeypatch, lattic
     ref = reference_build(*family_inputs(builder, size, monkeypatch))
     code, out, _ = run(capsys, "enumerate", "--lattice", *lattice, "--json")
     assert code == 0
-    names = [cli._format_element(name, x) for x in ref.elements]
+    names = [FAMILIES[name].format(x) for x in ref.elements]
     payload = {"command": "enumerate", "lattice": name, "n": size,
                "count": len(names), "elements": names}
     assert out == json.dumps(payload, sort_keys=True) + "\n"
@@ -96,12 +100,19 @@ def test_enumerate_and_pop_poly_json_match_reference(capsys, monkeypatch, lattic
     builder.cache_clear()
 
 
-def test_pop_up_weak_reads_word_without_building(capsys, monkeypatch):
+def refuse_builds(monkeypatch, module, names):
+    """Make every way to the named families' builders raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("built the lattice")
 
-    monkeypatch.setattr(weak, "weak_a_lattice", refuse)
-    monkeypatch.setattr(weak, "weak_b_lattice", refuse)
+    for name in names:
+        family = FAMILIES[name]
+        monkeypatch.setattr(module, family.build.__name__, refuse)
+        monkeypatch.setitem(FAMILIES, name, family._replace(build=refuse))
+
+
+def test_pop_up_weak_reads_word_without_building(capsys, monkeypatch):
+    refuse_builds(monkeypatch, weak, ["weak-a", "weak-b"])
     code, out, _ = run(capsys, "pop", "--lattice", "weak-b", "--up",
                        "--x", "3,11,1,9,6,8,5,7,4,12,2,10")
     assert code == 0
@@ -112,11 +123,7 @@ def test_pop_up_weak_reads_word_without_building(capsys, monkeypatch):
 
 
 def test_pop_down_on_paths_reads_path_without_building(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("built the lattice")
-
-    monkeypatch.setattr(dyck, "j_a_lattice", refuse)
-    monkeypatch.setattr(dyck, "j_b_lattice", refuse)
+    refuse_builds(monkeypatch, dyck, ["j-a", "j-b"])
     code, out, _ = run(capsys, "pop", "--lattice", "j-a", "--x", "rrfrrfrfffrrfrfrrfff")
     assert code == 0
     assert out.strip() == "rfrrfrfrffrfrfrrfrff"
@@ -145,6 +152,17 @@ def test_image_with_predicate(capsys):
     payload = json.loads(out)
     assert payload["count"] == 8
     assert payload["predicate_matches"] is True
+
+
+def test_image_check_reads_the_necessary_only_flag(capsys, monkeypatch):
+    # A predicate that holds everywhere is necessary on every image but
+    # equals it on none here: only the necessary-only family passes.
+    for name, matches in (("tam-a", False), ("weak-b", True)):
+        monkeypatch.setitem(FAMILIES, name, FAMILIES[name]._replace(predicate=lambda x: True))
+        code, out, _ = run(capsys, "image", "--lattice", name, "--n", "3",
+                           "--check-predicate", "--json")
+        assert json.loads(out)["predicate_matches"] is matches
+        assert code == (0 if matches else 1)
 
 
 def test_preimage(capsys):
@@ -259,7 +277,8 @@ def test_pop_poly_on_non_lattice_exits_2(capsys, monkeypatch):
     covers = [("bot", "x"), ("bot", "y"), ("x", "u"), ("x", "v"),
               ("y", "u"), ("y", "v"), ("u", "top"), ("v", "top")]
     broken = FiniteLattice.build(["bot", "x", "y", "u", "v", "top"], covers, validate=False)
-    monkeypatch.setattr(cli, "_build_lattice", lambda name, n, validate: broken)
+    monkeypatch.setitem(FAMILIES, "weak-a",
+                        FAMILIES["weak-a"]._replace(build=lambda n, validate: broken))
     code, out, err = run(capsys, "pop-poly", "--lattice", "weak-a", "--n", "3",
                          "--no-validate")
     assert code == 2
@@ -291,3 +310,111 @@ def test_verify_text_times_building_each_case(capsys, monkeypatch):
     monkeypatch.undo()
     _, real_json, _ = run(capsys, *argv)
     assert faked_json == real_json
+
+
+# --- sizes, the validation knob and the README examples ----------------------
+
+
+def test_census_without_size_exits_2(capsys):
+    code, out, err = run(capsys, "census", "--lattice", "weak-b", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n is required for weak-b\n"
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_negative_size_exits_2_on_every_family(capsys, name):
+    flag = FAMILIES[name].size_flag
+    for command in ("enumerate", "pop-poly", "image"):
+        code, out, err = run(capsys, command, "--lattice", name, flag, "-1", "--json")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_verify_max_n_below_first_case_exits_2(capsys, theorem):
+    first = THEOREMS[theorem].first_n
+    code, out, err = run(capsys, "verify", "--theorem", theorem,
+                         "--max-n", str(first - 1), "--json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max-n must be at least {first}, got {first - 1}\n"
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--max-n", str(first), "--json")
+    assert code == 0
+    assert [case["n"] for case in json.loads(out)["cases"]] == [first]
+
+
+def test_no_validate_only_where_a_lattice_is_built(capsys):
+    lattice = ["--lattice", "tam-a", "--n", "2"]
+    takes = {
+        "enumerate": lattice,
+        "pop-poly": lattice,
+        "image": lattice,
+        "verify": ["--theorem", "tam-a", "--max-n", "2"],
+    }
+    refuses = {
+        "pop": ["--lattice", "tam-a", "--x", "1,2,3"],
+        "preimage": ["--lattice", "tam-a", "--x", "1,2,3"],
+        "census": ["--lattice", "weak-b", "--n", "2"],
+        "formula": ["--name", "tam-a", "--n", "2"],
+        "series": ["--check", "J", "--order", "2"],
+    }
+    for command, args in takes.items():
+        code, out, _ = run(capsys, command, *args, "--json")
+        code_nv, out_nv, _ = run(capsys, command, *args, "--json", "--no-validate")
+        assert code == code_nv == 0
+        assert out_nv == out
+    for command, args in refuses.items():
+        assert run(capsys, command, *args, "--json")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--no-validate"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+# Exit code and sha256 of the `--json` stdout of each README example: the
+# documented reports, pinned byte for byte.
+README_JSON = {
+    "pop --lattice weak-b --x 5,1,7,6,3,2,8,4":
+        (0, "c9235848ef2a87c2842450242fbe9d7d2c9078e99cea2a2e55fce62f6e7d0ff8"),
+    "pop --lattice tam-b --x 7,1,10,11,9,8,5,4,2,3,12,6":
+        (0, "c1174c3b756a5a3928f282d6599152f1435cdc8b9d11f841a79483fc41b3a857"),
+    "pop --lattice j-a --x rfrfrf --up":
+        (0, "d2c172ad8bb4a6500d29ad5bb9d1fa308a36c767f914aea206043464c31fe06a"),
+    "pop-poly --lattice tam-b --n 5":
+        (0, "583ff481f8ef5ae507071d42f05c247800107d82a78ddc860834bfed0a7c188f"),
+    "image --lattice tam-a --n 5 --check-predicate --list":
+        (0, "81e0e6e2d514dd575f0420fe06678831ca767f6cf8464a39ed880d3b08e2f2a3"),
+    "preimage --lattice tam-b --x 1,7,2,4,3,5,8,10,9,11,6,12":
+        (0, "85d19d192266ecedd19f6e61575c298256683661bb430a0bb57ad6bea0fd59ba"),
+    "census --lattice weak-b --n 3 --by-first-entry":
+        (0, "9e49a4e95907112b4f41322daeb7a0bac0f9bf4db47c545364bbec4409c50baa"),
+    "formula --name jay-b --n 4":
+        (0, "44c4a6ed126d972c9bc7976bb9c481abadb9e82ae2ea80af435db7bfac97cd04"),
+    "verify --theorem tam-b --max-n 5":
+        (0, "cae56b7b274e90c017e5defca3629a0537e8b86df602c24ddf458ac0e4bb7ef2"),
+    "verify --theorem jay-b --max-n 4 --as-printed":
+        (1, "3ef8c0fdb05e57d6afaf5ab08e9db8846bf1483d04a90d8008edf149aa5d2d03"),
+    "series --check J --order 12":
+        (0, "d1e594babeae39a30bccfb62e5c3ce1fcc4f35ea52ac2bcbf4d18c5c054c5afc"),
+    "enumerate --lattice j-b --n 2":
+        (0, "fe9265f190037a3a5021f4f58ecf72277a026c0d8f4103b42b45e8535c9a9583"),
+}
+
+
+def readme_examples():
+    """argv of each `poplat` line in the README's CLI block, without --json."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    for line in block.splitlines():
+        if line.startswith("poplat "):
+            yield [arg for arg in shlex.split(line, comments=True)[1:] if arg != "--json"]
+
+
+def test_readme_examples_json_bytes_are_pinned(capsys):
+    seen = {}
+    for argv in readme_examples():
+        code, out, _ = run(capsys, *argv, "--json")
+        seen[" ".join(argv)] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert seen == README_JSON

@@ -5,11 +5,9 @@ import pytest
 from poplat.dyck import (
     all_paths,
     check_path,
-    elevate,
     flip_peaks_down,
     flip_valleys_up,
     flippable_peaks,
-    half_peak_count,
     heights,
     image_predicate_a,
     image_predicate_b,
@@ -18,16 +16,27 @@ from poplat.dyck import (
     j_b_lattice,
     lower_cover_count_a,
     lower_cover_count_b,
-    peak_count,
     peaks,
     pop_up_polynomial_a,
     pop_up_polynomial_b,
-    strip_elevation,
     symmetric_paths,
     valleys,
 )
 from poplat.errors import GuardError
 from poplat.lattice import QPoly
+from word_stats import half_peak_count, peak_count
+
+
+def elevate(path):
+    """Wrap in a rise and a fall; inverse of `strip_elevation`."""
+    return "r" + path + "f"
+
+
+def strip_elevation(path):
+    """Remove the first rise and last fall of an axis-avoiding path."""
+    if not path or path[0] != "r" or path[-1] != "f":
+        raise ValueError(f"cannot strip {path!r}")
+    return path[1:-1]
 
 
 def catalan(k):
@@ -63,6 +72,7 @@ def test_flip_valleys_up_examples():
 def test_all_paths_counts():
     for m in range(8):
         assert len(all_paths(m)) == catalan(m)
+        assert list(all_paths(m)) == sorted(all_paths(m))
 
 
 def test_symmetric_paths():
@@ -71,6 +81,7 @@ def test_symmetric_paths():
         assert len(paths) == math.comb(2 * n, n)
         assert all(is_symmetric(p) for p in paths)
         assert all(len(p) == 4 * n for p in paths)
+        assert list(paths) == sorted(paths)
     assert symmetric_paths(1) == ("rfrf", "rrff")
 
 

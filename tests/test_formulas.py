@@ -6,13 +6,18 @@ from poplat.formulas import (
     h_coefficient,
     j_a_polynomial,
     j_b_polynomial,
-    k_coefficient,
     n_coefficient,
     tam_a_polynomial,
     tam_b_polynomial,
     weak_b_coefficient,
 )
 from poplat.lattice import QPoly
+from poplat.words import binomial
+
+
+def k_coefficient(n, k):
+    """Coefficient of q^{n-k} in `tam_b_polynomial`, directly."""
+    return binomial(n - 1, k) * binomial(n - k + 1, k)
 
 
 def test_weak_b_coefficient_values():

@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poplat import series
-from poplat.dyck import (
-    all_paths,
-    half_peak_count,
-    is_symmetric,
-    peak_count,
-    symmetric_paths,
-)
+from poplat.dyck import all_paths, is_symmetric, symmetric_paths
 from poplat.formulas import (
     h_coefficient,
     j_a_polynomial,
@@ -33,7 +27,12 @@ from poplat.series import (
     tamari_image_series,
 )
 from poplat.tamari import pop_tam_a, pop_tam_b, tam_a_elements, tam_b_elements
-from poplat.words import descent_count
+from word_stats import descent_count, half_peak_count, peak_count
+
+
+def at_y1(s, n):
+    """The x^n coefficient of s evaluated at y = 1."""
+    return sum(s.coefficient(n).values(), 0)
 
 
 def test_arithmetic_basics():
@@ -70,7 +69,7 @@ def test_ffrr_avoider_series_values():
     g = ffrr_avoider_series(8)
     assert g.y_polynomial(0) == QPoly({0: 1})
     assert g.y_polynomial(2) == QPoly({1: 1, 2: 1})
-    assert g.at_y1(4) == 13
+    assert at_y1(g, 4) == 13
 
 
 def test_ffrr_avoider_series_matches_enumeration():
@@ -121,8 +120,8 @@ def test_symmetric_image_series():
     j = symmetric_image_series(10)
     assert j.y_polynomial(0) == QPoly({0: 1})
     assert j.y_polynomial(1) == QPoly({1: 1})
-    assert j.at_y1(2) == 3
-    assert j.at_y1(3) == 9
+    assert at_y1(j, 2) == 3
+    assert at_y1(j, 3) == 9
     for n in range(1, 11):
         assert j.y_polynomial(n) == j_b_polynomial(n), n
 
@@ -131,7 +130,7 @@ def test_radical_forms():
     assert radical_check_symmetric(10)
     r = radical_symmetric_series(10)
     assert r.coefficient(0, 0) == 1
-    assert [int(r.at_y1(n)) for n in (0, 1, 2, 3)] == [1, 1, 3, 9]
+    assert [int(at_y1(r, n)) for n in (0, 1, 2, 3)] == [1, 1, 3, 9]
     assert tamari_block_series(12).agrees_with(radical_block_series(12), 12)
 
 

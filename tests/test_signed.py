@@ -13,7 +13,8 @@ from poplat.signed import (
     validate_signed,
 )
 from poplat.tamari import tam_b_elements
-from poplat.words import bounded_ascent_count, index_of, reverse_runs
+from poplat.words import index_of, reverse_runs
+from word_stats import bounded_ascent_count
 
 
 def test_validate_examples():

@@ -32,11 +32,11 @@ from poplat.words import (
     avoids_312,
     avoids_312_star,
     contains_pattern,
-    descent_count,
     index_of,
     reduction,
     reverse_runs,
 )
+from word_stats import bounded_ascent_count, descent_count
 
 # --- reference oracles -------------------------------------------------------
 # The filter-then-reduce construction: keep the pattern avoiders of the whole
@@ -220,17 +220,6 @@ def test_pop_examples():
         pop_tam_b((2, 4, 1, 3))  # not in the carrier
 
 
-def test_pop_agrees_with_lattice_pop():
-    for n in (1, 2, 3, 4, 5, 6):
-        lat = tam_a_lattice(n)
-        for p in lat.elements:
-            assert lat.pop_down(p) == pop_tam_a(p)
-    for n in (1, 2, 3, 4):
-        lat = tam_b_lattice(n)
-        for x in lat.elements:
-            assert lat.pop_down(x) == pop_tam_b(x)
-
-
 def test_largest_value_sits_right_of_center_on_image():
     for n in (1, 2, 3, 4, 5):
         for x in tam_b_elements(n):
@@ -268,8 +257,6 @@ def test_large_to_small_boundary_is_left_max():
 
 
 def test_cover_count_descent_bridge():
-    from poplat.words import bounded_ascent_count
-
     for n in (1, 2, 3, 4):
         lat = tam_b_lattice(n)
         for z in lat.elements:

@@ -13,10 +13,8 @@ from poplat.words import (
     VINCULAR_312_STAR,
     PatternSpec,
     binomial,
-    bounded_ascent_count,
     contains_pattern,
     descending_runs,
-    descent_count,
     format_word,
     has_double_descent,
     index_of,
@@ -24,6 +22,7 @@ from poplat.words import (
     reduction,
     reverse_runs,
 )
+from word_stats import bounded_ascent_count, descent_count
 
 
 def test_reduction_examples():
