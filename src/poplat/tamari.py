@@ -2,18 +2,26 @@
 
 The type-A carrier is the set of 312-avoiding permutations, the type-B
 carrier the set of signed permutations avoiding 312-with-large-middle-value
-(the "2"-valued entry at least n+1).  Both are generated directly by
-backtracking with the gap test of `words.scan_312_gaps`, which prunes a
-prefix as soon as it contains the pattern.  Each carrier element is the
-minimum of its class under a lattice congruence of the weak order, and the
-carrier is a sublattice; its lower covers are the projections of the
-element's weak-order lower covers (Reading, "Cambrian lattices", 2006).
+(the "2"-valued entry at least n+1).  Both are generated directly in
+lexicographic order.  Type A reads the 312-avoiders off a stack fed 1, 2,
+..., n+1, so no candidate is ever refused.  Type B picks its first half by
+backtracking with the gap test of `words.scan_312_gaps`; the second half is
+the complement-reverse of the first, so at every node the prefix followed by
+the already-known tail of the word is tested too, and a node is pruned as
+soon as either contains the pattern.
+
+Each carrier element is the minimum of its class under a lattice congruence
+of the weak order, and the carrier is a sublattice; its lower covers are the
+projections of the element's weak-order lower covers (Reading, "Cambrian
+lattices", Adv. Math. 2006).  Type B projects them by rewriting.  Type A
+reads them off directly: for a descent (c, a), the lower cover moves a left
+past the maximal run of entries >= c that ends at c.
 
 Projections to the carrier are computed two independent ways that the tests
 force to agree:
 
-* rewriting: repeatedly swap the high pair of an adjacent-descent pattern
-  occurrence (together with its mirror in type B) until none applies;
+* rewriting: repeatedly swap the high pair of the leftmost adjacent-descent
+  pattern occurrence (together with its mirror in type B) until none applies;
 * class minimum: connected components of the congruence adjacency inside the
   ambient weak order, each an interval whose minimum is the projection.
 """
@@ -27,7 +35,6 @@ from .lattice import FiniteLattice, memoised_builder
 from .signed import complement_reverse, half_decomposition, validate_signed
 from .weak import (
     weak_a_lattice,
-    weak_a_lower_covers,
     weak_b_lattice,
     weak_b_lower_covers,
 )
@@ -46,7 +53,7 @@ from .words import (
 )
 
 TAM_A_GUARD = 8  # carrier inside S_{n+1}
-TAM_B_GUARD = 6
+TAM_B_GUARD = 7
 
 
 # --- carriers ---------------------------------------------------------------
@@ -54,27 +61,38 @@ TAM_B_GUARD = 6
 
 @lru_cache(maxsize=None)
 def tam_a_elements(n: int) -> tuple[Word, ...]:
-    """312-avoiding permutations of {1, ..., n+1}, lexicographically sorted."""
+    """312-avoiding permutations of {1, ..., n+1}, lexicographically sorted.
+
+    They are the outputs of a stack fed 1, 2, ..., n+1 in order (Knuth, TAOCP
+    vol. 1, 2.2.1): the next entry is either the top of the stack or some
+    value j >= the next input, after pushing everything below j.  The top is
+    smaller than every input left, so trying it first keeps lex order.
+    """
     if n + 1 > TAM_A_GUARD:
         raise GuardError(f"type-A carrier guard exceeded at n={n}")
     m = n + 1
     out: list[Word] = []
     word: list[int] = []
+    stack: list[int] = []
 
-    def grow(state: GapState) -> None:
+    def grow(nxt: int) -> None:
         if len(word) == m:
             out.append(tuple(word))
             return
-        for v in range(1, m + 1):
-            if v in word:
-                continue
-            nxt = scan_312_gaps((v,), None, state)
-            if nxt is not None:
-                word.append(v)
-                grow(nxt)
-                word.pop()
+        if stack:
+            top = stack.pop()
+            word.append(top)
+            grow(nxt)
+            word.pop()
+            stack.append(top)
+        for j in range(nxt, m + 1):
+            word.append(j)
+            grow(j + 1)
+            word.pop()
+            stack.append(j)
+        del stack[len(stack) - (m + 1 - nxt):]
 
-    grow(EMPTY_GAPS)
+    grow(1)
     return tuple(out)
 
 
@@ -82,32 +100,46 @@ def tam_a_elements(n: int) -> tuple[Word, ...]:
 def tam_b_elements(n: int) -> tuple[Word, ...]:
     """Signed permutations of rank n avoiding the starred 312 pattern.
 
+    These are the minima of the type-B Cambrian congruence (Reading,
+    "Cambrian lattices", Adv. Math. 2006).
+
     The first half takes one value from each complementary pair, in
-    lexicographic order; the mirrored second half is then forced and must
-    pass the same check.
+    lexicographic order, and the second half is its complement-reverse.  So
+    once k half entries h_1..h_k are fixed, the word's last k entries are
+    known, and prefix . (2n+1-h_k, ..., 2n+1-h_1) is a subsequence of every
+    completion.  Containment is monotone under subsequences, so a node is
+    pruned as soon as that tail, scanned on from the prefix's gap state,
+    completes a starred 312; at k = n the tail is the whole second half and
+    the test is the membership test.
     """
     if n > TAM_B_GUARD:
         raise GuardError(f"type-B carrier guard exceeded at n={n}")
     floor = n + 1
+    mirror = 2 * n + 1
     out: list[Word] = []
     half: list[int] = []
+    used = [False] * (mirror + 1)
 
-    def grow(state: GapState) -> None:
+    def grow(state: GapState, tail: Word) -> None:
         if len(half) == n:
-            mirror = tuple(2 * n + 1 - v for v in reversed(half))
-            if scan_312_gaps(mirror, floor, state) is not None:
-                out.append(tuple(half) + mirror)
+            out.append(tuple(half) + tail)
             return
-        for v in range(1, 2 * n + 1):
-            if v in half or 2 * n + 1 - v in half:
+        for v in range(1, mirror):
+            if used[v]:
                 continue
             nxt = scan_312_gaps((v,), floor, state)
-            if nxt is not None:
-                half.append(v)
-                grow(nxt)
-                half.pop()
+            if nxt is None:
+                continue
+            longer = (mirror - v,) + tail
+            if scan_312_gaps(longer, floor, nxt) is None:
+                continue
+            used[v] = used[mirror - v] = True
+            half.append(v)
+            grow(nxt, longer)
+            half.pop()
+            used[v] = used[mirror - v] = False
 
-    grow(EMPTY_GAPS)
+    grow(EMPTY_GAPS, ())
     return tuple(out)
 
 
@@ -115,35 +147,63 @@ def tam_b_elements(n: int) -> tuple[Word, ...]:
 
 
 def _inversions(p: Word) -> int:
-    return sum(1 for i, a in enumerate(p) for b in p[i + 1 :] if a > b)
+    return sum(a > b for a, b in itertools.combinations(p, 2))
 
 
-def _quotient_lattice(elements: tuple[Word, ...], lower_covers, project,
+def _quotient_lattice(elements: tuple[Word, ...], lower_covers,
                       validate: bool) -> FiniteLattice:
     """Sublattice of the weak order on a carrier of congruence-class minima.
 
+    `lower_covers(y)` lists y's lower covers inside the carrier.  Pairs are
+    sorted by (inversion count, word) of the upper element, then of the lower
+    one: Kahn's linear extension in `FiniteLattice.build` follows the cover
+    order, and this one fixes the element order that every report prints.
+    """
+    ranked = sorted(elements, key=lambda p: (_inversions(p), p))
+    rank = {p: r for r, p in enumerate(ranked)}
+    size = len(elements)
+    covers = {(w, y) for y in elements for w in lower_covers(y)}
+    ordered = sorted(covers, key=lambda pair: rank[pair[1]] * size + rank[pair[0]])
+    return FiniteLattice.build(elements, ordered, validate=validate)
+
+
+def tam_a_lower_covers(y: Word) -> list[Word]:
+    """Lower covers of a 312-avoiding y in the type-A Tamari lattice.
+
+    One per descent (c, a) at i: a moves left past the maximal run of entries
+    >= c that ends at c.  That is the projection of the weak lower cover
+    swapping (c, a), and the tests check it against `project_tam_a`.
+    """
+    out = []
+    for i in range(len(y) - 1):
+        c, a = y[i], y[i + 1]
+        if c > a:
+            j = i
+            while j and y[j - 1] > c:
+                j -= 1
+            out.append(y[:j] + (a,) + y[j : i + 1] + y[i + 2 :])
+    return out
+
+
+def tam_b_lower_covers(y: Word) -> list[Word]:
+    """Lower covers of y in the type-B Tamari lattice.
+
     Each carrier element y is the minimum of its class, so the classes it
     covers in the quotient are those of its weak-order lower covers w, and
-    (project(w), y) are exactly its lower covers in the carrier (Reading,
-    "Cambrian lattices", Adv. Math. 2006).  Pairs are sorted by (inversion
-    count, word) of the upper element, then of the lower one: Kahn's linear
-    extension in `FiniteLattice.build` follows the cover order, and this one
-    fixes the element order that every report prints.
+    project(w) are exactly its lower covers in the carrier (Reading,
+    "Cambrian lattices", Adv. Math. 2006).
     """
-    key = {p: (_inversions(p), p) for p in elements}
-    covers = {(project(w), y) for y in elements for w in lower_covers(y)}
-    ordered = sorted(covers, key=lambda pair: (key[pair[1]], key[pair[0]]))
-    return FiniteLattice.build(elements, ordered, validate=validate)
+    return [_rewrite_tam_b(list(w)) for w in weak_b_lower_covers(y)]
 
 
 @memoised_builder
 def tam_a_lattice(n: int, validate: bool = True) -> FiniteLattice:
-    return _quotient_lattice(tam_a_elements(n), weak_a_lower_covers, project_tam_a, validate)
+    return _quotient_lattice(tam_a_elements(n), tam_a_lower_covers, validate)
 
 
 @memoised_builder
 def tam_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
-    return _quotient_lattice(tam_b_elements(n), weak_b_lower_covers, project_tam_b, validate)
+    return _quotient_lattice(tam_b_elements(n), tam_b_lower_covers, validate)
 
 
 # --- congruence adjacency and projections ------------------------------------
@@ -171,33 +231,43 @@ def _signed_double_swap(x: Word, i: int) -> Word:
     return tuple(y)
 
 
-def _tam_b_movable(x: Word, i: int) -> bool:
+def _positions(x: Word) -> list[int]:
+    """Inverse array: pos[v] is the 0-based position of value v in x."""
+    pos = [0] * (len(x) + 1)
+    for t, v in enumerate(x):
+        pos[v] = t
+    return pos
+
+
+def _movable(x: Word, pos: list[int], i: int) -> bool:
     """Is the adjacent descent at 0-based (i, i+1) removable by a congruence move?
 
     The witness b with a < b < c must sit at or after a's position when large
     (at least n+1) and at or before it when small; large witnesses after the
     pair are the adjacent-descent starred-312 occurrences, small ones before
-    are their mirror images.
+    are their mirror images.  `pos` is the inverse array of x.
     """
-    n = len(x) // 2
     c, a = x[i], x[i + 1]
     if c <= a:
         return False
-    pos = {v: t for t, v in enumerate(x)}
-    for b in range(a + 1, c):
-        if b >= n + 1 and pos[b] >= i + 1:
+    floor = len(x) // 2 + 1
+    j = i + 1
+    for b in range(a + 1, min(c, floor)):
+        if pos[b] <= j:
             return True
-        if b <= n and pos[b] <= i + 1:
+    for b in range(max(a + 1, floor), c):
+        if pos[b] >= j:
             return True
     return False
 
 
 def tam_b_adjacent(x: Word) -> list[Word]:
     """One-step congruence moves in the signed weak order (with mirror swaps)."""
+    pos = _positions(x)
     return [
         _signed_double_swap(x, i)
         for i in range(len(x) - 1)
-        if _tam_b_movable(x, i)
+        if _movable(x, pos, i)
     ]
 
 
@@ -206,33 +276,47 @@ def project_tam_a(p: Word) -> Word:
 
     Each move removes one inversion, so the loop terminates; the endpoint is
     312-avoiding and is checked against the class-minimum computation in the
-    tests.
+    tests.  A swap at i changes neither the pairs left of i-1 nor the set of
+    entries after any of them, so the scan for the next leftmost move
+    resumes at i-1.
     """
     p = list(check_permutation(p))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(p) - 1):
-            c, a = p[i], p[i + 1]
-            if c > a and any(a < b < c for b in p[i + 2 :]):
-                p[i], p[i + 1] = a, c
-                changed = True
-                break
+    i = 0
+    while i < len(p) - 1:
+        c, a = p[i], p[i + 1]
+        if c > a and any(a < b < c for b in p[i + 2 :]):
+            p[i], p[i + 1] = a, c
+            i = max(i - 1, 0)
+        else:
+            i += 1
     return tuple(p)
 
 
 def project_tam_b(x: Word) -> Word:
     """Minimum of x's congruence class in the signed weak order."""
-    x = validate_signed(x)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(x) - 1):
-            if _tam_b_movable(x, i):
-                x = _signed_double_swap(x, i)
-                changed = True
-                break
-    return x
+    return _rewrite_tam_b(list(validate_signed(x)))
+
+
+def _rewrite_tam_b(y: list[int]) -> Word:
+    """Leftmost-move rewriting of a signed permutation, in place.
+
+    The inverse array is kept across the double swaps.  A double swap at i
+    and its mirror mi only moves values at positions >= min(i, mi), so no
+    pair left of min(i, mi) - 1 becomes movable and the scan resumes there.
+    """
+    pos = _positions(y)
+    last = len(y) - 1
+    i = 0
+    while i < last:
+        if not _movable(y, pos, i):
+            i += 1
+            continue
+        mi = last - 1 - i
+        for k in {i, mi}:
+            y[k], y[k + 1] = y[k + 1], y[k]
+            pos[y[k]], pos[y[k + 1]] = k, k + 1
+        i = max(min(i, mi) - 1, 0)
+    return tuple(y)
 
 
 def project_tam_a_by_classes(n: int) -> dict[Word, Word]:
@@ -420,12 +504,12 @@ def adjacency_chain(x: Word, y: Word, z: Word) -> list[Word]:
             break
         if cur[pos + 1] > n:
             raise ValueError("unexpected large entry between the pair")
-        if not _tam_b_movable(cur, pos):
+        if not _movable(cur, _positions(cur), pos):
             raise ValueError(f"illegal intermediate move at {cur}")
         cur = _signed_double_swap(cur, pos)
         chain.append(cur)
     pos = cur.index(big_c)
-    if not _tam_b_movable(cur, pos):
+    if not _movable(cur, _positions(cur), pos):
         raise ValueError(f"final swap not legal at {cur}")
     cur = _signed_double_swap(cur, pos)
     chain.append(cur)

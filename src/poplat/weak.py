@@ -26,11 +26,6 @@ def weak_a_covers(p: Word) -> list[Word]:
     return [_swap(p, i) for i in range(len(p) - 1) if p[i] < p[i + 1]]
 
 
-def weak_a_lower_covers(p: Word) -> list[Word]:
-    """Lower covers: swap one adjacent descent."""
-    return [_swap(p, i) for i in range(len(p) - 1) if p[i] > p[i + 1]]
-
-
 def _weak_b_swaps(x: Word, descents: bool) -> list[Word]:
     """Swap each ascent (or descent) at positions <= n, mirrored when off-center."""
     n = len(x) // 2

@@ -203,10 +203,12 @@ def contains_pattern(host: Sequence[int], spec: PatternSpec) -> bool:
 # A 312-avoiding prefix is summarised by its gaps and its maximum.  A gap
 # (a, c) is an entry a placed after a larger entry, with c the maximum before
 # a: a later value v completes a 312 with v as its "2" exactly when a < v < c
-# for some gap.  Containment is monotone in the prefix, so a scan can stop at
-# the first refused entry and a generator can prune there.
-GapState = tuple[tuple[tuple[int, int], ...], int]
-EMPTY_GAPS: GapState = ((), 0)
+# for some gap.  The state keeps the union of the open intervals (a, c) as a
+# bitmask (bit v set when v is refused) next to the maximum.  Containment is
+# monotone in the prefix, so a scan can stop at the first refused entry and a
+# generator can prune there.
+GapState = tuple[int, int]
+EMPTY_GAPS: GapState = (0, 0)
 
 
 def scan_312_gaps(
@@ -216,14 +218,16 @@ def scan_312_gaps(
 
     Returns the extended state, or None as soon as an entry v would be the
     "2" of a 312.  With `floor` set, only entries v >= floor are refused,
-    which is the starred pattern when floor = n+1.  O(m) per entry.
+    which is the starred pattern when floor = n+1.  O(1) big-int operations
+    per entry.
     """
     gaps, top = state
+    floor = floor or 0
     for v in word:
-        if (floor is None or v >= floor) and any(a < v < c for a, c in gaps):
+        if gaps >> v & 1 and v >= floor:
             return None
         if v < top:
-            gaps += ((v, top),)
+            gaps |= (1 << top) - (2 << v)  # bits v+1 .. top-1
         else:
             top = v
     return gaps, top
@@ -237,7 +241,7 @@ def avoids_312(word: Sequence[int]) -> bool:
 def avoids_312_star(word: Sequence[int]) -> bool:
     """True when no 312 occurrence has its "2" >= n+1, n = len(word)/2.
 
-    The O(m^2) counterpart of `contains_pattern(word, P312_STAR)`.
+    The O(m) counterpart of `contains_pattern(word, P312_STAR)`.
     """
     if len(word) % 2 != 0:
         raise ValueError("size-bounded patterns need an even-length host")

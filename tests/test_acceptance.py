@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, exact equalities, stated time caps.
 
 Each test prints a single PASS/FAIL line (visible with `pytest -s`).  The
-rank-5 weak-order case is opt-in: set POPLAT_OPT_IN=1.
+rank-5 weak-order case and the validated rank-7 type-B Tamari case are
+opt-in: set POPLAT_OPT_IN=1.
 """
 import os
 import time
@@ -65,7 +66,20 @@ def test_criterion_3_tam_b_polynomial():
     assert poly5 == formulas.tam_b_polynomial(5)
     assert len(tamari.tam_b_lattice(5)) == 252
     assert elapsed < 10.0, f"rank 5 took {elapsed:.2f}s"
-    report(3, f"Pop(Tam(B_n);q) equals the closed form for n=1..5; n=5 in {elapsed:.2f}s")
+    note = f"Pop(Tam(B_n);q) equals the closed form for n=1..5; n=5 in {elapsed:.2f}s"
+    if os.environ.get("POPLAT_OPT_IN"):
+        start = time.perf_counter()
+        tamari.tam_b_elements.cache_clear()
+        lat7 = fresh(tamari.tam_b_lattice, 7, validate=True)
+        poly7 = lat7.pop_polynomial("down")
+        elapsed7 = time.perf_counter() - start
+        assert len(lat7) == 3432
+        assert poly7 == formulas.tam_b_polynomial(7)
+        assert elapsed7 < 30.0, f"rank 7 took {elapsed7:.2f}s"
+        note += f"; opt-in n=7 validated in {elapsed7:.2f}s"
+    else:
+        note += "; opt-in n=7 skipped (set POPLAT_OPT_IN=1)"
+    report(3, note)
 
 
 def test_criterion_4_tam_a_polynomial():

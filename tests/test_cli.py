@@ -259,6 +259,14 @@ def test_guard_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_verify_tam_b_past_the_guard_exits_2(capsys):
+    # n = 7 is the largest type-B carrier admitted; the run fails at n = 8
+    code, out, err = run(capsys, "verify", "--theorem", "tam-b", "--max-n", "8", "--json")
+    assert code == 2
+    assert out == ""
+    assert "type-B carrier guard exceeded at n=8" in err
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "nonsense", "--max-n", "2"])

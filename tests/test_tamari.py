@@ -20,12 +20,15 @@ from poplat.tamari import (
     project_tam_b_by_classes,
     tam_a_elements,
     tam_a_lattice,
+    tam_a_lower_covers,
     tam_b_adjacent,
     tam_b_elements,
     tam_b_image_predicate,
     tam_b_image_predicate_as_printed,
     tam_b_lattice,
+    tam_b_lower_covers,
 )
+from poplat.weak import weak_b_lower_covers
 from poplat.words import (
     P312,
     P312_STAR,
@@ -36,7 +39,7 @@ from poplat.words import (
     reduction,
     reverse_runs,
 )
-from word_stats import bounded_ascent_count, descent_count
+from word_stats import bounded_ascent_count, descent_count, weak_a_lower_covers
 
 # --- reference oracles -------------------------------------------------------
 # The filter-then-reduce construction: keep the pattern avoiders of the whole
@@ -106,6 +109,90 @@ def transitive_reduction_lattice(elements):
     return FiniteLattice.build(elements, covers, validate=False)
 
 
+# The first-half-then-mirror generator: backtrack over first halves with a
+# gap test that keeps the gaps (a, c) as a tuple, and check the forced mirror
+# half only once the half is complete.  The same lex order as the
+# tail-pruned generator, without its pruning and its bitmask state.
+
+
+def tuple_gap_scan(word, floor, state):
+    gaps, top = state
+    for v in word:
+        if v >= floor and any(a < v < c for a, c in gaps):
+            return None
+        if v < top:
+            gaps += ((v, top),)
+        else:
+            top = v
+    return gaps, top
+
+
+@lru_cache(maxsize=None)
+def mirror_checked_tam_b_elements(n):
+    floor = n + 1
+    out = []
+    half = []
+
+    def grow(state):
+        if len(half) == n:
+            mirror = tuple(2 * n + 1 - v for v in reversed(half))
+            if tuple_gap_scan(mirror, floor, state) is not None:
+                out.append(tuple(half) + mirror)
+            return
+        for v in range(1, 2 * n + 1):
+            if v in half or 2 * n + 1 - v in half:
+                continue
+            nxt = tuple_gap_scan((v,), floor, state)
+            if nxt is not None:
+                half.append(v)
+                grow(nxt)
+                half.pop()
+
+    grow(((), 0))
+    return tuple(out)
+
+
+# Restart-from-left rewriting: after every move, rebuild the positions and
+# scan again from position 0 for the leftmost legal move.
+
+
+def restart_project_tam_a(p):
+    p = list(p)
+    while True:
+        for i in range(len(p) - 1):
+            c, a = p[i], p[i + 1]
+            if c > a and any(a < b < c for b in p[i + 2 :]):
+                p[i], p[i + 1] = a, c
+                break
+        else:
+            return tuple(p)
+
+
+def _restart_movable_b(x, i):
+    n = len(x) // 2
+    c, a = x[i], x[i + 1]
+    if c <= a:
+        return False
+    pos = {v: t for t, v in enumerate(x)}
+    return any(
+        (b >= n + 1 and pos[b] >= i + 1) or (b <= n and pos[b] <= i + 1)
+        for b in range(a + 1, c)
+    )
+
+
+def restart_project_tam_b(x):
+    x = list(x)
+    last = len(x) - 1
+    while True:
+        for i in range(last):
+            if _restart_movable_b(x, i):
+                for k in {i, last - 1 - i}:
+                    x[k], x[k + 1] = x[k + 1], x[k]
+                break
+        else:
+            return tuple(x)
+
+
 ORACLE_CASES = [
     pytest.param(tam_a_elements, tam_a_lattice, filtered_tam_a_elements, n, id=f"tam-a-{n}")
     for n in range(8)
@@ -122,8 +209,35 @@ def catalan(k):
 def test_carrier_sizes():
     for n in range(8):
         assert len(tam_a_elements(n)) == catalan(n + 1)
-    for n in range(7):
+    for n in range(8):
         assert len(tam_b_elements(n)) == math.comb(2 * n, n)
+
+
+def test_tail_pruned_tam_b_matches_mirror_checked_generator():
+    for n in range(8):
+        assert tam_b_elements(n) == mirror_checked_tam_b_elements(n), n
+
+
+def test_direct_tam_a_covers_match_projected_weak_covers():
+    for n in range(8):
+        for y in tam_a_elements(n):
+            expected = [project_tam_a(w) for w in weak_a_lower_covers(y)]
+            assert tam_a_lower_covers(y) == expected, y
+
+
+def test_indexed_projections_match_restart_from_left():
+    for m in range(1, 8):
+        for p in itertools.permutations(range(1, m + 1)):
+            assert project_tam_a(p) == restart_project_tam_a(p), p
+    for n in range(6):
+        for x in enumerate_signed(n):
+            assert project_tam_b(x) == restart_project_tam_b(x), x
+    for n in range(7):
+        for y in tam_b_elements(n):
+            weak_covers = weak_b_lower_covers(y)
+            expected = [restart_project_tam_b(w) for w in weak_covers]
+            assert [project_tam_b(w) for w in weak_covers] == expected, y
+            assert tam_b_lower_covers(y) == expected, y
 
 
 @pytest.mark.parametrize("elements, lattice, oracle, n", ORACLE_CASES)
@@ -153,7 +267,7 @@ def test_carrier_guards():
     with pytest.raises(GuardError):
         tam_a_elements(8)
     with pytest.raises(GuardError):
-        tam_b_elements(7)
+        tam_b_elements(8)
 
 
 def test_tam_b_carrier_n2():

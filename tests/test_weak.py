@@ -10,11 +10,10 @@ from poplat.weak import (
     pop_weak_up,
     staircase_image_element,
     weak_a_lattice,
-    weak_a_lower_covers,
     weak_b_lattice,
     weak_b_lower_covers,
 )
-from word_stats import bounded_ascent_count
+from word_stats import bounded_ascent_count, weak_a_lower_covers
 
 
 def weak_b_upper_cover_count(x):
