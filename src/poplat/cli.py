@@ -1,9 +1,10 @@
 """Batch command-line interface with machine-readable reports.
 
 Exit codes: 0 all verdicts match, 1 at least one mismatch, 2 usage, bad
-input, a size below the smallest valid one, a guard or a non-lattice.  JSON
-output is deterministic: sorted keys, no timestamps.  Wall-clock timings
-appear only in the human-readable text output.
+input, a size below the smallest valid one, a size past the memory budget
+or a non-lattice.  JSON output is deterministic: sorted keys, no
+timestamps.  Wall-clock timings appear only in the human-readable text
+output.
 
 Every lattice, theorem and formula name, and what each one means, comes from
 the registry in `poplat.families`; the handlers here only look them up.
@@ -24,6 +25,13 @@ Formula/theorem names deliberately decouple the user from indexing pitfalls:
 `verify --theorem jay-a --max-n K` checks the closed form at index n against
 brute force over paths of semi-length n+2 for n = 0..K; the other theorems
 start at n = 1, and a smaller --max-n exits 2.
+
+Before anything is enumerated, a size is checked against one memory budget
+of 512 MiB: a lattice of N elements costs 4 KiB * N + N^2/8 bytes, the path
+censuses of jay-a and jay-b 200 bytes per path; verify checks --max-n once.
+A refused size exits 2.  Largest sizes admitted: weak-a 8, weak-b 6 (also
+census), tam-a 9, tam-b 9, j-a 10, j-b 9; verify: weak 6, tam-a 9, tam-b 9,
+jay-a 12, jay-b 11.
 """
 from __future__ import annotations
 
@@ -44,7 +52,7 @@ def _size_param(args) -> int:
     n = args.semilength if args.semilength is not None else args.n
     if n is None:
         raise ValueError(f"{family.size_flag} is required for {family.name}")
-    return check_least(family.size_flag, n, family.min_size)
+    return family.admit(check_least(family.size_flag, n, family.min_size))
 
 
 def _predicate_for(name: str):
@@ -184,11 +192,12 @@ def _verify_cases(theorem: str, max_n: int, as_printed: bool, no_validate: bool)
     """Yield (n, computed QPoly or int, formula QPoly or int) per case."""
     t = THEOREMS[theorem]
     for n in range(t.first_n, max_n + 1):
-        yield n, t.census(n, not no_validate), t.formula(n, as_printed)
+        yield n, t.census(n + t.shift, not no_validate), t.formula(n, as_printed)
 
 
 def _cmd_verify(args) -> int:
-    check_least("--max-n", args.max_n, THEOREMS[args.theorem].first_n)
+    theorem = THEOREMS[args.theorem]
+    theorem.admit(check_least("--max-n", args.max_n, theorem.first_n))
     records = []
     lines = []
     mismatches = 0
@@ -346,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                     _cmd_preimage)
     p.add_argument("--x", required=True)
 
-    p = _subcommand(subs, "census", "image census by first entry (weak-b)", _cmd_census)
-    p.add_argument("--by-first-entry", action="store_true")
+    _subcommand(subs, "census", "image census by first entry (weak-b)", _cmd_census)
 
     p = _subcommand(subs, "formula", "evaluate a closed-form formula", _cmd_formula,
                     lattice=False)
@@ -376,7 +384,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
-        # ValueError covers the guard, non-lattice and non-interval errors
+        # ValueError covers the budget, non-lattice and non-interval errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import GuardError
 from .lattice import FiniteLattice, QPoly, memoised_builder
-
-J_A_GUARD = 10
-J_B_GUARD = 5
 
 RISE = "r"
 FALL = "f"
@@ -107,14 +103,15 @@ def _flip_valley(path: str, x: int) -> str:
     return path[: x - 1] + RISE + FALL + path[x + 1 :]
 
 
-def _prefixes(length: int, closed: bool) -> list[str]:
+def _prefixes(length: int, closed: bool, finish=str) -> list[str]:
     """Step sequences of the given length that never dip below the axis, in
-    lexicographic order ('f' < 'r'); closed ones end on the axis."""
+    lexicographic order ('f' < 'r'); closed ones end on the axis.  Each is
+    passed through `finish` as it is made."""
     out: list[str] = []
 
     def extend(prefix: list[str], h: int, left: int) -> None:
         if left == 0:
-            out.append("".join(prefix))
+            out.append(finish("".join(prefix)))
             return
         if h > 0:
             prefix.append(FALL)
@@ -149,14 +146,12 @@ def symmetric_paths(n: int) -> tuple[str, ...]:
     """
     if n < 0:
         raise ValueError("negative rank")
-    return tuple(p + p[::-1].translate(_MIRROR) for p in _prefixes(2 * n, closed=False))
+    return tuple(_prefixes(2 * n, False, lambda p: p + p[::-1].translate(_MIRROR)))
 
 
 @memoised_builder
 def j_a_lattice(m: int, validate: bool = True) -> FiniteLattice:
     """Ideal lattice on all paths of semi-length m; covers flip one valley."""
-    if m > J_A_GUARD:
-        raise GuardError(f"semi-length {m} exceeds guard {J_A_GUARD}")
     elements = all_paths(m)
     covers = [
         (path, _flip_valley(path, x)) for path in elements for x in valleys(path)
@@ -181,8 +176,6 @@ def j_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     result stays symmetric; meets and joins agree with the ambient type-A
     lattice, which the tests check.
     """
-    if n > J_B_GUARD:
-        raise GuardError(f"rank {n} exceeds guard {J_B_GUARD}")
     elements = symmetric_paths(n)
     covers = []
     for path in elements:

@@ -2,7 +2,7 @@
 
 
 class GuardError(ValueError):
-    """A size guard was exceeded (enumeration or lattice construction too large)."""
+    """A requested size would pass the memory budget (see `families.MAX_BYTES`)."""
 
 
 class NotALatticeError(ValueError):

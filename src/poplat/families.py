@@ -3,7 +3,8 @@
 A `Family` says how its lattice is sized, built, read and popped; a `Theorem`
 pairs a closed form with the census it is checked against.  The command-line
 interface and the tests look everything up here instead of dispatching on
-names.
+names.  Sizes reach the program only through it, so the memory budget is
+checked here, before anything is enumerated; the builders take any size.
 """
 from __future__ import annotations
 
@@ -11,10 +12,29 @@ import math
 from typing import Callable, NamedTuple, Union
 
 from . import dyck, formulas, signed, tamari, weak, words
+from .errors import GuardError
 from .lattice import FiniteLattice, QPoly
 
 Element = Union[words.Word, str]  # a word of integers or an r/f path
 Value = Union[QPoly, int]
+
+MAX_BYTES = 512 << 20  # what one run may allocate on top of the imported interpreter
+
+
+def cost(elements: int, lattice: bool = True) -> int:
+    """Estimated peak bytes of a run over N = `elements`, fitted not to underestimate.
+
+    A lattice costs 4 KiB per element (elements, covers, scratch) plus N^2/8
+    bytes for its two mask tables; a census without a lattice 200 B per element.
+    """
+    return 4096 * elements + elements * elements // 8 if lattice else 200 * elements
+
+
+def check_budget(what: str, elements: int, lattice: bool = True) -> None:
+    """Raise GuardError when a run over `elements` elements would pass MAX_BYTES."""
+    if (need := cost(elements, lattice)) > MAX_BYTES:
+        raise GuardError(f"{what} holds {elements} elements and needs about {need >> 20} "
+                         f"MiB, over the {MAX_BYTES >> 20} MiB memory budget")
 
 
 class Family(NamedTuple):
@@ -36,15 +56,30 @@ class Family(NamedTuple):
     first_entry_census: tuple[Callable[[int], dict], Callable[[int], dict]] | None = None
     min_size: int = 0
 
+    def admit(self, n: int) -> int:
+        """Check the lattice of size n against the memory budget; return n."""
+        check_budget(f"{self.name} {self.size_flag} {n}", self.size(n))
+        return n
+
 
 class Theorem(NamedTuple):
-    """A closed form checked case by case against a census."""
+    """A closed form checked case by case against a census of the elements of
+    its carrier family at size n + shift, built into a lattice if `builds`."""
 
     name: str
     formula_name: str
     first_n: int
-    census: Callable[[int, bool], Value]  # (n, validate) -> computed value
+    carrier: str  # the name of a family
+    census: Callable[[int, bool], Value]  # (carrier size, validate) -> computed value
     formula: Callable[[int, bool], Value]  # (n, as_printed) -> closed form
+    shift: int = 0
+    builds: bool = True
+
+    def admit(self, max_n: int) -> int:
+        """Check the cases up to max_n, bounded by the last, against the budget."""
+        size = FAMILIES[self.carrier].size(max_n + self.shift)
+        check_budget(f"{self.name} --max-n {max_n}", size, self.builds)
+        return max_n
 
 
 def check_least(flag: str, value: int, least: int) -> int:
@@ -93,9 +128,12 @@ def _parse_symmetric_path(text: str) -> str:
     return path
 
 
-def _lattice_pop_up(build: Callable[..., FiniteLattice], rank: Callable[[Element], int]):
-    """Upward pop computed in the lattice of size rank(x), which holds x."""
-    return lambda x: build(rank(x), False).pop_up(x)
+def _lattice_pop_up(name: str, rank: Callable[[Element], int]):
+    """Upward pop computed in the family's lattice of size rank(x), which holds x."""
+    def pop_up(x: Element) -> Element:
+        family = FAMILIES[name]
+        return family.build(family.admit(rank(x)), False).pop_up(x)
+    return pop_up
 
 
 FAMILIES: dict[str, Family] = {
@@ -117,7 +155,7 @@ FAMILIES: dict[str, Family] = {
         Family(
             "tam-a", "--n", lambda n: _catalan(n + 1), tamari.tam_a_lattice,
             _parse_tam_a, words.format_word, tamari.pop_tam_a,
-            _lattice_pop_up(tamari.tam_a_lattice, lambda x: len(x) - 1),
+            _lattice_pop_up("tam-a", lambda x: len(x) - 1),
             image_direction="down",
             predicate=tamari.hong_image_predicate,
             preimage=tamari.preimage_ending_in_one,
@@ -125,7 +163,7 @@ FAMILIES: dict[str, Family] = {
         Family(
             "tam-b", "--n", lambda n: math.comb(2 * n, n), tamari.tam_b_lattice,
             _parse_tam_b, words.format_word, tamari.pop_tam_b,
-            _lattice_pop_up(tamari.tam_b_lattice, lambda x: len(x) // 2),
+            _lattice_pop_up("tam-b", lambda x: len(x) // 2),
             image_direction="down",
             predicate=tamari.tam_b_image_predicate,
             preimage=tamari.preimage_tam_b,
@@ -151,30 +189,29 @@ def _lattice_census(build: Callable[..., FiniteLattice]) -> Callable[[int, bool]
 
 
 def _weak_census(n: int, validate: bool) -> int:
-    # Ranks above 4 are built unvalidated: a leftover of the pairwise check,
-    # which the benchmark's traced pipeline still mirrors.
-    lattice = weak.weak_b_lattice(n, validate=validate and n <= 4)
-    return lattice.pop_polynomial("down")[n - 1]
+    return weak.weak_b_lattice(n, validate=validate).pop_polynomial("down")[n - 1]
 
 
 THEOREMS: dict[str, Theorem] = {
     t.name: t
     for t in (
-        Theorem("weak", "weak-b", 1, _weak_census,
+        Theorem("weak", "weak-b", 1, "weak-b", _weak_census,
                 lambda n, as_printed: formulas.weak_b_coefficient(n)),
-        Theorem("tam-a", "tam-a", 1, _lattice_census(tamari.tam_a_lattice),
+        Theorem("tam-a", "tam-a", 1, "tam-a", _lattice_census(tamari.tam_a_lattice),
                 lambda n, as_printed: formulas.tam_a_polynomial(n)),
-        Theorem("tam-b", "tam-b", 1, _lattice_census(tamari.tam_b_lattice),
+        Theorem("tam-b", "tam-b", 1, "tam-b", _lattice_census(tamari.tam_b_lattice),
                 lambda n, as_printed: formulas.tam_b_polynomial(n)),
         # Both ideal-lattice theorems count the upward image on the paths
         # themselves, O(#paths), without building a lattice.  At index n the
         # type-A form counts paths of semi-length n + 2.
-        Theorem("jay-a", "jay-a", 0,
-                lambda n, validate: dyck.pop_up_polynomial_a(n + 2),
-                lambda n, as_printed: formulas.j_a_polynomial(n)),
-        Theorem("jay-b", "jay-b", 1,
+        Theorem("jay-a", "jay-a", 0, "j-a",
+                lambda m, validate: dyck.pop_up_polynomial_a(m),
+                lambda n, as_printed: formulas.j_a_polynomial(n),
+                shift=2, builds=False),
+        Theorem("jay-b", "jay-b", 1, "j-b",
                 lambda n, validate: dyck.pop_up_polynomial_b(n),
-                lambda n, as_printed: formulas.j_b_polynomial(n, include_j0=not as_printed)),
+                lambda n, as_printed: formulas.j_b_polynomial(n, include_j0=not as_printed),
+                builds=False),
     )
 }
 

@@ -21,15 +21,11 @@ are immutable after build and safe to share.
 """
 from __future__ import annotations
 
-import os
 from collections import deque
 from functools import wraps
 from typing import Callable, Hashable, Iterable
 
-from .errors import GuardError, NonIntervalClassError, NotALatticeError
-
-DEFAULT_MAX_ELEMENTS = 50_000
-MAX_ELEMENTS_ENV = "POPLAT_MAX_ELEMENTS"
+from .errors import NonIntervalClassError, NotALatticeError
 
 
 class QPoly:
@@ -99,11 +95,6 @@ class QPoly:
         return f"QPoly({self.coeffs!r})"
 
 
-def max_elements_guard() -> int:
-    value = os.environ.get(MAX_ELEMENTS_ENV)
-    return int(value) if value else DEFAULT_MAX_ELEMENTS
-
-
 def _extremum(masks: list[int], mask: int) -> int | None:
     """Index whose own mask is `mask`, or None when `mask` is not principal.
 
@@ -156,7 +147,6 @@ class FiniteLattice:
         elements: Iterable[Hashable],
         covers: Iterable[tuple[Hashable, Hashable]],
         validate: bool = True,
-        max_elements: int | None = None,
     ) -> "FiniteLattice":
         """Build from (lower, upper) cover pairs; optionally verify latticehood.
 
@@ -166,9 +156,6 @@ class FiniteLattice:
         """
         keys = list(elements)
         n = len(keys)
-        guard = max_elements if max_elements is not None else max_elements_guard()
-        if n > guard:
-            raise GuardError(f"{n} elements exceed guard {guard}")
         key_index = {k: i for i, k in enumerate(keys)}
         if len(key_index) != n:
             raise ValueError("duplicate elements")

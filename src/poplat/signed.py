@@ -15,10 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import GuardError
 from .words import Word, ascending_runs, check_permutation
-
-ENUMERATION_GUARD = 7
 
 
 def rank_of(x: Word) -> int:
@@ -41,11 +38,6 @@ def validate_signed(word) -> Word:
     return x
 
 
-def is_signed(word) -> bool:
-    m = len(word)
-    return m % 2 == 0 and all(word[i] + word[m - 1 - i] == m + 1 for i in range(m // 2))
-
-
 def mirror_complete(first_half: tuple[int, ...]) -> Word:
     """Extend a first half to the full centrally symmetric word."""
     n = len(first_half)
@@ -56,30 +48,19 @@ def mirror_complete(first_half: tuple[int, ...]) -> Word:
 def enumerate_signed(n: int) -> tuple[Word, ...]:
     """All rank-n elements in lexicographic order.
 
-    Small ranks are produced by filtering the symmetric group; from rank 5 on
-    the first halves are generated directly (one value from each complementary
-    pair, in every order) to avoid the (2n)! blowup.  The two generators are
-    cross-checked against each other in the test suite.
+    The first halves are generated directly, one value from each
+    complementary pair in every order, to avoid the (2n)! blowup of
+    filtering the symmetric group; the test suite cross-checks them against
+    that filter.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    if n > ENUMERATION_GUARD:
-        raise GuardError(f"rank {n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    if n == 0:
-        return ((),)
-    if n <= 4:
-        els = [
-            p for p in itertools.permutations(range(1, 2 * n + 1)) if is_signed(p)
-        ]
-    else:
-        els = []
-        for pairs in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((False, True), repeat=n):
-                first = tuple(
-                    2 * n + 1 - v if neg else v for v, neg in zip(pairs, signs)
-                )
-                els.append(mirror_complete(first))
-        els.sort()
+    els = []
+    for pairs in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((False, True), repeat=n):
+            first = tuple(2 * n + 1 - v if neg else v for v, neg in zip(pairs, signs))
+            els.append(mirror_complete(first))
+    els.sort()
     return tuple(els)
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import GuardError
 from .lattice import FiniteLattice, memoised_builder
 from .signed import complement_reverse, half_decomposition, validate_signed
 from .weak import (
@@ -52,10 +51,6 @@ from .words import (
     scan_312_gaps,
 )
 
-TAM_A_GUARD = 8  # carrier inside S_{n+1}
-TAM_B_GUARD = 7
-
-
 # --- carriers ---------------------------------------------------------------
 
 
@@ -68,8 +63,6 @@ def tam_a_elements(n: int) -> tuple[Word, ...]:
     value j >= the next input, after pushing everything below j.  The top is
     smaller than every input left, so trying it first keeps lex order.
     """
-    if n + 1 > TAM_A_GUARD:
-        raise GuardError(f"type-A carrier guard exceeded at n={n}")
     m = n + 1
     out: list[Word] = []
     word: list[int] = []
@@ -112,8 +105,6 @@ def tam_b_elements(n: int) -> tuple[Word, ...]:
     completes a starred 312; at k = n the tail is the whole second half and
     the test is the membership test.
     """
-    if n > TAM_B_GUARD:
-        raise GuardError(f"type-B carrier guard exceeded at n={n}")
     floor = n + 1
     mirror = 2 * n + 1
     out: list[Word] = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GuardError
 from .lattice import FiniteLattice, memoised_builder
 from .signed import ascent_decomposition, enumerate_signed, validate_signed
 from .words import Word, ascending_runs, reverse_runs
@@ -52,8 +51,6 @@ def weak_b_lower_covers(x: Word) -> list[Word]:
 @memoised_builder
 def weak_a_lattice(num_letters: int, validate: bool = True) -> FiniteLattice:
     """Weak order on the permutations of {1, ..., num_letters}."""
-    if num_letters > 7:
-        raise GuardError(f"weak order on S_{num_letters} exceeds guard")
     elements = sorted(itertools.permutations(range(1, num_letters + 1)))
     covers = [(p, q) for p in elements for q in weak_a_covers(p)]
     return FiniteLattice.build(elements, covers, validate=validate)
@@ -117,11 +114,8 @@ def staircase_image_element(n: int, j: int) -> Word:
 def image_census_by_first_entry(n: int) -> dict[int, int]:
     """Split the pop-image elements having n-1 upward covers by first entry.
 
-    Brute force over the full signed weak order; exhaustive mode is guarded
-    at rank 4.
+    Brute force over the full signed weak order.
     """
-    if n > 4:
-        raise GuardError(f"census guard exceeded for rank {n}")
     lat = weak_b_lattice(n)
     counts = {i: 0 for i in range(1, 2 * n + 1)}
     for z in lat.pop_image("down"):

@@ -1,13 +1,18 @@
 """Acceptance suite: one test per criterion, exact equalities, stated time caps.
 
 Each test prints a single PASS/FAIL line (visible with `pytest -s`).  The
-rank-5 weak-order case and the validated rank-7 type-B Tamari case are
-opt-in: set POPLAT_OPT_IN=1.
+rank-5 weak-order case, the validated rank-7 type-B Tamari case and the
+largest sizes the memory budget admits are opt-in: set POPLAT_OPT_IN=1.
 """
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from poplat import dyck, formulas, series, tamari, weak
+from poplat.families import FAMILIES, cost
 from poplat.lattice import QPoly
 from poplat.signed import half_decomposition
 from poplat.words import reduction
@@ -284,3 +289,61 @@ def test_criterion_11_series_lab():
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"series suite took {elapsed:.2f}s"
     report(11, f"series tables to order 12 satisfy their equations, closed forms, and enumeration; done in {elapsed:.2f}s")
+
+
+# One CLI run in a fresh interpreter; prints its JSON report, then the bytes
+# its peak RSS grew by over the RSS right after the import.  Linux only.
+PEAK_SCRIPT = """
+import io, json, os, resource, sys
+from contextlib import redirect_stdout
+import poplat.cli
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+base = rss()
+out = io.StringIO()
+with redirect_stdout(out):
+    code = poplat.cli.main(sys.argv[1:] + ["--json"])
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()), "grew": peak - base}))
+"""
+
+
+def peak_run(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", PEAK_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_criterion_12_largest_admitted_sizes():
+    if not os.environ.get("POPLAT_OPT_IN"):
+        report(12, "opt-in largest admitted sizes skipped (set POPLAT_OPT_IN=1)")
+        return
+    # (argv, elements the budget was charged for, check of the report)
+    cases = [
+        (("pop-poly", "--lattice", "weak-a", "--n", "8"), FAMILIES["weak-a"].size(8),
+         lambda r: r["verdict"] == "match"),
+        (("verify", "--theorem", "tam-a", "--max-n", "9"), FAMILIES["tam-a"].size(9),
+         lambda r: r["totals"] == {"match": 9, "mismatch": 0}),
+        (("verify", "--theorem", "tam-b", "--max-n", "9"), FAMILIES["tam-b"].size(9),
+         lambda r: r["totals"] == {"match": 9, "mismatch": 0}),
+        (("pop-poly", "--lattice", "j-b", "--n", "9"), FAMILIES["j-b"].size(9),
+         lambda r: r["verdict"] == "match"
+         and r["up_with_lower_covers"] == formulas.j_b_polynomial(9).to_json_dict()),
+        (("census", "--lattice", "weak-b", "--n", "6"), FAMILIES["weak-b"].size(6),
+         lambda r: r["verdict"] == "match"),
+    ]
+    notes = []
+    for argv, elements, check in cases:
+        start = time.perf_counter()
+        run = peak_run(*argv)
+        elapsed = time.perf_counter() - start
+        assert run["code"] == 0 and check(run["report"]), argv
+        # the model must fail closed: never below what the run really took
+        assert cost(elements) >= run["grew"], (argv, cost(elements), run["grew"])
+        notes.append(f"{' '.join(argv)} {run['grew'] >> 20}/{cost(elements) >> 20} MiB "
+                     f"in {elapsed:.1f}s")
+    report(12, "validated at the largest admitted sizes, measured/modelled peak: "
+           + "; ".join(notes))

@@ -127,7 +127,7 @@ def test_pop_down_on_paths_reads_path_without_building(capsys, monkeypatch):
     code, out, _ = run(capsys, "pop", "--lattice", "j-a", "--x", "rrfrrfrfffrrfrfrrfff")
     assert code == 0
     assert out.strip() == "rfrrfrfrffrfrfrrfrff"
-    # semi-length 11 lies beyond the j-a lattice guard; the pop still answers
+    # semi-length 11 lies past the memory budget for a j-a lattice; the pop still answers
     code, out, _ = run(capsys, "pop", "--lattice", "j-a", "--x", "rrfrrfrfffrrfrfrrfffrf")
     assert code == 0
     assert out.strip() == "rfrrfrfrffrfrfrrfrffrf"
@@ -176,7 +176,7 @@ def test_preimage(capsys):
 
 def test_census(capsys):
     code, out, _ = run(
-        capsys, "census", "--lattice", "weak-b", "--n", "3", "--by-first-entry"
+        capsys, "census", "--lattice", "weak-b", "--n", "3"
     )
     assert code == 0
     assert "verdict: match" in out
@@ -260,11 +260,12 @@ def test_guard_errors_exit_2(capsys):
 
 
 def test_verify_tam_b_past_the_guard_exits_2(capsys):
-    # n = 7 is the largest type-B carrier admitted; the run fails at n = 8
-    code, out, err = run(capsys, "verify", "--theorem", "tam-b", "--max-n", "8", "--json")
+    # n = 9 is the largest type-B case the budget admits; --max-n 10 is
+    # refused before case 1, so no case is built and nothing is reported
+    code, out, err = run(capsys, "verify", "--theorem", "tam-b", "--max-n", "10", "--json")
     assert code == 2
     assert out == ""
-    assert "type-B carrier guard exceeded at n=8" in err
+    assert err.startswith("error: tam-b --max-n 10 holds 184756 elements")
 
 
 def test_usage_error_exit_2():
@@ -396,7 +397,7 @@ README_JSON = {
         (0, "81e0e6e2d514dd575f0420fe06678831ca767f6cf8464a39ed880d3b08e2f2a3"),
     "preimage --lattice tam-b --x 1,7,2,4,3,5,8,10,9,11,6,12":
         (0, "85d19d192266ecedd19f6e61575c298256683661bb430a0bb57ad6bea0fd59ba"),
-    "census --lattice weak-b --n 3 --by-first-entry":
+    "census --lattice weak-b --n 3":
         (0, "9e49a4e95907112b4f41322daeb7a0bac0f9bf4db47c545364bbec4409c50baa"),
     "formula --name jay-b --n 4":
         (0, "44c4a6ed126d972c9bc7976bb9c481abadb9e82ae2ea80af435db7bfac97cd04"),

@@ -23,6 +23,7 @@ from poplat.dyck import (
     valleys,
 )
 from poplat.errors import GuardError
+from poplat.families import FAMILIES
 from poplat.lattice import QPoly
 from word_stats import half_peak_count, peak_count
 
@@ -96,7 +97,7 @@ def test_j_a_lattice_small():
     assert lat3.pop_up("rfrfrf") == "rrfrff"
     assert len(j_a_lattice(1)) == 1
     with pytest.raises(GuardError):
-        j_a_lattice(11)
+        FAMILIES["j-a"].admit(11)
 
 
 def test_j_b_lattice_small():
@@ -109,7 +110,7 @@ def test_j_b_lattice_small():
     assert lat2.pop_polynomial("down") == QPoly({2: 1, 1: 2})
     assert lat2.pop_polynomial("up") == QPoly({2: 1, 1: 2})
     with pytest.raises(GuardError):
-        j_b_lattice(6)
+        FAMILIES["j-b"].admit(10)
 
 
 def test_j_b_is_sublattice_of_j_a():

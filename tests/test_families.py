@@ -4,11 +4,17 @@ Each case builds the validated lattice and checks the registry record
 against it: the element count, the direct pops against the lattice pops in
 both directions, the image predicate against the brute-force image (only
 necessity where the record says so), down/up census duality, and that every
-element reads back from its text.
+element reads back from its text.  Then every entry point is run at the
+first size past the memory budget, with every builder and census made to
+raise.
 """
+import tracemalloc
+
 import pytest
 
-from poplat.families import FAMILIES
+from poplat.cli import main
+from poplat.errors import GuardError
+from poplat.families import FAMILIES, THEOREMS, cost
 
 LARGEST = {"weak-a": 5, "weak-b": 4, "tam-a": 7, "tam-b": 5, "j-a": 9, "j-b": 5}
 
@@ -34,3 +40,79 @@ def test_family_record_matches_its_lattice(family, n):
         for x in lat.elements:
             assert family.predicate(x) == (x in image), x
     assert lat.pop_polynomial("down") == lat.pop_polynomial("up")
+
+
+# --- the memory budget ----------------------------------------------------------
+# The largest size the budget admits, per family and per theorem; the next
+# size is refused before anything is enumerated.
+
+ADMITTED = {"weak-a": 8, "weak-b": 6, "tam-a": 9, "tam-b": 9, "j-a": 10, "j-b": 9}
+ADMITTED_CASES = {"weak": 6, "tam-a": 9, "tam-b": 9, "jay-a": 12, "jay-b": 11}
+
+
+def refuse_all_work(monkeypatch):
+    """Make every builder and census in the registry raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the budget")
+
+    for name, family in FAMILIES.items():
+        census = family.first_entry_census and (refuse, refuse)
+        monkeypatch.setitem(FAMILIES, name, family._replace(build=refuse, first_entry_census=census))
+    for name, theorem in THEOREMS.items():
+        monkeypatch.setitem(THEOREMS, name, theorem._replace(census=refuse))
+
+
+def refused_runs():
+    """(id, argv) of each entry point at the first size past the budget."""
+    for name, family in FAMILIES.items():
+        size = [family.size_flag, str(ADMITTED[name] + 1)]
+        for command in ("enumerate", "pop-poly", "image"):
+            yield f"{command}-{name}", [command, "--lattice", name, *size]
+        if family.first_entry_census:
+            yield f"census-{name}", ["census", "--lattice", name, *size]
+    # pop --up on a Tamari word builds the lattice of the word's rank
+    tam_a = ",".join(map(str, range(1, ADMITTED["tam-a"] + 3)))
+    tam_b = ",".join(map(str, range(1, 2 * ADMITTED["tam-b"] + 3)))
+    yield "pop-up-tam-a", ["pop", "--lattice", "tam-a", "--up", "--x", tam_a]
+    yield "pop-up-tam-b", ["pop", "--lattice", "tam-b", "--up", "--x", tam_b]
+    for name, largest in ADMITTED_CASES.items():
+        yield f"verify-{name}", ["verify", "--theorem", name, "--max-n", str(largest + 1)]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(a, id=i) for i, a in refused_runs()])
+def test_first_size_past_the_budget_exits_2_before_any_work(capsys, monkeypatch, argv):
+    refuse_all_work(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "MiB memory budget" in captured.err
+    assert peak < 1 << 20
+
+
+def test_largest_admitted_sizes():
+    for name, family in FAMILIES.items():
+        assert family.admit(ADMITTED[name]) == ADMITTED[name]
+        with pytest.raises(GuardError):
+            family.admit(ADMITTED[name] + 1)
+    for name, theorem in THEOREMS.items():
+        assert theorem.admit(ADMITTED_CASES[name]) == ADMITTED_CASES[name]
+        with pytest.raises(GuardError):
+            theorem.admit(ADMITTED_CASES[name] + 1)
+
+
+def test_cost_grows_with_size():
+    # One check at --max-n covers a whole verify range only if the cost of
+    # every family and theorem grows with n.
+    for family in FAMILIES.values():
+        costs = [cost(family.size(n)) for n in range(family.min_size, 13)]
+        assert costs == sorted(costs)
+    for theorem in THEOREMS.values():
+        size = FAMILIES[theorem.carrier].size
+        costs = [cost(size(n + theorem.shift), theorem.builds) for n in range(theorem.first_n, 20)]
+        assert costs == sorted(costs)

@@ -3,11 +3,11 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from poplat.dyck import j_a_lattice, j_b_lattice
-from poplat.errors import GuardError, NonIntervalClassError, NotALatticeError
+from poplat.errors import NonIntervalClassError, NotALatticeError
 from poplat.lattice import FiniteLattice, QPoly, memoised_builder
 from poplat.tamari import tam_a_adjacent, tam_a_lattice, tam_b_adjacent, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
@@ -202,9 +202,9 @@ def family_inputs(builder, n, monkeypatch):
     calls = []
     real_build = FiniteLattice.build
 
-    def record(elements, covers, validate=True, max_elements=None):
+    def record(elements, covers, validate=True):
         calls.append((list(elements), list(covers)))
-        return real_build(calls[-1][0], calls[-1][1], validate, max_elements)
+        return real_build(calls[-1][0], calls[-1][1], validate)
 
     with monkeypatch.context() as patch:
         patch.setattr(FiniteLattice, "build", record)
@@ -477,6 +477,52 @@ def test_kernel_matches_reference_on_random_posets(poset, glue, rng):
     assert_matches_reference(lat, ref, (adjacency,), pairs=50)
 
 
+def order_pairs(elements, covers):
+    """Every (a, b) with a <= b, by search along the covers."""
+    above = {x: [] for x in elements}
+    for a, b in covers:
+        above[a].append(b)
+    pairs = set()
+    for x in elements:
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            if (x, y) not in pairs:
+                pairs.add((x, y))
+                stack.extend(above[y])
+    return pairs
+
+
+@st.composite
+def random_lattices(draw):
+    """(lattice, order pairs) for the bounded posets that are lattices."""
+    elements, covers = draw(bounded_posets())
+    lat = FiniteLattice.build(elements, covers, validate=False)
+    assume(pairwise_is_lattice(lat))
+    return lat, order_pairs(elements, covers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lattices())
+def test_pops_move_every_element_but_the_end(lattice):
+    lat, leq = lattice
+    for x in lat.elements:
+        down, up = lat.pop_down(x), lat.pop_up(x)
+        assert (down, x) in leq and (x, up) in leq
+        assert (down == x) == (x == lat.bottom)
+        assert (up == x) == (x == lat.top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lattices())
+def test_meet_join_absorption(lattice):
+    lat, _ = lattice
+    for a in lat.elements:
+        for b in lat.elements:
+            assert lat.meet(a, lat.join(a, b)) == a
+            assert lat.join(a, lat.meet(a, b)) == a
+
+
 def test_random_posets_include_non_lattices():
     elements, covers = find(
         bounded_posets(),
@@ -520,20 +566,6 @@ def test_incomparable_minimal_upper_bounds_detected():
     lat = FiniteLattice.build(["bot", "x", "y", "u", "v", "top"], covers, validate=False)
     with pytest.raises(NotALatticeError):
         lat.join("x", "y")
-
-
-def test_guard():
-    with pytest.raises(GuardError):
-        FiniteLattice.build(range(10), [], max_elements=5)
-
-
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv("POPLAT_MAX_ELEMENTS", "3")
-    with pytest.raises(GuardError):
-        FiniteLattice.build(range(4), [(i, i + 1) for i in range(3)])
-    monkeypatch.setenv("POPLAT_MAX_ELEMENTS", "10")
-    lat = FiniteLattice.build(range(4), [(i, i + 1) for i in range(3)])
-    assert len(lat) == 4
 
 
 def test_hexagon_pop_polynomial():

@@ -3,13 +3,12 @@ import itertools
 import pytest
 
 from poplat.errors import GuardError
+from poplat.families import FAMILIES
 from poplat.signed import (
     ascent_decomposition,
     complement_reverse,
     enumerate_signed,
     half_decomposition,
-    is_signed,
-    mirror_complete,
     validate_signed,
 )
 from poplat.tamari import tam_b_elements
@@ -41,23 +40,20 @@ def test_enumerate_small():
     assert len(enumerate_signed(3)) == 48
 
 
+def is_signed(word) -> bool:
+    m = len(word)
+    return all(word[i] + word[m - 1 - i] == m + 1 for i in range(m // 2))
+
+
 def test_enumerate_direct_matches_filter():
-    # the filtering generator is used through rank 4; compare the direct
-    # first-half generator against a filter of S_{2n} at small ranks
-    for n in (1, 2, 3):
+    # oracle: filter S_{2n} in lexicographic order, every rank through 4
+    for n in range(5):
         filtered = tuple(
             p
             for p in itertools.permutations(range(1, 2 * n + 1))
             if is_signed(p)
         )
-        direct = []
-        for pairs in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((False, True), repeat=n):
-                first = tuple(
-                    2 * n + 1 - v if neg else v for v, neg in zip(pairs, signs)
-                )
-                direct.append(mirror_complete(first))
-        assert sorted(direct) == sorted(filtered) == list(enumerate_signed(n))
+        assert enumerate_signed(n) == filtered
 
 
 def test_enumerate_counts_and_guard():
@@ -65,8 +61,11 @@ def test_enumerate_counts_and_guard():
 
     for n in (1, 2, 3, 4, 5):
         assert len(enumerate_signed(n)) == 2**n * math.factorial(n)
+    # the signed ranks a caller may ask for are bounded by the registry's
+    # memory budget: weak-b 7 is the first rank refused
+    FAMILIES["weak-b"].admit(6)
     with pytest.raises(GuardError):
-        enumerate_signed(8)
+        FAMILIES["weak-b"].admit(7)
 
 
 def test_ascent_decomposition_examples():
