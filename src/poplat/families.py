@@ -75,11 +75,10 @@ class Theorem(NamedTuple):
     shift: int = 0
     builds: bool = True
 
-    def admit(self, max_n: int) -> int:
+    def admit(self, max_n: int) -> None:
         """Check the cases up to max_n, bounded by the last, against the budget."""
         size = FAMILIES[self.carrier].size(max_n + self.shift)
         check_budget(f"{self.name} --max-n {max_n}", size, self.builds)
-        return max_n
 
 
 def check_least(flag: str, value: int, least: int) -> int:

@@ -101,7 +101,7 @@ def test_largest_admitted_sizes():
         with pytest.raises(GuardError):
             family.admit(ADMITTED[name] + 1)
     for name, theorem in THEOREMS.items():
-        assert theorem.admit(ADMITTED_CASES[name]) == ADMITTED_CASES[name]
+        theorem.admit(ADMITTED_CASES[name])
         with pytest.raises(GuardError):
             theorem.admit(ADMITTED_CASES[name] + 1)
 
