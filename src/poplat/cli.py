@@ -26,12 +26,10 @@ Formula/theorem names deliberately decouple the user from indexing pitfalls:
 brute force over paths of semi-length n+2 for n = 0..K; the other theorems
 start at n = 1, and a smaller --max-n exits 2.
 
-Before anything is enumerated, a size is checked against one memory budget
-of 512 MiB: a lattice of N elements costs 4 KiB * N + N^2/8 bytes, the path
-censuses of jay-a and jay-b 200 bytes per path; verify checks --max-n once.
-A refused size exits 2.  Largest sizes admitted: weak-a 8, weak-b 6 (also
-census), tam-a 9, tam-b 9, j-a 10, j-b 9; verify: weak 6, tam-a 9, tam-b 9,
-jay-a 12, jay-b 11.
+Before anything is enumerated, a size is checked against one memory budget,
+`families.MAX_BYTES`, by the cost model `families.cost`; verify checks
+--max-n once.  A refused size exits 2.  README "Conventions and knobs" gives
+the largest size admitted per family and theorem.
 """
 from __future__ import annotations
 
@@ -192,7 +190,7 @@ def _verify_cases(theorem: str, max_n: int, as_printed: bool, no_validate: bool)
     """Yield (n, computed QPoly or int, formula QPoly or int) per case."""
     t = THEOREMS[theorem]
     for n in range(t.first_n, max_n + 1):
-        yield n, t.census(n + t.shift, not no_validate), t.formula(n, as_printed)
+        yield n, t.census(n, not no_validate), t.formula(n, as_printed)
 
 
 def _cmd_verify(args) -> int:

@@ -30,11 +30,19 @@ def cost(elements: int, lattice: bool = True) -> int:
     return 4096 * elements + elements * elements // 8 if lattice else 200 * elements
 
 
-def check_budget(what: str, elements: int, lattice: bool = True) -> None:
-    """Raise GuardError when a run over `elements` elements would pass MAX_BYTES."""
-    if (need := cost(elements, lattice)) > MAX_BYTES:
-        raise GuardError(f"{what} holds {elements} elements and needs about {need >> 20} "
-                         f"MiB, over the {MAX_BYTES >> 20} MiB memory budget")
+def check_budget(what: str, n: int, least: int, elements: Callable[[int], int],
+                 lattice: bool = True) -> None:
+    """Raise GuardError when a run at size n, over `elements(n)` elements, would
+    pass MAX_BYTES.
+
+    Counts grow with the size, so the sizes are stepped up from `least` and the
+    first one past the budget refuses n: no count is computed past it, however
+    large n is.
+    """
+    for k in range(least, n + 1):
+        if (need := cost(count := elements(k), lattice)) > MAX_BYTES:
+            raise GuardError(f"{what} is past the {MAX_BYTES >> 20} MiB memory budget: "
+                             f"size {k} holds {count} elements and needs about {need >> 20} MiB")
 
 
 class Family(NamedTuple):
@@ -58,27 +66,25 @@ class Family(NamedTuple):
 
     def admit(self, n: int) -> int:
         """Check the lattice of size n against the memory budget; return n."""
-        check_budget(f"{self.name} {self.size_flag} {n}", self.size(n))
+        check_budget(f"{self.name} {self.size_flag} {n}", n, self.min_size, self.size)
         return n
 
 
 class Theorem(NamedTuple):
-    """A closed form checked case by case against a census of the elements of
-    its carrier family at size n + shift, built into a lattice if `builds`."""
+    """A closed form checked case by case against a census."""
 
     name: str
     formula_name: str
     first_n: int
-    carrier: str  # the name of a family
-    census: Callable[[int, bool], Value]  # (carrier size, validate) -> computed value
+    census: Callable[[int, bool], Value]  # (n, validate) -> computed value
     formula: Callable[[int, bool], Value]  # (n, as_printed) -> closed form
-    shift: int = 0
-    builds: bool = True
+    elements: Callable[[int], int]  # elements the census of case n holds
+    builds: bool = True  # whether the census builds a lattice of them
 
     def admit(self, max_n: int) -> None:
         """Check the cases up to max_n, bounded by the last, against the budget."""
-        size = FAMILIES[self.carrier].size(max_n + self.shift)
-        check_budget(f"{self.name} --max-n {max_n}", size, self.builds)
+        check_budget(f"{self.name} --max-n {max_n}", max_n, self.first_n, self.elements,
+                     self.builds)
 
 
 def check_least(flag: str, value: int, least: int) -> int:
@@ -194,23 +200,26 @@ def _weak_census(n: int, validate: bool) -> int:
 THEOREMS: dict[str, Theorem] = {
     t.name: t
     for t in (
-        Theorem("weak", "weak-b", 1, "weak-b", _weak_census,
-                lambda n, as_printed: formulas.weak_b_coefficient(n)),
-        Theorem("tam-a", "tam-a", 1, "tam-a", _lattice_census(tamari.tam_a_lattice),
-                lambda n, as_printed: formulas.tam_a_polynomial(n)),
-        Theorem("tam-b", "tam-b", 1, "tam-b", _lattice_census(tamari.tam_b_lattice),
-                lambda n, as_printed: formulas.tam_b_polynomial(n)),
+        Theorem("weak", "weak-b", 1, _weak_census,
+                lambda n, as_printed: formulas.weak_b_coefficient(n),
+                FAMILIES["weak-b"].size),
+        Theorem("tam-a", "tam-a", 1, _lattice_census(tamari.tam_a_lattice),
+                lambda n, as_printed: formulas.tam_a_polynomial(n),
+                FAMILIES["tam-a"].size),
+        Theorem("tam-b", "tam-b", 1, _lattice_census(tamari.tam_b_lattice),
+                lambda n, as_printed: formulas.tam_b_polynomial(n),
+                FAMILIES["tam-b"].size),
         # Both ideal-lattice theorems count the upward image on the paths
         # themselves, O(#paths), without building a lattice.  At index n the
         # type-A form counts paths of semi-length n + 2.
-        Theorem("jay-a", "jay-a", 0, "j-a",
-                lambda m, validate: dyck.pop_up_polynomial_a(m),
+        Theorem("jay-a", "jay-a", 0,
+                lambda n, validate: dyck.pop_up_polynomial_a(n + 2),
                 lambda n, as_printed: formulas.j_a_polynomial(n),
-                shift=2, builds=False),
-        Theorem("jay-b", "jay-b", 1, "j-b",
+                lambda n: _catalan(n + 2), builds=False),
+        Theorem("jay-b", "jay-b", 1,
                 lambda n, validate: dyck.pop_up_polynomial_b(n),
                 lambda n, as_printed: formulas.j_b_polynomial(n, include_j0=not as_printed),
-                builds=False),
+                FAMILIES["j-b"].size, builds=False),
     )
 }
 

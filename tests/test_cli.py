@@ -265,7 +265,8 @@ def test_verify_tam_b_past_the_guard_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "tam-b", "--max-n", "10", "--json")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: tam-b --max-n 10 holds 184756 elements")
+    assert err.startswith("error: tam-b --max-n 10 is past the 512 MiB memory budget: "
+                          "size 10 holds 184756 elements")
 
 
 def test_usage_error_exit_2():

@@ -5,8 +5,8 @@ against it: the element count, the direct pops against the lattice pops in
 both directions, the image predicate against the brute-force image (only
 necessity where the record says so), down/up census duality, and that every
 element reads back from its text.  Then every entry point is run at the
-first size past the memory budget, with every builder and census made to
-raise.
+first size past the memory budget and at a huge one, with every builder and
+census made to raise.
 """
 import tracemalloc
 
@@ -62,25 +62,33 @@ def refuse_all_work(monkeypatch):
         monkeypatch.setitem(THEOREMS, name, theorem._replace(census=refuse))
 
 
-def refused_runs():
-    """(id, argv) of each entry point at the first size past the budget."""
+def refused_runs(past):
+    """(id, argv) of each entry point at a size past the budget, `past(largest)`."""
     for name, family in FAMILIES.items():
-        size = [family.size_flag, str(ADMITTED[name] + 1)]
+        size = [family.size_flag, str(past(ADMITTED[name]))]
         for command in ("enumerate", "pop-poly", "image"):
             yield f"{command}-{name}", [command, "--lattice", name, *size]
         if family.first_entry_census:
             yield f"census-{name}", ["census", "--lattice", name, *size]
+    for name, largest in ADMITTED_CASES.items():
+        yield f"verify-{name}", ["verify", "--theorem", name, "--max-n", str(past(largest))]
+
+
+def refused_argvs():
+    # the first size past the budget, and one whose element count alone would
+    # take minutes and gigabytes to compute
+    for label, past in (("first", lambda largest: largest + 1), ("huge", lambda largest: 10**9)):
+        for i, argv in refused_runs(past):
+            yield pytest.param(argv, id=f"{i}-{label}")
     # pop --up on a Tamari word builds the lattice of the word's rank
     tam_a = ",".join(map(str, range(1, ADMITTED["tam-a"] + 3)))
     tam_b = ",".join(map(str, range(1, 2 * ADMITTED["tam-b"] + 3)))
-    yield "pop-up-tam-a", ["pop", "--lattice", "tam-a", "--up", "--x", tam_a]
-    yield "pop-up-tam-b", ["pop", "--lattice", "tam-b", "--up", "--x", tam_b]
-    for name, largest in ADMITTED_CASES.items():
-        yield f"verify-{name}", ["verify", "--theorem", name, "--max-n", str(largest + 1)]
+    yield pytest.param(["pop", "--lattice", "tam-a", "--up", "--x", tam_a], id="pop-up-tam-a")
+    yield pytest.param(["pop", "--lattice", "tam-b", "--up", "--x", tam_b], id="pop-up-tam-b")
 
 
-@pytest.mark.parametrize("argv", [pytest.param(a, id=i) for i, a in refused_runs()])
-def test_first_size_past_the_budget_exits_2_before_any_work(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv", refused_argvs())
+def test_past_the_budget_exits_2_before_any_work(capsys, monkeypatch, argv):
     refuse_all_work(monkeypatch)
     tracemalloc.start()
     try:
@@ -113,6 +121,5 @@ def test_cost_grows_with_size():
         costs = [cost(family.size(n)) for n in range(family.min_size, 13)]
         assert costs == sorted(costs)
     for theorem in THEOREMS.values():
-        size = FAMILIES[theorem.carrier].size
-        costs = [cost(size(n + theorem.shift), theorem.builds) for n in range(theorem.first_n, 20)]
+        costs = [cost(theorem.elements(n), theorem.builds) for n in range(theorem.first_n, 20)]
         assert costs == sorted(costs)
