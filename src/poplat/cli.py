@@ -1,15 +1,15 @@
 """Batch command-line interface with machine-readable reports.
 
 Exit codes: 0 all verdicts match, 1 at least one mismatch, 2 usage, bad
-input, a size below the smallest valid one, a size past the memory budget
-or a non-lattice.  JSON output is deterministic: sorted keys, no
-timestamps.  Wall-clock timings appear only in the human-readable text
-output.
+input, a refused size, a non-lattice or out of memory, 3 any other error;
+an error is one `error:` line on stderr.  JSON output is deterministic:
+sorted keys, no timestamps.  Wall-clock timings appear only in text output.
 
-Every lattice, theorem and formula name, and what each one means, comes from
-the registry in `poplat.families`; the handlers here only look them up.
+Every name, and what it means, comes from the registry in `poplat.families`;
+the handlers here only look them up.
 
-Lattice names and parameters (sizes start at 0):
+Lattice names and their one size flag (sizes start at 0; pop and preimage
+take no size):
   weak-a  --n N   weak order on the permutations of {1..N}
   weak-b  --n N   weak order on rank-N signed permutations
   tam-a   --n N   type-A Tamari lattice inside S_{N+1}
@@ -24,12 +24,12 @@ and verify.
 Formula/theorem names deliberately decouple the user from indexing pitfalls:
 `verify --theorem jay-a --max-n K` checks the closed form at index n against
 brute force over paths of semi-length n+2 for n = 0..K; the other theorems
-start at n = 1, and a smaller --max-n exits 2.
+start at n = 1, and a smaller --max-n or formula --n exits 2.
 
-Before anything is enumerated, a size is checked against one memory budget,
-`families.MAX_BYTES`, by the cost model `families.cost`; verify checks
---max-n once.  A refused size exits 2.  README "Conventions and knobs" gives
-the largest size admitted per family and theorem.
+Before any work the registry checks each size: a lattice size and verify's
+--max-n against the memory budget `families.MAX_BYTES`, series --order and
+formula --n against the order bound `families.MAX_ORDER`.  A refused size
+exits 2; README "Conventions and knobs" gives the largest ones admitted.
 """
 from __future__ import annotations
 
@@ -38,19 +38,15 @@ import json
 import sys
 import time
 
-from . import formulas, series
-from .families import FAMILIES, FORMULAS, THEOREMS, check_least
+from .families import FAMILIES, FORMULAS, SERIES, THEOREMS
 from .lattice import FiniteLattice, QPoly
-
-SERIES_NAMES = ("G", "F", "H", "I", "J", "M", "N", "K")
 
 
 def _size_param(args) -> int:
     family = FAMILIES[args.lattice]
-    n = args.semilength if args.semilength is not None else args.n
-    if n is None:
-        raise ValueError(f"{family.size_flag} is required for {family.name}")
-    return family.admit(check_least(family.size_flag, n, family.min_size))
+    given = {"--n": args.n, "--semilength": args.semilength}
+    return family.admit(given[family.size_flag],
+                        [flag for flag, n in given.items() if n is not None])
 
 
 def _predicate_for(name: str):
@@ -179,7 +175,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    value = FORMULAS[args.name].formula(args.n, args.as_printed)
+    theorem = FORMULAS[args.name]
+    value = theorem.formula(theorem.admit_formula(args.n), args.as_printed)
     payload = {"command": "formula", "name": args.name, "n": args.n,
                "value": _as_json(value)}
     _emit(payload, args.json, [str(value)])
@@ -195,7 +192,7 @@ def _verify_cases(theorem: str, max_n: int, as_printed: bool, no_validate: bool)
 
 def _cmd_verify(args) -> int:
     theorem = THEOREMS[args.theorem]
-    theorem.admit(check_least("--max-n", args.max_n, theorem.first_n))
+    theorem.admit(args.max_n)
     records = []
     lines = []
     mismatches = 0
@@ -232,74 +229,19 @@ def _cmd_verify(args) -> int:
     return 0 if mismatches == 0 else 1
 
 
-def _series_table(name: str, order: int) -> tuple[dict, list[str], bool]:
-    checks: dict[str, bool] = {}
-    if name == "G":
-        s = series.ffrr_avoider_series(order)
-        checks["closed_form_coefficients"] = all(
-            s.coefficient(n, k)
-            == (formulas.h_coefficient(n, k) if k >= 1 else (1 if n == 0 else 0))
-            for n in range(order + 1)
-            for k in range(n + 2)
-        )
-    elif name == "H":
-        s = series.ffrr_avoider_series(order) - series.BiSeries.constant(order, 1)
-        checks["closed_form_coefficients"] = all(
-            s.coefficient(n, k) == formulas.h_coefficient(n, k)
-            for n in range(order + 1)
-            for k in range(1, n + 1)
-        )
-    elif name == "F":
-        s = series.path_image_series(order)
-        checks["matches_image_formula"] = all(
-            s.y_polynomial(n + 2) == formulas.j_a_polynomial(n)
-            for n in range(order - 1)
-        )
-    elif name == "I":
-        s = series.symmetric_avoider_series(order)
-    elif name == "J":
-        s = series.symmetric_image_series(order)
-        checks["matches_image_formula"] = all(
-            s.y_polynomial(n) == formulas.j_b_polynomial(n)
-            for n in range(1, order + 1)
-        )
-        checks["radical_form"] = series.radical_check_symmetric(min(order, 10))
-    elif name == "M":
-        s = series.tamari_block_series(order)
-        checks["radical_form"] = s.agrees_with(series.radical_block_series(order), order)
-    elif name == "N":
-        s = series.tamari_image_series(order)["N"]
-        checks["closed_form_coefficients"] = all(
-            s.coefficient(n, d) == formulas.n_coefficient(n, d)
-            for n in range(1, order + 1)
-            for d in range(n + 1)
-        )
-    elif name == "K":
-        s = series.tamari_image_series(order)["K"]
-        checks["matches_image_formula"] = all(
-            s.y_polynomial(n) == formulas.tam_b_polynomial(n)
-            for n in range(1, order + 1)
-        )
-    else:
-        raise ValueError(f"unknown series {name!r}")
-    table = {
-        str(n): {str(k): str(v) for k, v in sorted(s.coefficient(n).items())}
-        for n in range(s.order + 1)
-        if s.coefficient(n)
-    }
-    lines = [f"x^{n}: " + " + ".join(
-        f"{v}*y^{k}" for k, v in sorted(s.coefficient(int(n)).items())
-    ) for n in table]
-    ok = all(checks.values())
-    payload = {"command": "series", "name": name, "order": order,
-               "coefficients": table, "checks": checks,
-               "verdict": "match" if ok else "mismatch"}
-    lines += [f"{label}: {'ok' if value else 'FAIL'}" for label, value in checks.items()]
-    return payload, lines, ok
-
-
 def _cmd_series(args) -> int:
-    payload, lines, ok = _series_table(args.check, args.order)
+    record = SERIES[args.check]
+    order = record.admit(args.order)
+    s = record.solve(order)
+    checks = {label: holds(s, order) for label, holds in record.checks.items()}
+    rows = {n: sorted(s.coefficient(n).items()) for n in range(s.order + 1) if s.coefficient(n)}
+    ok = all(checks.values())
+    payload = {"command": "series", "name": args.check, "order": order,
+               "coefficients": {str(n): {str(k): str(v) for k, v in row}
+                                for n, row in rows.items()},
+               "checks": checks, "verdict": "match" if ok else "mismatch"}
+    lines = [f"x^{n}: " + " + ".join(f"{v}*y^{k}" for k, v in row) for n, row in rows.items()]
+    lines += [f"{label}: {'ok' if value else 'FAIL'}" for label, value in checks.items()]
     _emit(payload, args.json, lines)
     return 0 if ok else 1
 
@@ -308,10 +250,11 @@ def _cmd_series(args) -> int:
 
 
 def _subcommand(subs, name: str, help: str, handler, lattice: bool = True,
-                validate: bool = False) -> argparse.ArgumentParser:
+                sized: bool = True, validate: bool = False) -> argparse.ArgumentParser:
     p = subs.add_parser(name, help=help)
     if lattice:
         p.add_argument("--lattice", required=True, choices=tuple(FAMILIES))
+    if lattice and sized:
         p.add_argument("--n", type=int)
         p.add_argument("--semilength", type=int, help="size parameter for " + ", ".join(
             f.name for f in FAMILIES.values() if f.size_flag == "--semilength"))
@@ -337,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     _subcommand(subs, "enumerate", "list the elements of a lattice", _cmd_enumerate,
                 validate=True)
 
-    p = _subcommand(subs, "pop", "apply the pop operator to one element", _cmd_pop)
+    p = _subcommand(subs, "pop", "apply the pop operator to one element", _cmd_pop,
+                    sized=False)
     p.add_argument("--x", required=True, help="element (word or path)")
     p.add_argument("--up", action="store_true", help="use the dual operator")
 
@@ -350,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-predicate", action="store_true")
 
     p = _subcommand(subs, "preimage", "construct a pop preimage of an image element",
-                    _cmd_preimage)
+                    _cmd_preimage, sized=False)
     p.add_argument("--x", required=True)
 
     _subcommand(subs, "census", "image census by first entry (weak-b)", _cmd_census)
@@ -371,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(subs, "series", "coefficient table and identity checks", _cmd_series,
                     lattice=False)
-    p.add_argument("--check", required=True, choices=SERIES_NAMES)
+    p.add_argument("--check", required=True, choices=tuple(SERIES))
     p.add_argument("--order", type=int, default=12)
 
     return parser
@@ -385,6 +329,12 @@ def main(argv=None) -> int:
         # ValueError covers the budget, non-lattice and non-interval errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

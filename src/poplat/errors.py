@@ -2,7 +2,8 @@
 
 
 class GuardError(ValueError):
-    """A requested size would pass the memory budget (see `families.MAX_BYTES`)."""
+    """A requested size is past the memory budget or the order bound (see
+    `families.MAX_BYTES` and `families.MAX_ORDER`)."""
 
 
 class NotALatticeError(ValueError):

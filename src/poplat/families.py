@@ -1,17 +1,18 @@
-"""The registry: each lattice family and each counting theorem, declared once.
+"""The registry: each lattice family, counting theorem and series, declared once.
 
 A `Family` says how its lattice is sized, built, read and popped; a `Theorem`
-pairs a closed form with the census it is checked against.  The command-line
-interface and the tests look everything up here instead of dispatching on
-names.  Sizes reach the program only through it, so the memory budget is
-checked here, before anything is enumerated; the builders take any size.
+pairs a closed form with the census it is checked against; a `Series` pairs a
+solver with its identity checks.  The command-line interface and the tests
+look everything up here instead of dispatching on names.  Sizes reach the
+program only through it, so each is checked here before any work, against
+the memory budget or the order bound; the library takes any size.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
-from . import dyck, formulas, signed, tamari, weak, words
+from . import dyck, formulas, series, signed, tamari, weak, words
 from .errors import GuardError
 from .lattice import FiniteLattice, QPoly
 
@@ -19,6 +20,7 @@ Element = Union[words.Word, str]  # a word of integers or an r/f path
 Value = Union[QPoly, int]
 
 MAX_BYTES = 512 << 20  # what one run may allocate on top of the imported interpreter
+MAX_ORDER = 16  # the largest series order and formula index the command line takes
 
 
 def cost(elements: int, lattice: bool = True) -> int:
@@ -30,19 +32,35 @@ def cost(elements: int, lattice: bool = True) -> int:
     return 4096 * elements + elements * elements // 8 if lattice else 200 * elements
 
 
-def check_budget(what: str, n: int, least: int, elements: Callable[[int], int],
-                 lattice: bool = True) -> None:
-    """Raise GuardError when a run at size n, over `elements(n)` elements, would
-    pass MAX_BYTES.
+def _check_least(flag: str, n: int, least: int) -> None:
+    if n < least:
+        raise ValueError(f"{flag} must be at least {least}, got {n}")
+
+
+def check_budget(name: str, flag: str, n: int, least: int, elements: Callable[[int], int],
+                 lattice: bool = True) -> int:
+    """Refuse a size n below `least`, or one whose run over `elements(n)`
+    elements would pass MAX_BYTES; return n.
 
     Counts grow with the size, so the sizes are stepped up from `least` and the
     first one past the budget refuses n: no count is computed past it, however
     large n is.
     """
+    _check_least(flag, n, least)
     for k in range(least, n + 1):
         if (need := cost(count := elements(k), lattice)) > MAX_BYTES:
-            raise GuardError(f"{what} is past the {MAX_BYTES >> 20} MiB memory budget: "
-                             f"size {k} holds {count} elements and needs about {need >> 20} MiB")
+            raise GuardError(f"{name} {flag} {n} is past the {MAX_BYTES >> 20} MiB memory "
+                             f"budget: size {k} holds {count} elements and needs about "
+                             f"{need >> 20} MiB")
+    return n
+
+
+def check_order(name: str, flag: str, n: int, least: int) -> int:
+    """Refuse a series order or formula index outside least..MAX_ORDER; return n."""
+    _check_least(flag, n, least)
+    if n > MAX_ORDER:
+        raise GuardError(f"{name} {flag} {n} is past the order bound {MAX_ORDER}")
+    return n
 
 
 class Family(NamedTuple):
@@ -62,12 +80,16 @@ class Family(NamedTuple):
     preimage: Callable[[Element], Element] | None = None
     # (counted, predicted): the image split by first entry, n -> {entry: count}
     first_entry_census: tuple[Callable[[int], dict], Callable[[int], dict]] | None = None
-    min_size: int = 0
 
-    def admit(self, n: int) -> int:
-        """Check the lattice of size n against the memory budget; return n."""
-        check_budget(f"{self.name} {self.size_flag} {n}", n, self.min_size, self.size)
-        return n
+    def admit(self, n: int | None, flags: Iterable[str] = ()) -> int:
+        """Check size n against the memory budget; return n.  `flags`, the size
+        flags a command line gave, must all be the family's own."""
+        for flag in flags:
+            if flag != self.size_flag:
+                raise ValueError(f"{self.name} is sized by {self.size_flag}, not {flag}")
+        if n is None:
+            raise ValueError(f"{self.size_flag} is required for {self.name}")
+        return check_budget(self.name, self.size_flag, n, 0, self.size)
 
 
 class Theorem(NamedTuple):
@@ -83,15 +105,24 @@ class Theorem(NamedTuple):
 
     def admit(self, max_n: int) -> None:
         """Check the cases up to max_n, bounded by the last, against the budget."""
-        check_budget(f"{self.name} --max-n {max_n}", max_n, self.first_n, self.elements,
-                     self.builds)
+        check_budget(self.name, "--max-n", max_n, self.first_n, self.elements, self.builds)
+
+    def admit_formula(self, n: int) -> int:
+        """Check the closed form's index n against the order bound; return n."""
+        return check_order(self.formula_name, "--n", n, self.first_n)
 
 
-def check_least(flag: str, value: int, least: int) -> int:
-    """Reject a size below the smallest one a family or theorem has."""
-    if value < least:
-        raise ValueError(f"{flag} must be at least {least}, got {value}")
-    return value
+class Series(NamedTuple):
+    """A generating function solved to a given order in x."""
+
+    name: str
+    solve: Callable[[int], series.BiSeries]
+    # each identity's label -> holds(solved series, order), in report order
+    checks: dict[str, Callable[[series.BiSeries, int], bool]]
+
+    def admit(self, order: int) -> int:
+        """Check the order against the order bound; return it."""
+        return check_order(self.name, "--order", order, 0)
 
 
 def _catalan(k: int) -> int:
@@ -224,3 +255,39 @@ THEOREMS: dict[str, Theorem] = {
 }
 
 FORMULAS: dict[str, Theorem] = {t.formula_name: t for t in THEOREMS.values()}
+
+
+def _matches_formula(formula: Callable[[int], QPoly], first: int, shift: int = 0):
+    """The x^(n + shift) polynomial equals formula(n) for n = first, ... up to the order."""
+    return lambda s, order: all(s.y_polynomial(n + shift) == formula(n)
+                                for n in range(first, order - shift + 1))
+
+
+SERIES: dict[str, Series] = {
+    record.name: record
+    for record in (
+        Series("G", series.ffrr_avoider_series, {"closed_form_coefficients": lambda s, order: all(
+            s.coefficient(n, k)
+            == (formulas.h_coefficient(n, k) if k >= 1 else (1 if n == 0 else 0))
+            for n in range(order + 1) for k in range(n + 2))}),
+        Series("F", series.path_image_series,
+               {"matches_image_formula": _matches_formula(formulas.j_a_polynomial, 0, shift=2)}),
+        Series("H", lambda order: (series.ffrr_avoider_series(order)
+                                   - series.BiSeries.constant(order, 1)),
+               {"closed_form_coefficients": lambda s, order: all(
+                   s.coefficient(n, k) == formulas.h_coefficient(n, k)
+                   for n in range(order + 1) for k in range(1, n + 1))}),
+        Series("I", series.symmetric_avoider_series, {}),
+        Series("J", series.symmetric_image_series, {
+            "matches_image_formula": _matches_formula(formulas.j_b_polynomial, 1),
+            "radical_form": lambda s, order: series.radical_check_symmetric(min(order, 10))}),
+        Series("M", series.tamari_block_series, {"radical_form": lambda s, order: s.agrees_with(
+            series.radical_block_series(order), order)}),
+        Series("N", lambda order: series.tamari_image_series(order)["N"],
+               {"closed_form_coefficients": lambda s, order: all(
+                   s.coefficient(n, d) == formulas.n_coefficient(n, d)
+                   for n in range(1, order + 1) for d in range(n + 1))}),
+        Series("K", lambda order: series.tamari_image_series(order)["K"],
+               {"matches_image_formula": _matches_formula(formulas.tam_b_polynomial, 1)}),
+    )
+}

@@ -23,8 +23,6 @@ from .words import binomial
 Exact = int | Fraction
 YPoly = dict[int, Exact]
 
-SERIES_ORDER_GUARD = 16
-
 
 def _exact(v) -> Exact:
     """`v` as an `int` when integral, else as a `Fraction`; floats raise."""
@@ -256,11 +254,6 @@ class BiSeries:
         return BiSeries(self.order - n, out)
 
 
-def _check_guard(order: int) -> None:
-    if order > SERIES_ORDER_GUARD:
-        raise ValueError(f"order {order} exceeds guard {SERIES_ORDER_GUARD}")
-
-
 def _xy(order: int) -> tuple[BiSeries, BiSeries, BiSeries]:
     return (
         BiSeries.constant(order, 1),
@@ -306,13 +299,11 @@ def ffrr_avoider_series(order: int) -> BiSeries:
     Unique series with constant term 1 solving
     G = 1 + x y G + x (G - 1) + x^2 y G (G - 1).
     """
-    _check_guard(order)
     return _solve_g(order)
 
 
 def path_image_series(order: int) -> BiSeries:
     """Upward-pop image census over all semi-lengths: F = 1 + x(G-1) + xy."""
-    _check_guard(order)
     one, x, y = _xy(order)
     g = ffrr_avoider_series(order)
     return one + x * (g - one) + x * y
@@ -347,15 +338,13 @@ def _solve_i(order: int) -> BiSeries:
 def symmetric_avoider_series(order: int) -> BiSeries:
     """Count midpoint-symmetric 'ffrr'-avoiding paths by semi-length and by
     peaks in the left half."""
-    _check_guard(order)
     return _solve_i(order)
 
 
 def symmetric_image_series(order: int) -> BiSeries:
     """Type-B upward-pop image census: odd-part extraction of the symmetric
     avoider series, one x per unit of rank."""
-    _check_guard(order)
-    inner = _solve_i(2 * order)  # internal order above the public guard
+    inner = symmetric_avoider_series(2 * order)
     one = BiSeries.constant(order, 1)
     return one + BiSeries(order, inner.odd_part_half_shift().coeffs)
 
@@ -366,7 +355,6 @@ def tamari_block_series(order: int) -> BiSeries:
     Built from the closed-form coefficients C(2k,k)/(k+1) * C(m-1, 2k); the
     radical form and the enumeration cross-checks live in the tests.
     """
-    _check_guard(order)
     terms: dict[tuple[int, int], int] = {}
     for m in range(1, order + 1):
         for k in range(m // 2 + 1):
@@ -382,7 +370,6 @@ def tamari_image_series(order: int) -> dict[str, BiSeries]:
     P collects image elements starting with a large value, Q the rest;
     N = P + Q is graded by descents, K regrades N by upward covers.
     """
-    _check_guard(order)
     one, x, y = _xy(order)
     m = tamari_block_series(order)
     geom = (one - y * m).inverse()
@@ -406,7 +393,6 @@ def radical_symmetric_series(order: int) -> BiSeries:
 
     1/(x-1) expands as minus the geometric series.
     """
-    _check_guard(order)
     one, x, y = _xy(order)
     geom = (one - x).inverse()  # 1/(1-x)
     z = x * y * geom.scale(-1)
@@ -424,7 +410,6 @@ def radical_check_symmetric(order: int) -> bool:
 def radical_block_series(order: int) -> BiSeries:
     """Radical closed form of the block series:
     x (1 - x - sqrt((1-x)^2 - 4 x^2 y^2)) / (2 x^2 y^2)."""
-    _check_guard(order)
     work = order + 2  # the monomial division costs two orders of precision
     one, x, y = _xy(work)
     inner = one - x.scale(2) + x * x - (x * y).scale(4) * x * y

@@ -59,16 +59,12 @@ def reduction(word: Sequence[int]) -> Word:
     return tuple(rank[v] for v in word)
 
 
-def index_of(word: Sequence[int], value: int) -> int:
+def index_of(word: Word, value: int) -> int:
     """1-based position of `value` in `word`."""
     try:
-        return word.index(value) + 1  # type: ignore[union-attr]
-    except (ValueError, AttributeError):
-        pass
-    for i, v in enumerate(word):
-        if v == value:
-            return i + 1
-    raise ValueError(f"value {value} does not occur in {word}")
+        return word.index(value) + 1
+    except ValueError:
+        raise ValueError(f"value {value} does not occur in {word}") from None
 
 
 def descending_runs(word: Sequence[int]) -> list[Word]:

@@ -7,7 +7,7 @@ import pytest
 
 from poplat import cli, dyck, weak
 from poplat.cli import main
-from poplat.families import FAMILIES, THEOREMS
+from poplat.families import FAMILIES, MAX_ORDER, SERIES, THEOREMS
 from poplat.lattice import FiniteLattice
 from poplat.words import format_word
 from test_lattice import family_inputs, reference_build
@@ -222,13 +222,13 @@ def test_series_command(capsys):
     assert payload["coefficients"]["2"] == {"1": "2", "2": "1"}
 
 
-@pytest.mark.parametrize("name", cli.SERIES_NAMES)
+@pytest.mark.parametrize("name", list(SERIES))
 def test_series_command_every_name_at_guard(capsys, name):
-    code, out, _ = run(capsys, "series", "--check", name, "--order", "16", "--json")
+    code, out, _ = run(capsys, "series", "--check", name, "--order", str(MAX_ORDER), "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "match"
-    assert payload["order"] == 16
+    assert payload["order"] == MAX_ORDER
 
 
 def test_series_command_text(capsys):
@@ -381,6 +381,50 @@ def test_no_validate_only_where_a_lattice_is_built(capsys):
             main([command, *args, "--no-validate"])
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_size_flag_only_where_a_family_is_sized(capsys):
+    takes = ["census --lattice weak-b --n 2"]
+    refuses = {  # argv -> error line
+        "census --lattice weak-b --semilength 2": "weak-b is sized by --n, not --semilength",
+        "pop-poly --lattice j-a --semilength 3 --n 3": "j-a is sized by --semilength, not --n",
+    }
+    for name, family in FAMILIES.items():
+        other = "--n" if family.size_flag == "--semilength" else "--semilength"
+        for command in ("enumerate", "pop-poly", "image"):
+            takes.append(f"{command} --lattice {name} {family.size_flag} 2")
+            refuses[f"{command} --lattice {name} {other} 2"] = (
+                f"{name} is sized by {family.size_flag}, not {other}")
+    # pop and preimage read the size off the element: no size flag at all
+    unsized = [
+        "pop --lattice weak-a --x 2,1,3 --n 99",
+        "pop --lattice j-a --x rfrf --semilength 2",
+        "preimage --lattice tam-a --x 1,2,3 --n 2",
+        "preimage --lattice tam-b --x 1,2,3,4 --semilength 2",
+    ]
+    for argv in takes:
+        assert run(capsys, *argv.split(), "--json")[0] == 0, argv
+    for argv, message in refuses.items():
+        assert run(capsys, *argv.split(), "--json") == (2, "", f"error: {message}\n"), argv
+    for argv in unsized:
+        words = argv.split()
+        assert run(capsys, *words[:-2], "--json")[0] == 0, argv
+        with pytest.raises(SystemExit) as exc:
+            main(words)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("error, code", [(MemoryError, 2), (RuntimeError, 3)])
+def test_a_crash_exits_with_its_own_code_and_one_line(capsys, monkeypatch, error, code):
+    def crash(n, validate=True):
+        raise error("builder failed")
+
+    monkeypatch.setitem(FAMILIES, "weak-a", FAMILIES["weak-a"]._replace(build=crash))
+    got, out, err = run(capsys, "pop-poly", "--lattice", "weak-a", "--n", "3", "--json")
+    assert (got, out) == (code, "")
+    assert err == ("error: out of memory\n" if error is MemoryError
+                   else "error: RuntimeError: builder failed\n")
 
 
 # Exit code and sha256 of the `--json` stdout of each README example: the

@@ -5,8 +5,9 @@ against it: the element count, the direct pops against the lattice pops in
 both directions, the image predicate against the brute-force image (only
 necessity where the record says so), down/up census duality, and that every
 element reads back from its text.  Then every entry point is run at the
-first size past the memory budget and at a huge one, with every builder and
-census made to raise.
+first size past its bound (the memory budget, or the order bound for series
+and formulas) and at a huge one, with every builder, census, formula and
+series solver made to raise.
 """
 import tracemalloc
 
@@ -14,14 +15,14 @@ import pytest
 
 from poplat.cli import main
 from poplat.errors import GuardError
-from poplat.families import FAMILIES, THEOREMS, cost
+from poplat.families import FAMILIES, FORMULAS, MAX_ORDER, SERIES, THEOREMS, cost
 
 LARGEST = {"weak-a": 5, "weak-b": 4, "tam-a": 7, "tam-b": 5, "j-a": 9, "j-b": 5}
 
 CASES = [
     pytest.param(family, n, id=f"{name}-{n}")
     for name, family in FAMILIES.items()
-    for n in range(family.min_size, LARGEST[name] + 1)
+    for n in range(LARGEST[name] + 1)
 ]
 
 
@@ -42,28 +43,42 @@ def test_family_record_matches_its_lattice(family, n):
     assert lat.pop_polynomial("down") == lat.pop_polynomial("up")
 
 
-# --- the memory budget ----------------------------------------------------------
+def test_every_series_solves_and_checks_past_the_order_bound():
+    # MAX_ORDER bounds the command line only; the library takes any order
+    order = MAX_ORDER + 4
+    for record in SERIES.values():
+        s = record.solve(order)
+        assert s.order == order
+        for label, holds in record.checks.items():
+            assert holds(s, order), (record.name, label)
+
+
+# --- the memory budget and the order bound ---------------------------------------
 # The largest size the budget admits, per family and per theorem; the next
-# size is refused before anything is enumerated.
+# size is refused before anything is enumerated.  Series orders and formula
+# indices stop at MAX_ORDER.
 
 ADMITTED = {"weak-a": 8, "weak-b": 6, "tam-a": 9, "tam-b": 9, "j-a": 10, "j-b": 9}
 ADMITTED_CASES = {"weak": 6, "tam-a": 9, "tam-b": 9, "jay-a": 12, "jay-b": 11}
 
 
 def refuse_all_work(monkeypatch):
-    """Make every builder and census in the registry raise."""
+    """Make every builder, census, formula and series solver in the registry raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated past the budget")
 
     for name, family in FAMILIES.items():
         census = family.first_entry_census and (refuse, refuse)
         monkeypatch.setitem(FAMILIES, name, family._replace(build=refuse, first_entry_census=census))
-    for name, theorem in THEOREMS.items():
-        monkeypatch.setitem(THEOREMS, name, theorem._replace(census=refuse))
+    for theorems in (THEOREMS, FORMULAS):
+        for name, theorem in theorems.items():
+            monkeypatch.setitem(theorems, name, theorem._replace(census=refuse, formula=refuse))
+    for name, record in SERIES.items():
+        monkeypatch.setitem(SERIES, name, record._replace(solve=refuse))
 
 
 def refused_runs(past):
-    """(id, argv) of each entry point at a size past the budget, `past(largest)`."""
+    """(id, argv) of each entry point at a size past its bound, `past(largest)`."""
     for name, family in FAMILIES.items():
         size = [family.size_flag, str(past(ADMITTED[name]))]
         for command in ("enumerate", "pop-poly", "image"):
@@ -72,6 +87,10 @@ def refused_runs(past):
             yield f"census-{name}", ["census", "--lattice", name, *size]
     for name, largest in ADMITTED_CASES.items():
         yield f"verify-{name}", ["verify", "--theorem", name, "--max-n", str(past(largest))]
+    for name in SERIES:
+        yield f"series-{name}", ["series", "--check", name, "--order", str(past(MAX_ORDER))]
+    for name in FORMULAS:
+        yield f"formula-{name}", ["formula", "--name", name, "--n", str(past(MAX_ORDER))]
 
 
 def refused_argvs():
@@ -99,7 +118,8 @@ def test_past_the_budget_exits_2_before_any_work(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "MiB memory budget" in captured.err
+    bound = "order bound" if argv[0] in ("series", "formula") else "MiB memory budget"
+    assert captured.err.startswith("error: ") and bound in captured.err
     assert peak < 1 << 20
 
 
@@ -112,13 +132,20 @@ def test_largest_admitted_sizes():
         theorem.admit(ADMITTED_CASES[name])
         with pytest.raises(GuardError):
             theorem.admit(ADMITTED_CASES[name] + 1)
+        assert theorem.admit_formula(MAX_ORDER) == MAX_ORDER
+        with pytest.raises(GuardError):
+            theorem.admit_formula(MAX_ORDER + 1)
+    for record in SERIES.values():
+        assert record.admit(MAX_ORDER) == MAX_ORDER
+        with pytest.raises(GuardError):
+            record.admit(MAX_ORDER + 1)
 
 
 def test_cost_grows_with_size():
     # One check at --max-n covers a whole verify range only if the cost of
     # every family and theorem grows with n.
     for family in FAMILIES.values():
-        costs = [cost(family.size(n)) for n in range(family.min_size, 13)]
+        costs = [cost(family.size(n)) for n in range(13)]
         assert costs == sorted(costs)
     for theorem in THEOREMS.values():
         costs = [cost(theorem.elements(n), theorem.builds) for n in range(theorem.first_n, 20)]

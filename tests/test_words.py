@@ -55,8 +55,10 @@ def test_index_of():
     assert index_of((4, 3, 1, 2), 3) == 2
     assert index_of((1,), 1) == 1
     assert index_of((5, 1, 7, 6, 3, 2, 8, 4), 8) == 7
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"value 3 does not occur in \(1, 2\)"):
         index_of((1, 2), 3)
+    with pytest.raises(ValueError, match="value 1 does not occur"):
+        index_of((), 1)
 
 
 def test_descending_runs():
