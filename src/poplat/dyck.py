@@ -10,9 +10,10 @@ the dual pop map flips every valley at once.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .lattice import FiniteLattice, QPoly, memoised_builder
+from .lattice import FiniteLattice, QPoly, index_uppers, memoised_builder
 
 RISE = "r"
 FALL = "f"
@@ -149,14 +150,53 @@ def symmetric_paths(n: int) -> tuple[str, ...]:
     return tuple(_prefixes(2 * n, False, lambda p: p + p[::-1].translate(_MIRROR)))
 
 
+def _finishes(k: int, h: int) -> int:
+    """Ways to go k steps from height h down to the axis without dipping
+    below it: C(k, r) - C(k, r-1) with r = (k-h)/2 rises (ballot formula)."""
+    r, odd = divmod(k - h, 2)
+    if r < 0 or odd:
+        return 0
+    return math.comb(k, r) - (math.comb(k, r - 1) if r else 0)
+
+
+def _flip_shifts(m: int) -> list[list[int]]:
+    """shift[x][v]: how far flipping a valley at x of height v moves a path of
+    semi-length m in the lexicographic order of `all_paths(m)`.
+
+    The flip turns P f r S into P r f S.  The paths from the first (included)
+    to the second (excluded) are P f r T with T >= S and P r f T with T < S.
+    Both prefixes end at height v+1 after x+1 steps, so together they count
+    the ways to finish from there.
+    """
+    return [[_finishes(2 * m - x - 1, v + 1) for v in range(m + 1)] for x in range(2 * m)]
+
+
+def _j_a_uppers(paths: tuple[str, ...], m: int) -> list[list[int]]:
+    """Upper covers of every path, as ranks in `paths` = `all_paths(m)`.
+
+    A valley at x has height x - 2 * (falls before x), and its flip's rank
+    is the path's own rank plus `_flip_shifts(m)[x][height]`: no flipped path
+    is ever spelled out.  Valleys are taken left to right, as `valleys` lists
+    them.
+    """
+    shift = _flip_shifts(m)
+    valley = FALL + RISE
+    up_adj = []
+    for rank, path in enumerate(paths):
+        ups = []
+        x = path.find(valley) + 1
+        while x:
+            ups.append(rank + shift[x][x - 2 * path.count(FALL, 0, x)])
+            x = path.find(valley, x + 1) + 1
+        up_adj.append(ups)
+    return up_adj
+
+
 @memoised_builder
 def j_a_lattice(m: int, validate: bool = True) -> FiniteLattice:
     """Ideal lattice on all paths of semi-length m; covers flip one valley."""
     elements = all_paths(m)
-    covers = [
-        (path, _flip_valley(path, x)) for path in elements for x in valleys(path)
-    ]
-    return FiniteLattice.build(elements, covers, validate=validate)
+    return FiniteLattice.from_uppers(elements, _j_a_uppers(elements, m), validate)
 
 
 def _flip_orbit(path: str, x: int) -> str:
@@ -177,13 +217,15 @@ def j_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     lattice, which the tests check.
     """
     elements = symmetric_paths(n)
-    covers = []
-    for path in elements:
-        mid = 2 * n
-        for x in valleys(path):
-            if x <= mid:
-                covers.append((path, _flip_orbit(path, x)))
-    return FiniteLattice.build(elements, covers, validate=validate)
+    return FiniteLattice.from_uppers(
+        elements, index_uppers(elements, _j_b_upper_covers), validate
+    )
+
+
+def _j_b_upper_covers(path: str) -> list[str]:
+    """Flip each valley orbit whose left valley is at most the midpoint."""
+    mid = len(path) // 2
+    return [_flip_orbit(path, x) for x in valleys(path) if x <= mid]
 
 
 # --- image characterization and direct statistics -----------------------------

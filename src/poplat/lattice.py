@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import wraps
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import NonIntervalClassError, NotALatticeError
 
@@ -118,6 +118,15 @@ def _closure(below: tuple[tuple[int, ...], ...]) -> list[int]:
     return masks
 
 
+def index_uppers(
+    elements: Sequence[Hashable], upper_covers: Callable[[Hashable], Iterable[Hashable]]
+) -> list[list[int]]:
+    """`FiniteLattice.from_uppers` input: `upper_covers(x)`, which must not
+    repeat a key, as indices in `elements`."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[y] for y in upper_covers(x)] for x in elements]
+
+
 class FiniteLattice:
     """A finite lattice given by elements and covers.
 
@@ -150,29 +159,42 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """Build from (lower, upper) cover pairs; optionally verify latticehood.
 
+        A key-pair adapter over `from_uppers`: a repeated pair counts once,
+        and each element's upper covers keep the order in which their pairs
+        first appear.
+        """
+        keys = list(elements)
+        uppers: dict[Hashable, dict] = {k: {} for k in keys}
+        if len(uppers) != len(keys):
+            raise ValueError("duplicate elements")
+        for lo, hi in covers:
+            uppers[lo][hi] = None
+        return cls.from_uppers(keys, index_uppers(keys, uppers.__getitem__), validate)
+
+    @classmethod
+    def from_uppers(
+        cls,
+        elements: Sequence[Hashable],
+        up_adj: list[list[int]],
+        validate: bool = True,
+    ) -> "FiniteLattice":
+        """Build from index lists; optionally verify latticehood.
+
+        `up_adj[i]` lists, without repeats, the indices in `elements` of the
+        upper covers of `elements[i]`; its order is the order in which Kahn's
+        algorithm meets them, so it fixes the stored element order.  The
+        lists are dropped before the masks are allocated, which sets peak
+        memory, so a caller passes them straight in and keeps no reference.
+
         Validation tests a join for every two upper covers of a common
         element, sum over z of C(#upper covers of z, 2) bitmask tests; it can
         be switched off for large instances known in advance to be lattices.
         """
-        keys = list(elements)
-        n = len(keys)
-        key_index = {k: i for i, k in enumerate(keys)}
-        if len(key_index) != n:
-            raise ValueError("duplicate elements")
-        up_adj: list[list[int]] = [[] for _ in keys]
+        n = len(elements)
         indegree = [0] * n
-        seen = set()
-        for lo, hi in covers:
-            a, b = key_index[lo], key_index[hi]
-            pair = a * n + b
-            if pair in seen:
-                continue
-            seen.add(pair)
-            up_adj[a].append(b)
-            indegree[b] += 1
-        # Scratch tables are dropped before the masks are allocated, which
-        # sets peak memory.
-        del key_index, seen
+        for ups in up_adj:
+            for j in ups:
+                indegree[j] += 1
 
         # Kahn's algorithm: linear extension + cycle detection.
         queue = deque(i for i, d in enumerate(indegree) if d == 0)
@@ -194,20 +216,20 @@ class FiniteLattice:
         position = [0] * n
         for new, old in enumerate(topo):
             position[old] = new
-        lowers: list[list[int]] = [[] for _ in keys]
+        lowers: list[list[int]] = [[] for _ in range(n)]
         for i, old in enumerate(topo):
             for j in up_adj[old]:
                 lowers[position[j]].append(i)
-        del up_adj, position
+        del up_adj, position, indegree
         last = n - 1
-        uppers: list[list[int]] = [[] for _ in keys]
+        uppers: list[list[int]] = [[] for _ in range(n)]
         for j in range(last, -1, -1):
             for i in lowers[j]:
                 uppers[last - i].append(last - j)
         lowers = tuple(map(tuple, lowers))
         uppers = tuple(map(tuple, uppers))
 
-        order = tuple(keys[i] for i in topo)
+        order = tuple(elements[i] for i in topo)
         index = {k: i for i, k in enumerate(order)}
         lat = cls(order, index, uppers, lowers, _closure(lowers), _closure(uppers))
         if n:
@@ -433,29 +455,31 @@ class FiniteLattice:
 
 
 def memoised_builder(build: Callable[[int, bool], FiniteLattice]):
-    """Memoise a family builder `build(n, validate=True)`: one build per n.
+    """Memoise a family builder `build(n, validate=True)` for the last n built.
 
     The lattice is built once without validation; a call with validate=True
     validates that same instance (once), so every call for n, however
-    `validate` is passed, returns one object.  `cache_clear()` forgets both,
-    as on an `lru_cache` builder.
+    `validate` is passed, returns one object.  Building another size first
+    forgets the last one, so a run over sizes 1..n holds one lattice at a
+    time.  `cache_clear()` forgets it too, as on an `lru_cache` builder.
     """
     built: dict[int, FiniteLattice] = {}
     validated: set[int] = set()
 
+    def cache_clear() -> None:
+        built.clear()
+        validated.clear()
+
     @wraps(build)
     def builder(n: int, validate: bool = True) -> FiniteLattice:
         if n not in built:
+            cache_clear()
             built[n] = build(n, False)
         lat = built[n]
         if validate and n not in validated:
             lat._validate()
             validated.add(n)
         return lat
-
-    def cache_clear() -> None:
-        built.clear()
-        validated.clear()
 
     builder.cache_clear = cache_clear
     return builder

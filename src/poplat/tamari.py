@@ -145,17 +145,31 @@ def _quotient_lattice(elements: tuple[Word, ...], lower_covers,
                       validate: bool) -> FiniteLattice:
     """Sublattice of the weak order on a carrier of congruence-class minima.
 
-    `lower_covers(y)` lists y's lower covers inside the carrier.  Pairs are
-    sorted by (inversion count, word) of the upper element, then of the lower
-    one: Kahn's linear extension in `FiniteLattice.build` follows the cover
-    order, and this one fixes the element order that every report prints.
+    `lower_covers(y)` lists y's lower covers inside the carrier.  Kahn's
+    linear extension in `FiniteLattice.from_uppers` follows each element's
+    upper-cover list, and ranking those lists by the (inversion count, word)
+    of the upper end fixes the element order that every report prints.
     """
-    ranked = sorted(elements, key=lambda p: (_inversions(p), p))
-    rank = {p: r for r, p in enumerate(ranked)}
-    size = len(elements)
-    covers = {(w, y) for y in elements for w in lower_covers(y)}
-    ordered = sorted(covers, key=lambda pair: rank[pair[1]] * size + rank[pair[0]])
-    return FiniteLattice.build(elements, ordered, validate=validate)
+    return FiniteLattice.from_uppers(
+        elements, _ranked_uppers(elements, lower_covers), validate
+    )
+
+
+def _ranked_uppers(elements: tuple[Word, ...], lower_covers) -> list[list[int]]:
+    """Upper-cover index lists; upper ends are visited in rank order, so each
+    list is filled sorted by rank.
+
+    No list repeats an entry: two weak lower covers w1, w2 of a class minimum
+    y project to distinct elements, since w1 = w2 modulo the congruence would
+    give y = w1 v w2 = w1 modulo it, below y in y's own class.
+    """
+    index = {p: i for i, p in enumerate(elements)}
+    up_adj: list[list[int]] = [[] for _ in elements]
+    for y in sorted(elements, key=lambda p: (_inversions(p), p)):
+        j = index[y]
+        for w in lower_covers(y):
+            up_adj[index[w]].append(j)
+    return up_adj
 
 
 def tam_a_lower_covers(y: Word) -> list[Word]:

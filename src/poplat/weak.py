@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .lattice import FiniteLattice, memoised_builder
+from .lattice import FiniteLattice, index_uppers, memoised_builder
 from .signed import ascent_decomposition, enumerate_signed, validate_signed
 from .words import Word, ascending_runs, reverse_runs
 
@@ -52,16 +52,18 @@ def weak_b_lower_covers(x: Word) -> list[Word]:
 def weak_a_lattice(num_letters: int, validate: bool = True) -> FiniteLattice:
     """Weak order on the permutations of {1, ..., num_letters}."""
     elements = sorted(itertools.permutations(range(1, num_letters + 1)))
-    covers = [(p, q) for p in elements for q in weak_a_covers(p)]
-    return FiniteLattice.build(elements, covers, validate=validate)
+    return FiniteLattice.from_uppers(
+        elements, index_uppers(elements, weak_a_covers), validate
+    )
 
 
 @memoised_builder
 def weak_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     """Weak order on the rank-n signed permutations."""
     elements = enumerate_signed(n)
-    covers = [(x, y) for x in elements for y in weak_b_covers(x)]
-    return FiniteLattice.build(elements, covers, validate=validate)
+    return FiniteLattice.from_uppers(
+        elements, index_uppers(elements, weak_b_covers), validate
+    )
 
 
 def pop_weak(x: Word) -> Word:

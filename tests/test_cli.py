@@ -10,7 +10,7 @@ from poplat.cli import main
 from poplat.families import FAMILIES, MAX_ORDER, SERIES, THEOREMS
 from poplat.lattice import FiniteLattice
 from poplat.words import format_word
-from test_lattice import family_inputs, reference_build
+from test_lattice import KEY_PAIRS, reference_build
 from test_tamari import filtered_tam_b_elements, transitive_reduction_lattice
 
 
@@ -81,9 +81,9 @@ def test_enumerate_tam_b_6_matches_oracle_order(capsys):
      (["weak-a", "--n", "7"], 7, weak.weak_a_lattice)],
     ids=["j-a-10", "weak-a-7"],
 )
-def test_enumerate_and_pop_poly_json_match_reference(capsys, monkeypatch, lattice, size, builder):
+def test_enumerate_and_pop_poly_json_match_reference(capsys, lattice, size, builder):
     name = lattice[0]
-    ref = reference_build(*family_inputs(builder, size, monkeypatch))
+    ref = reference_build(*KEY_PAIRS[builder](size))
     code, out, _ = run(capsys, "enumerate", "--lattice", *lattice, "--json")
     assert code == 0
     names = [FAMILIES[name].format(x) for x in ref.elements]

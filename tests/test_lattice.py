@@ -1,11 +1,14 @@
+import itertools
 import json
 import random
+import weakref
 from collections import deque
 
 import pytest
 from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
+from poplat import dyck, signed, tamari, weak
 from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import NonIntervalClassError, NotALatticeError
 from poplat.lattice import FiniteLattice, QPoly, memoised_builder
@@ -197,20 +200,59 @@ def reference_build(elements, covers):
     return ReferenceLattice(elements, covers)
 
 
-def family_inputs(builder, n, monkeypatch):
-    """The (elements, covers) a family builder hands to `FiniteLattice.build`."""
-    calls = []
-    real_build = FiniteLattice.build
+# --- key-pair oracle of the family builders ------------------------------------
+# Each family's elements and (lower, upper) cover pairs, spelled out as keys
+# from its own cover functions.  Through `reference_build` they give the
+# lattice that the family's index-space builder must reproduce, element order
+# and cover lists included.
 
-    def record(elements, covers, validate=True):
-        calls.append((list(elements), list(covers)))
-        return real_build(calls[-1][0], calls[-1][1], validate)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(FiniteLattice, "build", record)
-        builder.__wrapped__(n, False)
-    (inputs,) = calls
-    return inputs
+def _inversions(p):
+    return sum(a > b for a, b in itertools.combinations(p, 2))
+
+
+def _tamari_pairs(elements, lower_covers):
+    """Deduplicated pairs sorted by (inversions, word) of the upper end, then
+    of the lower one."""
+    ranked = sorted(elements, key=lambda p: (_inversions(p), p))
+    rank = {p: r for r, p in enumerate(ranked)}
+    pairs = {(w, y) for y in elements for w in lower_covers(y)}
+    return list(elements), sorted(pairs, key=lambda pair: (rank[pair[1]], rank[pair[0]]))
+
+
+def _weak_a_pairs(n):
+    elements = sorted(itertools.permutations(range(1, n + 1)))
+    return elements, [(p, q) for p in elements for q in weak.weak_a_covers(p)]
+
+
+def _weak_b_pairs(n):
+    elements = list(signed.enumerate_signed(n))
+    return elements, [(x, y) for x in elements for y in weak.weak_b_covers(x)]
+
+
+def _j_a_pairs(m):
+    elements = list(dyck.all_paths(m))
+    return elements, [
+        (p, dyck._flip_valley(p, x)) for p in elements for x in dyck.valleys(p)
+    ]
+
+
+def _j_b_pairs(n):
+    elements = list(dyck.symmetric_paths(n))
+    return elements, [
+        (p, dyck._flip_orbit(p, x)) for p in elements for x in dyck.valleys(p) if x <= 2 * n
+    ]
+
+
+# builder -> n -> (elements, cover pairs) of its lattice of size n
+KEY_PAIRS = {
+    weak_a_lattice: _weak_a_pairs,
+    weak_b_lattice: _weak_b_pairs,
+    tam_a_lattice: lambda n: _tamari_pairs(tamari.tam_a_elements(n), tamari.tam_a_lower_covers),
+    tam_b_lattice: lambda n: _tamari_pairs(tamari.tam_b_elements(n), tamari.tam_b_lower_covers),
+    j_a_lattice: _j_a_pairs,
+    j_b_lattice: _j_b_pairs,
+}
 
 
 def pairwise_is_lattice(lat):
@@ -400,12 +442,45 @@ def test_cover_local_validation_matches_pairwise_on_families(builder, n):
 
 
 @pytest.mark.parametrize("builder,n", FAMILY_INSTANCES, ids=FAMILY_IDS)
-def test_kernel_matches_reference_on_families(builder, n, monkeypatch):
-    elements, covers = family_inputs(builder, n, monkeypatch)
+def test_kernel_matches_reference_on_families(builder, n):
+    elements, covers = KEY_PAIRS[builder](n)
     lat = FiniteLattice.build(elements, covers, validate=False)
     ref = reference_build(elements, covers)
     assert_matches_reference(lat, ref, TAMARI_ADJACENCY.get(builder, ()))
     assert builder(n, False).elements == ref.elements
+
+
+CROSS_CHECK_TOP = {
+    weak_a_lattice: 6, weak_b_lattice: 4, tam_a_lattice: 7,
+    tam_b_lattice: 6, j_a_lattice: 9, j_b_lattice: 6,
+}
+CROSS_CHECK = [(b, n) for b, top in CROSS_CHECK_TOP.items() for n in range(top + 1)]
+
+
+@pytest.mark.parametrize(
+    "builder,n", CROSS_CHECK, ids=[f"{b.__name__}-{n}" for b, n in CROSS_CHECK]
+)
+def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch):
+    up_lists = []
+    real = FiniteLattice.from_uppers
+
+    def record(elements, up_adj, validate=True):
+        up_lists.extend(up_adj)
+        return real(elements, up_adj, validate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FiniteLattice, "from_uppers", record)
+        lat = builder.__wrapped__(n, False)
+    # The core trusts its input to hold no repeated cover.
+    assert up_lists and all(len(set(ups)) == len(ups) for ups in up_lists)
+    ref = reference_build(*KEY_PAIRS[builder](n))
+    last = len(ref.elements) - 1
+    assert lat.elements == ref.elements
+    assert lat._lowers == tuple(ref.lowers)
+    assert lat._uppers == tuple(
+        tuple(last - j for j in reversed(ups)) for ups in reversed(ref.uppers)
+    )
+    assert lat._down == ref.down
 
 
 @pytest.mark.parametrize(
@@ -437,6 +512,29 @@ def test_memoised_builder_validates_the_cached_instance():
         bad(1)
     assert bad(1, False) is lat
     assert builds == [1]
+
+
+def test_memoised_builder_holds_only_the_last_size():
+    class Chain(FiniteLattice):
+        """Without __slots__, so it takes weak references."""
+
+    held_while_building = []
+    refs = {}
+
+    @memoised_builder
+    def chains(n, validate=True):
+        held_while_building.append([k for k, ref in refs.items() if ref() is not None])
+        return Chain.build(range(n), [(i, i + 1) for i in range(n - 1)], validate)
+
+    refs[3] = weakref.ref(chains(3))
+    assert chains(3) is refs[3]()
+    refs[4] = weakref.ref(chains(4))
+    assert refs[3]() is None
+    assert chains(4) is refs[4]()
+    chains(3)
+    assert refs[4]() is None
+    # The last size is dropped before the next one is built.
+    assert held_while_building == [[], [], []]
 
 
 def test_cover_local_validation_matches_pairwise_on_small_lattices():
