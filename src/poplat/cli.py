@@ -19,7 +19,8 @@ take no size):
 
 `--no-validate` (skip the lattice-property check) is taken by the
 subcommands that build a lattice of a given size: enumerate, pop-poly, image
-and verify.
+and verify.  It trusts the built instance to be a lattice, which every family
+is; the check only guards the builders.
 
 Formula/theorem names deliberately decouple the user from indexing pitfalls:
 `verify --theorem jay-a --max-n K` checks the closed form at index n against

@@ -11,9 +11,8 @@ the dual pop map flips every valley at once.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-from .lattice import FiniteLattice, QPoly, index_uppers, memoised_builder
+from .lattice import FiniteLattice, QPoly, index_uppers, last_size_cache, memoised_builder
 
 RISE = "r"
 FALL = "f"
@@ -124,10 +123,13 @@ def _prefixes(length: int, closed: bool, finish=str) -> list[str]:
             prefix.pop()
 
     extend([], 0, length)
+    # The recursive closure refers to itself, a cycle that would keep `out`,
+    # and every element in it, until the next full collection.
+    del extend
     return out
 
 
-@lru_cache(maxsize=None)
+@last_size_cache
 def all_paths(m: int) -> tuple[str, ...]:
     """Every path of semi-length m, lexicographically sorted ('f' < 'r')."""
     if m < 0:
@@ -138,7 +140,7 @@ def all_paths(m: int) -> tuple[str, ...]:
 _MIRROR = str.maketrans(RISE + FALL, FALL + RISE)
 
 
-@lru_cache(maxsize=None)
+@last_size_cache
 def symmetric_paths(n: int) -> tuple[str, ...]:
     """Paths of semi-length 2n symmetric about the midpoint, sorted.
 

@@ -26,8 +26,11 @@ MAX_ORDER = 16  # the largest series order and formula index the command line ta
 def cost(elements: int, lattice: bool = True) -> int:
     """Estimated peak bytes of a run over N = `elements`, fitted not to underestimate.
 
-    A lattice costs 4 KiB per element (elements, covers, scratch) plus N^2/8
-    bytes for its two mask tables; a census without a lattice 200 B per element.
+    A lattice costs 4 KiB per element (elements, covers, irreducible-width
+    tables, scratch) plus N^2/8 bytes for full-width masks.  A command-line
+    run builds one such table, validation's N^2/16 bytes for the length of
+    the check, so that term over-covers it.  A census without a lattice
+    costs 200 B per element.
     """
     return 4096 * elements + elements * elements // 8 if lattice else 200 * elements
 

@@ -1,23 +1,32 @@
 """Generic finite-lattice kernel built from an explicit cover relation.
 
 Construction computes a linear extension (Kahn's algorithm, in cover order),
-re-indexes the elements along it, and keeps the order as two halves, each a
-table of bitmasks (Python ints) with the covers below every entry:
+re-indexes the elements along it, and keeps the order as two halves, each
+the covers below every entry and a table of irreducible-width bitmasks
+(Python ints):
 
-* the down half, indexed by element: `_down[i]` has bit j for every element
-  j <= i;
-* the up half, indexed from the top: position k stands for element n-1-k, and
-  `_up[k]` has bit n-1-j for every element j >= n-1-k.  It is the downset
-  table of the dual lattice, so an upset is as short as a downset instead of
-  carrying bits up to the top element.
+* the down half, indexed by element: every element with exactly one lower
+  cover (a join-irreducible) owns one bit, and `_down[i]` holds the bits of
+  the join-irreducibles j <= i;
+* the up half, indexed from the top: position k stands for element n-1-k,
+  every element with exactly one upper cover (a meet-irreducible) owns one
+  bit, and `_up[k]` holds the bits of the meet-irreducibles j >= n-1-k.  It
+  is the down half of the dual lattice.
 
-In either half a mask has no bit above its own position.  So the highest set
-bit of an intersection of masks is a maximal element of it, and the
-intersection is principal exactly when that element's own mask equals it.
-A meet is read off the down half that way, and a join off the up half: its
-highest bit k is the least common upper bound, element n-1-k.  The pops, the
-census and validation all use this one rule.  All queries are pure; instances
-are immutable after build and safe to share.
+In a finite lattice x -> J(x), the set of join-irreducibles below x, is
+injective and J(x meet y) = J(x) & J(y) (Birkhoff's representation theorem;
+Davey and Priestley, Introduction to Lattices and Order, ch. 2).  So `leq`
+is a subset test, and a meet is one AND of masks read back through the
+half's `mask -> index` lookup; a join is the same in the up half.  The pops
+and the census use this one rule.  A mask that two elements share maps to
+None, so looking it up raises NotALatticeError.  A mask has one bit per
+irreducible of its half (45 at j-a 10, 722 at weak-b 6), where a full
+downset has one bit per element.
+
+The lookup does not prove that a poset is a lattice: validation and
+congruence classes build full-width downset tables for the duration of the
+call and free them.  All queries are pure; instances are immutable after
+build and safe to share.
 """
 from __future__ import annotations
 
@@ -108,7 +117,8 @@ def _extremum(masks: list[int], mask: int) -> int | None:
 
 
 def _closure(below: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Downset masks of a half whose covers `below` point to lower indices."""
+    """Full-width downset masks of a half whose covers `below` point to lower
+    indices: masks[i] has bit j for every entry j <= i."""
     masks: list[int] = []
     for i, covers in enumerate(below):
         mask = 1 << i
@@ -116,6 +126,32 @@ def _closure(below: tuple[tuple[int, ...], ...]) -> list[int]:
             mask |= masks[j]
         masks.append(mask)
     return masks
+
+
+def _irreducible_closure(
+    below: tuple[tuple[int, ...], ...]
+) -> tuple[list[int], dict[int, int | None]]:
+    """Irreducible-width masks of a half whose covers `below` point to lower
+    indices, and the lookup from a mask to the index it belongs to.
+
+    An entry with exactly one cover below it is irreducible and owns the next
+    bit; every mask is the union of the masks below the entry, plus the
+    entry's own bit.  A mask shared by two entries looks up None.
+    """
+    masks: list[int] = []
+    lookup: dict[int, int | None] = {}
+    bit = 1
+    for i, covers in enumerate(below):
+        if len(covers) == 1:
+            mask = masks[covers[0]] | bit
+            bit <<= 1
+        else:
+            mask = 0
+            for j in covers:
+                mask |= masks[j]
+        lookup[mask] = None if mask in lookup else i
+        masks.append(mask)
+    return masks, lookup
 
 
 def index_uppers(
@@ -132,21 +168,25 @@ class FiniteLattice:
 
     `elements` is stored in linear-extension order; all public methods accept
     and return the original element keys.  The order is kept as two halves,
-    each a table of masks and the covers below every entry: the down half
-    (`_down`, `_lowers`) indexed by element index, and the up half (`_up`,
-    `_uppers`) indexed from the top, where position k stands for element
-    n-1-k.
+    each the covers below every entry, a table of irreducible-width masks and
+    its `mask -> index` lookup: the down half (`_lowers`, `_down`,
+    `_down_lookup`) indexed by element index, and the up half (`_uppers`,
+    `_up`, `_up_lookup`) indexed from the top, where position k stands for
+    element n-1-k.
     """
 
-    __slots__ = ("elements", "_index", "_uppers", "_lowers", "_down", "_up")
+    __slots__ = (
+        "elements", "_index", "_uppers", "_lowers",
+        "_down", "_down_lookup", "_up", "_up_lookup",
+    )
 
-    def __init__(self, elements, index, uppers, lowers, down, up):
+    def __init__(self, elements, index, uppers, lowers):
         self.elements = elements
         self._index = index
         self._uppers = uppers
         self._lowers = lowers
-        self._down = down
-        self._up = up
+        self._down, self._down_lookup = _irreducible_closure(lowers)
+        self._up, self._up_lookup = _irreducible_closure(uppers)
 
     # -- construction --------------------------------------------------
 
@@ -187,8 +227,10 @@ class FiniteLattice:
         memory, so a caller passes them straight in and keeps no reference.
 
         Validation tests a join for every two upper covers of a common
-        element, sum over z of C(#upper covers of z, 2) bitmask tests; it can
-        be switched off for large instances known in advance to be lattices.
+        element, sum over z of C(#upper covers of z, 2) bitmask tests.  With
+        `validate=False` the caller vouches that the poset is a lattice: on a
+        bounded non-lattice a query may raise NotALatticeError or return a
+        wrong element, since the irreducible-width tables cannot tell.
         """
         n = len(elements)
         indegree = [0] * n
@@ -231,7 +273,7 @@ class FiniteLattice:
 
         order = tuple(elements[i] for i in topo)
         index = {k: i for i, k in enumerate(order)}
-        lat = cls(order, index, uppers, lowers, _closure(lowers), _closure(uppers))
+        lat = cls(order, index, uppers, lowers)
         if n:
             bottoms = sum(1 for covers in lowers if not covers)
             tops = sum(1 for covers in uppers if not covers)
@@ -249,9 +291,10 @@ class FiniteLattice:
         A finite poset with a unique minimum and maximum (checked by `build`)
         is a lattice iff every two upper covers of a common element have a
         join (Freese, Jezek and Nation, Free Lattices, ch. 11).  Elements and
-        pairs are scanned in linear-extension order.
+        pairs are scanned in linear-extension order, against a full-width
+        upset table built for this call.
         """
-        up, last = self._up, len(self.elements) - 1
+        up, last = _closure(self._uppers), len(self.elements) - 1
         for z in range(last + 1):
             covers = self._uppers[last - z][::-1]
             for p, a in enumerate(covers):
@@ -280,7 +323,8 @@ class FiniteLattice:
         return self.elements[len(self.elements) - 1] if self.elements else None
 
     def leq(self, x, y) -> bool:
-        return bool(self._down[self._index[y]] >> self._index[x] & 1)
+        below = self._down[self._index[x]]
+        return (below & self._down[self._index[y]]) == below
 
     def upper_covers(self, x) -> tuple:
         last = len(self.elements) - 1
@@ -300,25 +344,26 @@ class FiniteLattice:
         ]
 
     def _half(self, direction: str):
-        """(masks, covers below, position) of the half that pops `direction`.
+        """(masks, lookup, covers below, position) of the half that pops
+        `direction`.
 
         `position[i]` is the half's index of element i; the map is its own
         inverse, so it also takes a half index back to an element index.
         """
         n = len(self.elements)
         if direction == "down":
-            return self._down, self._lowers, range(n)
+            return self._down, self._down_lookup, self._lowers, range(n)
         if direction == "up":
-            return self._up, self._uppers, range(n - 1, -1, -1)
+            return self._up, self._up_lookup, self._uppers, range(n - 1, -1, -1)
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
 
     def _bound(self, direction: str, xs: tuple):
         """Meet ("down") or join ("up") of the keys xs, as a key."""
-        masks, _, position = self._half(direction)
+        masks, lookup, _, position = self._half(direction)
         mask = -1
         for x in xs:
             mask &= masks[position[self._index[x]]]
-        got = _extremum(masks, mask)
+        got = lookup.get(mask)
         if got is None:
             raise NotALatticeError(
                 f"no {'meet' if direction == 'down' else 'join'} of {xs!r}"
@@ -341,14 +386,14 @@ class FiniteLattice:
         non-lattice names the first element, in the order given, whose pop
         does not exist.
         """
-        masks, below, position = self._half(direction)
+        masks, lookup, below, position = self._half(direction)
         image = set()
         for i in indices:
             k = position[i]
             mask = masks[k]
             for j in below[k]:
                 mask &= masks[j]
-            got = _extremum(masks, mask)
+            got = lookup.get(mask)
             if got is None:
                 word, side = ("meet", "lower") if direction == "down" else ("join", "upper")
                 raise NotALatticeError(
@@ -421,7 +466,7 @@ class FiniteLattice:
         for i in range(n):
             groups.setdefault(find(i), []).append(i)
 
-        down, up = self._down, self._up
+        down, up = _closure(self._lowers), _closure(self._uppers)
         projection: dict = {}
         for members in groups.values():
             class_mask = up_mask = 0
@@ -454,32 +499,46 @@ class FiniteLattice:
         return projection
 
 
+def last_size_cache(fn: Callable[[int], object]):
+    """Memoise `fn(n)` for the last n asked for.
+
+    Asking for another n forgets the held value before computing the new
+    one, so a run over sizes 1..n holds one value at a time.  `cache_clear()`
+    forgets it too, as on an `lru_cache` function.
+    """
+    held: dict = {}
+
+    @wraps(fn)
+    def cached(n: int):
+        if n not in held:
+            held.clear()
+            held[n] = fn(n)
+        return held[n]
+
+    cached.cache_clear = held.clear
+    return cached
+
+
 def memoised_builder(build: Callable[[int, bool], FiniteLattice]):
     """Memoise a family builder `build(n, validate=True)` for the last n built.
 
     The lattice is built once without validation; a call with validate=True
     validates that same instance (once), so every call for n, however
-    `validate` is passed, returns one object.  Building another size first
-    forgets the last one, so a run over sizes 1..n holds one lattice at a
-    time.  `cache_clear()` forgets it too, as on an `lru_cache` builder.
+    `validate` is passed, returns one object.  The memo is a
+    `last_size_cache`, so building another size first forgets the last one.
     """
-    built: dict[int, FiniteLattice] = {}
-    validated: set[int] = set()
 
-    def cache_clear() -> None:
-        built.clear()
-        validated.clear()
+    @last_size_cache
+    def entry(n: int) -> list:
+        return [build(n, False), False]  # the lattice, whether it is validated
 
     @wraps(build)
     def builder(n: int, validate: bool = True) -> FiniteLattice:
-        if n not in built:
-            cache_clear()
-            built[n] = build(n, False)
-        lat = built[n]
-        if validate and n not in validated:
-            lat._validate()
-            validated.add(n)
-        return lat
+        held = entry(n)
+        if validate and not held[1]:
+            held[0]._validate()
+            held[1] = True
+        return held[0]
 
-    builder.cache_clear = cache_clear
+    builder.cache_clear = entry.cache_clear
     return builder

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .lattice import last_size_cache
 from .words import Word, ascending_runs, check_permutation
 
 
@@ -44,7 +44,7 @@ def mirror_complete(first_half: tuple[int, ...]) -> Word:
     return first_half + tuple(2 * n + 1 - v for v in reversed(first_half))
 
 
-@lru_cache(maxsize=None)
+@last_size_cache
 def enumerate_signed(n: int) -> tuple[Word, ...]:
     """All rank-n elements in lexicographic order.
 

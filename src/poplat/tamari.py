@@ -28,9 +28,8 @@ force to agree:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
-from .lattice import FiniteLattice, memoised_builder
+from .lattice import FiniteLattice, last_size_cache, memoised_builder
 from .signed import complement_reverse, half_decomposition, validate_signed
 from .weak import (
     weak_a_lattice,
@@ -54,7 +53,7 @@ from .words import (
 # --- carriers ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@last_size_cache
 def tam_a_elements(n: int) -> tuple[Word, ...]:
     """312-avoiding permutations of {1, ..., n+1}, lexicographically sorted.
 
@@ -86,10 +85,13 @@ def tam_a_elements(n: int) -> tuple[Word, ...]:
         del stack[len(stack) - (m + 1 - nxt):]
 
     grow(1)
+    # The recursive closure refers to itself, a cycle that would keep `out`,
+    # and every element in it, until the next full collection.
+    del grow
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@last_size_cache
 def tam_b_elements(n: int) -> tuple[Word, ...]:
     """Signed permutations of rank n avoiding the starred 312 pattern.
 
@@ -131,6 +133,7 @@ def tam_b_elements(n: int) -> tuple[Word, ...]:
             used[v] = used[mirror - v] = False
 
     grow(EMPTY_GAPS, ())
+    del grow  # as in tam_a_elements
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 import weakref
 from collections import deque
@@ -285,14 +286,26 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def assert_matches_reference(lat, ref, adjacencies=(), pairs=500, seed=0):
-    """Every query of the kernel agrees with the reference oracle."""
+def assert_structure_matches_reference(lat, ref, adjacencies=()):
+    """Elements, covers and congruence classes agree with the reference
+    oracle; these read the covers alone, so they hold on any bounded poset."""
     els = lat.elements
     assert els == ref.elements
     assert lat.cover_pairs() == ref.cover_pairs()
     for x in els:
         assert lat.upper_covers(x) == ref.upper_covers(x)
         assert lat.lower_covers(x) == ref.lower_covers(x)
+    for adjacency in (lambda x: (),) + tuple(adjacencies):
+        assert outcome(lat.congruence_classes, adjacency) == outcome(
+            ref.congruence_classes, adjacency
+        )
+
+
+def assert_matches_reference(lat, ref, adjacencies=(), pairs=500, seed=0):
+    """Every query of the kernel agrees with the reference oracle."""
+    assert_structure_matches_reference(lat, ref, adjacencies)
+    els = lat.elements
+    for x in els:
         assert all(lat.leq(x, y) == ref.leq(x, y) for y in els)
         assert outcome(lat.pop_down, x) == outcome(ref.pop_down, x)
         assert outcome(lat.pop_up, x) == outcome(ref.pop_up, x)
@@ -304,10 +317,35 @@ def assert_matches_reference(lat, ref, adjacencies=(), pairs=500, seed=0):
     for direction in ("down", "up"):
         assert outcome(lat.pop_polynomial, direction) == outcome(ref.pop_polynomial, direction)
         assert outcome(lat.pop_image, direction) == outcome(ref.pop_image, direction)
-    for adjacency in (lambda x: (),) + tuple(adjacencies):
-        assert outcome(lat.congruence_classes, adjacency) == outcome(
-            ref.congruence_classes, adjacency
-        )
+
+
+def refused(fn, *args):
+    """fn(*args), or None when it raises NotALatticeError; any other
+    exception fails the caller's test."""
+    try:
+        return fn(*args)
+    except NotALatticeError:
+        return None
+
+
+def assert_queries_return_or_refuse(lat, tuples):
+    """On an unvalidated non-lattice every query returns a value of its type,
+    possibly a wrong one, or raises NotALatticeError."""
+    els = lat.elements
+    for x in els:
+        assert all(lat.leq(x, y) in (True, False) for y in els)
+        for pop in (lat.pop_down, lat.pop_up):
+            got = refused(pop, x)
+            assert got is None or got in lat
+    for xs in tuples:
+        for bound in (lat.meet, lat.join):
+            got = refused(bound, *xs)
+            assert got is None or got in lat
+    for direction in ("down", "up"):
+        image = refused(lat.pop_image, direction)
+        assert image is None or image <= set(els)
+        poly = refused(lat.pop_polynomial, direction)
+        assert poly is None or isinstance(poly, QPoly)
 
 
 def cover_local_is_lattice(lat):
@@ -480,7 +518,47 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     assert lat._uppers == tuple(
         tuple(last - j for j in reversed(ups)) for ups in reversed(ref.uppers)
     )
-    assert lat._down == ref.down
+    # Each half's masks are the reference's downsets (upsets, read from the
+    # top) restricted to its irreducibles, the k-th irreducible as bit k, and
+    # no two elements share a mask.
+    everything = range(last + 1)
+    join_irreducibles = [j for j in everything if len(ref.lowers[j]) == 1]
+    meet_irreducibles = [j for j in reversed(everything) if len(ref.uppers[j]) == 1]
+    assert lat._down == restricted(ref.down, join_irreducibles)
+    assert lat._up == restricted(ref.up[::-1], meet_irreducibles)
+    for masks, lookup in ((lat._down, lat._down_lookup), (lat._up, lat._up_lookup)):
+        assert lookup == {mask: k for k, mask in enumerate(masks)}
+        assert len(lookup) == len(ref.elements)
+
+
+def restricted(masks, irreducibles):
+    """Each mask cut to the bits of `irreducibles`, the k-th of them as bit k."""
+    return [
+        sum(1 << k for k, j in enumerate(irreducibles) if mask >> j & 1) for mask in masks
+    ]
+
+
+# One size above the Tier-1 cross-check of each family: every pop, in both
+# directions, against the full-width reference built from the key pairs.
+EDGE = {
+    weak_a_lattice: 7, weak_b_lattice: 5, tam_a_lattice: 8,
+    tam_b_lattice: 7, j_a_lattice: 10, j_b_lattice: 8,
+}
+
+
+@pytest.mark.skipif(not os.environ.get("POPLAT_OPT_IN"), reason="set POPLAT_OPT_IN=1")
+@pytest.mark.parametrize(
+    "builder,n", EDGE.items(), ids=[f"{b.__name__}-{n}" for b, n in EDGE.items()]
+)
+def test_census_matches_reference_at_the_edge(builder, n):
+    builder.cache_clear()
+    lat = builder(n, False)
+    ref = reference_build(*KEY_PAIRS[builder](n))
+    assert lat.elements == ref.elements
+    for direction in ("down", "up"):
+        assert lat.pop_image(direction) == ref.pop_image(direction)
+        assert lat.pop_polynomial(direction) == ref.pop_polynomial(direction)
+    builder.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -537,6 +615,22 @@ def test_memoised_builder_holds_only_the_last_size():
     assert held_while_building == [[], [], []]
 
 
+@pytest.mark.parametrize(
+    "carrier",
+    [dyck.all_paths, dyck.symmetric_paths, tamari.tam_a_elements, tamari.tam_b_elements,
+     signed.enumerate_signed],
+)
+def test_carriers_hold_only_the_last_size(carrier):
+    carrier.cache_clear()
+    first = carrier(2)
+    assert carrier(2) is first
+    carrier(3)
+    again = carrier(2)
+    assert again == first and again is not first
+    carrier.cache_clear()
+    assert carrier(2) is not again
+
+
 def test_cover_local_validation_matches_pairwise_on_small_lattices():
     pentagon = FiniteLattice.build("0abc1", ["0a", "ab", "b1", "0c", "c1"])
     diamond = FiniteLattice.build("0abc1", ["0a", "0b", "0c", "a1", "b1", "c1"])
@@ -572,7 +666,45 @@ def test_kernel_matches_reference_on_random_posets(poset, glue, rng):
     top = len(elements) - 1
     glue = [(a, b) for a, b in glue if a <= top and b <= top]
     adjacency = lambda x: [b for a, b in glue if a == x]  # noqa: E731
-    assert_matches_reference(lat, ref, (adjacency,), pairs=50)
+    if pairwise_is_lattice(lat):
+        assert_matches_reference(lat, ref, (adjacency,), pairs=50)
+        return
+    # An unvalidated build is trusted to be a lattice, so on a non-lattice
+    # only the covers are exact; validation must refuse the poset.
+    assert_structure_matches_reference(lat, ref, (adjacency,))
+    assert not cover_local_is_lattice(lat)
+    with pytest.raises(NotALatticeError):
+        FiniteLattice.build(elements, covers)
+    tuples = [tuple(rng.choice(lat.elements) for _ in range(rng.randint(1, 3)))
+              for _ in range(50)]
+    assert_queries_return_or_refuse(lat, tuples)
+
+
+# Bounded, not a lattice (f and y have no meet, a and b no join), yet every
+# element has its own set of join-irreducibles below it (a, b, e and f), so
+# the irreducible-width lookup alone does not catch it.  A lattice test that
+# reads only those tables must reject this poset.
+LOOKUP_BLIND_ELEMENTS = ["0", "a", "b", "e", "x", "y", "f", "1"]
+LOOKUP_BLIND_COVERS = [
+    ("0", "a"), ("0", "b"), ("0", "e"), ("a", "x"), ("b", "x"), ("a", "y"),
+    ("b", "y"), ("e", "y"), ("x", "f"), ("f", "1"), ("y", "1"),
+]
+
+
+def test_validation_rejects_the_poset_the_lookup_passes():
+    message = "no join for 'a', 'b', upper covers of '0'"
+    with pytest.raises(NotALatticeError) as exc:
+        FiniteLattice.build(LOOKUP_BLIND_ELEMENTS, LOOKUP_BLIND_COVERS)
+    assert str(exc.value) == message
+    lat = FiniteLattice.build(LOOKUP_BLIND_ELEMENTS, LOOKUP_BLIND_COVERS, validate=False)
+    assert len(set(lat._down)) == len(lat)
+    with pytest.raises(NotALatticeError) as exc:
+        lat._validate()
+    assert str(exc.value) == message
+    els = lat.elements
+    assert_queries_return_or_refuse(
+        lat, list(itertools.product(els, repeat=2)) + list(itertools.product(els, repeat=3))
+    )
 
 
 def order_pairs(elements, covers):
