@@ -1,21 +1,34 @@
-"""Tamari lattices of both flavors: carriers, projections, pop, preimages.
-
-The type-A carrier is the set of 312-avoiding permutations, the type-B
-carrier the set of signed permutations avoiding 312-with-large-middle-value
-(the "2"-valued entry at least n+1).  Both are generated directly in
-lexicographic order.  Type A reads the 312-avoiders off a stack fed 1, 2,
-..., n+1, so no candidate is ever refused.  Type B picks its first half by
-backtracking with the gap test of `words.scan_312_gaps`; the second half is
-the complement-reverse of the first, so at every node the prefix followed by
-the already-known tail of the word is tested too, and a node is pruned as
-soon as either contains the pattern.
+"""Tamari lattices of both flavors: carriers, covers, projections, pop, preimages.
 
 Each carrier element is the minimum of its class under a lattice congruence
-of the weak order, and the carrier is a sublattice; its lower covers are the
-projections of the element's weak-order lower covers (Reading, "Cambrian
-lattices", Adv. Math. 2006).  Type B projects them by rewriting.  Type A
-reads them off directly: for a descent (c, a), the lower cover moves a left
-past the maximal run of entries >= c that ends at c.
+of the weak order (Reading, "Cambrian lattices", Adv. Math. 2006): the
+312-avoiding permutations in type A, and in type B the signed permutations
+avoiding 312-with-large-middle-value (the "2"-valued entry at least n+1).
+A congruence move swaps an adjacent descent (c, a) that has a witness b with
+a < b < c: in type A any b after the pair; in type B a large b (b >= n+1) at
+or after a's position, or a small one at or before it, and the move is made
+together with its mirror.
+
+The carrier is a sublattice, and the lower covers of y in it are the
+projections of y's weak-order lower covers.  One block-swap rule reads them
+off without rewriting.  Take a descent (c, a) at positions i, i+1 and the
+floor f = n+1 in type B, f = 0 in type A, where every value counts as large:
+
+* L is c alone if c < f, else the maximal run y[j..i] of entries >= c;
+* R is a alone if a >= f, else the maximal run y[i+1..k] of entries <= a.
+
+The lower cover swaps L and R.  Every step is a congruence move: after the
+weak swap of (c, a), a moves left past the rest of L, each d there above
+c >= f with the large witness c after the pair; then each further entry e
+of R moves left past all of L, with e < a < d and the small witness a
+before the pair.  In type B the mirror blocks are swapped too when i < n-1.
+The center pair holds one entry <= n and one >= n+1, so blocks left of the
+center end by position n-1 and never meet their mirrors.  That the result
+is the class minimum is checked against rewriting in the tests.
+
+The type-A carrier is read off a stack in lexicographic order.  The type-B
+carrier is the closure of the top word under lower covers, sorted: in a
+finite lattice every element lies on a chain of covers below the top.
 
 Projections to the carrier are computed two independent ways that the tests
 force to agree:
@@ -31,14 +44,8 @@ import itertools
 
 from .lattice import FiniteLattice, last_size_cache, memoised_builder
 from .signed import complement_reverse, half_decomposition, validate_signed
-from .weak import (
-    weak_a_lattice,
-    weak_b_lattice,
-    weak_b_lower_covers,
-)
+from .weak import weak_a_lattice, weak_b_lattice
 from .words import (
-    EMPTY_GAPS,
-    GapState,
     Word,
     avoids_312,
     avoids_312_star,
@@ -47,7 +54,6 @@ from .words import (
     index_of,
     reduction,
     reverse_runs,
-    scan_312_gaps,
 )
 
 # --- carriers ---------------------------------------------------------------
@@ -93,74 +99,75 @@ def tam_a_elements(n: int) -> tuple[Word, ...]:
 
 @last_size_cache
 def tam_b_elements(n: int) -> tuple[Word, ...]:
-    """Signed permutations of rank n avoiding the starred 312 pattern.
-
-    These are the minima of the type-B Cambrian congruence (Reading,
-    "Cambrian lattices", Adv. Math. 2006).
-
-    The first half takes one value from each complementary pair, in
-    lexicographic order, and the second half is its complement-reverse.  So
-    once k half entries h_1..h_k are fixed, the word's last k entries are
-    known, and prefix . (2n+1-h_k, ..., 2n+1-h_1) is a subsequence of every
-    completion.  Containment is monotone under subsequences, so a node is
-    pruned as soon as that tail, scanned on from the prefix's gap state,
-    completes a starred 312; at k = n the tail is the whole second half and
-    the test is the membership test.
-    """
-    floor = n + 1
-    mirror = 2 * n + 1
-    out: list[Word] = []
-    half: list[int] = []
-    used = [False] * (mirror + 1)
-
-    def grow(state: GapState, tail: Word) -> None:
-        if len(half) == n:
-            out.append(tuple(half) + tail)
-            return
-        for v in range(1, mirror):
-            if used[v]:
-                continue
-            nxt = scan_312_gaps((v,), floor, state)
-            if nxt is None:
-                continue
-            longer = (mirror - v,) + tail
-            if scan_312_gaps(longer, floor, nxt) is None:
-                continue
-            used[v] = used[mirror - v] = True
-            half.append(v)
-            grow(nxt, longer)
-            half.pop()
-            used[v] = used[mirror - v] = False
-
-    grow(EMPTY_GAPS, ())
-    del grow  # as in tam_a_elements
-    return tuple(out)
+    """Signed permutations of rank n avoiding the starred 312 pattern,
+    lexicographically sorted: the closure of the top word (2n, ..., 1) under
+    `tam_b_lower_covers`."""
+    top = tuple(range(2 * n, 0, -1))
+    seen = {top}
+    todo = [top]
+    while todo:
+        for w in tam_b_lower_covers(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return tuple(sorted(seen))
 
 
 # --- covers -------------------------------------------------------------------
 
 
-def _inversions(p: Word) -> int:
-    return sum(a > b for a, b in itertools.combinations(p, 2))
+def _block_swaps(y: Word, floor: int) -> list[Word]:
+    """Lower covers of a carrier element y by the block-swap rule, one per
+    descent (c, a), in the order of y's weak lower covers.
+
+    Floor 0 is type A: every descent, no mirror.  Floor n+1 is type B: the
+    descents at positions i < n, each swapped with its mirror unless i is
+    the center n-1.
+    """
+    m = len(y)
+    last = m // 2 if floor else m - 1
+    out = []
+    for i in range(last):
+        c, a = y[i], y[i + 1]
+        if c < a:
+            continue
+        j = i
+        if c >= floor:
+            while j and y[j - 1] > c:
+                j -= 1
+        k = i + 2
+        if a < floor:
+            while k < m and y[k] < a:
+                k += 1
+        swapped = y[i + 1 : k] + y[j : i + 1]
+        if floor and i < last - 1:
+            z = list(y)
+            z[j:k] = swapped
+            z[m - k : m - j] = [m + 1 - v for v in swapped[::-1]]
+            out.append(tuple(z))
+        else:
+            out.append(y[:j] + swapped + y[k:])
+    return out
+
+
+def tam_a_lower_covers(y: Word) -> list[Word]:
+    """Lower covers of a 312-avoiding y in the type-A Tamari lattice."""
+    return _block_swaps(y, 0)
+
+
+def tam_b_lower_covers(y: Word) -> list[Word]:
+    """Lower covers of y in the type-B Tamari lattice."""
+    return _block_swaps(y, len(y) // 2 + 1)
 
 
 def _quotient_lattice(elements: tuple[Word, ...], lower_covers,
                       validate: bool) -> FiniteLattice:
     """Sublattice of the weak order on a carrier of congruence-class minima.
 
-    `lower_covers(y)` lists y's lower covers inside the carrier.  Kahn's
-    linear extension in `FiniteLattice.from_uppers` follows each element's
-    upper-cover list, and ranking those lists by the (inversion count, word)
-    of the upper end fixes the element order that every report prints.
-    """
-    return FiniteLattice.from_uppers(
-        elements, _ranked_uppers(elements, lower_covers), validate
-    )
-
-
-def _ranked_uppers(elements: tuple[Word, ...], lower_covers) -> list[list[int]]:
-    """Upper-cover index lists; upper ends are visited in rank order, so each
-    list is filled sorted by rank.
+    `lower_covers(y)` lists y's lower covers inside the carrier.  The
+    upper-cover lists are filled in carrier order, and Kahn's linear
+    extension in `FiniteLattice.from_uppers` follows them, which fixes the
+    element order that every report prints.
 
     No list repeats an entry: two weak lower covers w1, w2 of a class minimum
     y project to distinct elements, since w1 = w2 modulo the congruence would
@@ -168,40 +175,10 @@ def _ranked_uppers(elements: tuple[Word, ...], lower_covers) -> list[list[int]]:
     """
     index = {p: i for i, p in enumerate(elements)}
     up_adj: list[list[int]] = [[] for _ in elements]
-    for y in sorted(elements, key=lambda p: (_inversions(p), p)):
-        j = index[y]
+    for j, y in enumerate(elements):
         for w in lower_covers(y):
             up_adj[index[w]].append(j)
-    return up_adj
-
-
-def tam_a_lower_covers(y: Word) -> list[Word]:
-    """Lower covers of a 312-avoiding y in the type-A Tamari lattice.
-
-    One per descent (c, a) at i: a moves left past the maximal run of entries
-    >= c that ends at c.  That is the projection of the weak lower cover
-    swapping (c, a), and the tests check it against `project_tam_a`.
-    """
-    out = []
-    for i in range(len(y) - 1):
-        c, a = y[i], y[i + 1]
-        if c > a:
-            j = i
-            while j and y[j - 1] > c:
-                j -= 1
-            out.append(y[:j] + (a,) + y[j : i + 1] + y[i + 2 :])
-    return out
-
-
-def tam_b_lower_covers(y: Word) -> list[Word]:
-    """Lower covers of y in the type-B Tamari lattice.
-
-    Each carrier element y is the minimum of its class, so the classes it
-    covers in the quotient are those of its weak-order lower covers w, and
-    project(w) are exactly its lower covers in the carrier (Reading,
-    "Cambrian lattices", Adv. Math. 2006).
-    """
-    return [_rewrite_tam_b(list(w)) for w in weak_b_lower_covers(y)]
+    return FiniteLattice.from_uppers(elements, up_adj, validate)
 
 
 @memoised_builder

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from poplat import dyck, signed, tamari, weak
 from poplat.dyck import j_a_lattice, j_b_lattice
-from poplat.errors import NonIntervalClassError, NotALatticeError
+from poplat.errors import GuardError, NonIntervalClassError, NotALatticeError
+from poplat.families import FAMILIES
 from poplat.lattice import FiniteLattice, QPoly, memoised_builder
 from poplat.tamari import tam_a_adjacent, tam_a_lattice, tam_b_adjacent, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
@@ -39,36 +40,44 @@ def chain(k):
 # shares no code with `FiniteLattice` and never validates.
 
 
+def reference_order(elements, covers):
+    """Kahn's linear extension of the deduplicated covers, as the element
+    tuple and each element's sorted lower and upper cover indices in it."""
+    keys = list(elements)
+    tmp_index = {k: i for i, k in enumerate(keys)}
+    up_adj = [[] for _ in keys]
+    down_adj = [[] for _ in keys]
+    seen = set()
+    for lo, hi in covers:
+        pair = (tmp_index[lo], tmp_index[hi])
+        if pair in seen:
+            continue
+        seen.add(pair)
+        up_adj[pair[0]].append(pair[1])
+        down_adj[pair[1]].append(pair[0])
+    indegree = [len(down_adj[i]) for i in range(len(keys))]
+    queue = deque(i for i, d in enumerate(indegree) if d == 0)
+    topo = []
+    while queue:
+        i = queue.popleft()
+        topo.append(i)
+        for j in up_adj[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                queue.append(j)
+    if len(topo) != len(keys):
+        raise NotALatticeError("cycle detected in cover relation")
+    order = tuple(keys[i] for i in topo)
+    index = {k: i for i, k in enumerate(order)}
+    lowers = [tuple(sorted(index[keys[j]] for j in down_adj[old])) for old in topo]
+    uppers = [tuple(sorted(index[keys[j]] for j in up_adj[old])) for old in topo]
+    return order, lowers, uppers
+
+
 class ReferenceLattice:
     def __init__(self, elements, covers):
-        keys = list(elements)
-        tmp_index = {k: i for i, k in enumerate(keys)}
-        up_adj = [[] for _ in keys]
-        down_adj = [[] for _ in keys]
-        seen = set()
-        for lo, hi in covers:
-            pair = (tmp_index[lo], tmp_index[hi])
-            if pair in seen:
-                continue
-            seen.add(pair)
-            up_adj[pair[0]].append(pair[1])
-            down_adj[pair[1]].append(pair[0])
-        indegree = [len(down_adj[i]) for i in range(len(keys))]
-        queue = deque(i for i, d in enumerate(indegree) if d == 0)
-        topo = []
-        while queue:
-            i = queue.popleft()
-            topo.append(i)
-            for j in up_adj[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    queue.append(j)
-        if len(topo) != len(keys):
-            raise NotALatticeError("cycle detected in cover relation")
-        self.elements = tuple(keys[i] for i in topo)
-        self.index = index = {k: i for i, k in enumerate(self.elements)}
-        self.uppers = [tuple(sorted(index[keys[j]] for j in up_adj[old])) for old in topo]
-        self.lowers = [tuple(sorted(index[keys[j]] for j in down_adj[old])) for old in topo]
+        self.elements, self.lowers, self.uppers = reference_order(elements, covers)
+        self.index = {k: i for i, k in enumerate(self.elements)}
         n = len(self.elements)
         self.down = [0] * n
         for i in range(n):
@@ -558,6 +567,41 @@ def test_census_matches_reference_at_the_edge(builder, n):
     for direction in ("down", "up"):
         assert lat.pop_image(direction) == ref.pop_image(direction)
         assert lat.pop_polynomial(direction) == ref.pop_polynomial(direction)
+    builder.cache_clear()
+
+
+def largest_admitted(name):
+    """The largest size of family `name` that the registry's memory budget admits."""
+    n = 0
+    while True:
+        try:
+            FAMILIES[name].admit(n + 1)
+        except GuardError:
+            return n
+        n += 1
+
+
+# Every Tamari size above the Tier-1 cross-check up to the budget: the element
+# order and the lower-cover lists, which the builders fill in carrier order,
+# against the oracle's ranked (inversions, word) order.
+ORDER_FROM = {"tam-a": (tam_a_lattice, 8), "tam-b": (tam_b_lattice, 7)}
+ORDER_CASES = [
+    (builder, n)
+    for name, (builder, first) in ORDER_FROM.items()
+    for n in range(first, largest_admitted(name) + 1)
+]
+
+
+@pytest.mark.skipif(not os.environ.get("POPLAT_OPT_IN"), reason="set POPLAT_OPT_IN=1")
+@pytest.mark.parametrize(
+    "builder,n", ORDER_CASES, ids=[f"{b.__name__}-{n}" for b, n in ORDER_CASES]
+)
+def test_tamari_order_matches_the_ranked_oracle_up_to_the_budget(builder, n):
+    builder.cache_clear()
+    lat = builder(n, False)
+    elements, lowers, _ = reference_order(*KEY_PAIRS[builder](n))
+    assert lat.elements == elements
+    assert lat._lowers == tuple(lowers)
     builder.cache_clear()
 
 

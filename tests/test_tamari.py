@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from functools import lru_cache
 
 import pytest
@@ -9,6 +10,7 @@ from poplat.families import FAMILIES
 from poplat.lattice import FiniteLattice
 from poplat.signed import enumerate_signed, half_decomposition
 from poplat.tamari import (
+    _rewrite_tam_b,
     adjacency_chain,
     hong_image_predicate,
     pop_tam_a,
@@ -31,6 +33,7 @@ from poplat.tamari import (
 )
 from poplat.weak import weak_b_lower_covers
 from poplat.words import (
+    EMPTY_GAPS,
     P312,
     P312_STAR,
     avoids_312,
@@ -39,6 +42,7 @@ from poplat.words import (
     index_of,
     reduction,
     reverse_runs,
+    scan_312_gaps,
 )
 from word_stats import bounded_ascent_count, descent_count, weak_a_lower_covers
 
@@ -110,10 +114,51 @@ def transitive_reduction_lattice(elements):
     return FiniteLattice.build(elements, covers, validate=False)
 
 
-# The first-half-then-mirror generator: backtrack over first halves with a
-# gap test that keeps the gaps (a, c) as a tuple, and check the forced mirror
-# half only once the half is complete.  The same lex order as the
-# tail-pruned generator, without its pruning and its bitmask state.
+# Two first-half generators of the type-B carrier, both in lexicographic
+# order.  Each picks one value from each complementary pair for the first
+# half; the second half is its complement-reverse.
+#
+# Tail-pruned: once k half entries h_1..h_k are fixed, the word's last k
+# entries are known, and prefix . (2n+1-h_k, ..., 2n+1-h_1) is a subsequence
+# of every completion.  Containment is monotone under subsequences, so a
+# node is pruned as soon as that tail, scanned on from the prefix's gap
+# state, completes a starred 312; at k = n the tail is the whole second half
+# and the test is the membership test.
+
+
+def gap_scan_tam_b_elements(n):
+    floor = n + 1
+    mirror = 2 * n + 1
+    out = []
+    half = []
+    used = [False] * (mirror + 1)
+
+    def grow(state, tail):
+        if len(half) == n:
+            out.append(tuple(half) + tail)
+            return
+        for v in range(1, mirror):
+            if used[v]:
+                continue
+            nxt = scan_312_gaps((v,), floor, state)
+            if nxt is None:
+                continue
+            longer = (mirror - v,) + tail
+            if scan_312_gaps(longer, floor, nxt) is None:
+                continue
+            used[v] = used[mirror - v] = True
+            half.append(v)
+            grow(nxt, longer)
+            half.pop()
+            used[v] = used[mirror - v] = False
+
+    grow(EMPTY_GAPS, ())
+    return tuple(out)
+
+
+# Mirror-checked: a gap test that keeps the gaps (a, c) as a tuple, and the
+# forced mirror half checked only once the half is complete; no pruning on
+# the tail and no bitmask state.
 
 
 def tuple_gap_scan(word, floor, state):
@@ -214,9 +259,33 @@ def test_carrier_sizes():
         assert len(tam_b_elements(n)) == math.comb(2 * n, n)
 
 
-def test_tail_pruned_tam_b_matches_mirror_checked_generator():
+OPT_IN = pytest.mark.skipif(not os.environ.get("POPLAT_OPT_IN"), reason="set POPLAT_OPT_IN=1")
+
+
+def test_closure_tam_b_carrier_matches_generators():
+    # ORACLE_CASES hold the closure to the filter oracle up to n = 6; that
+    # oracle takes about 36 s at n = 7, so it is opt-in there
     for n in range(8):
-        assert tam_b_elements(n) == mirror_checked_tam_b_elements(n), n
+        closure = tam_b_elements(n)
+        assert closure == gap_scan_tam_b_elements(n) == mirror_checked_tam_b_elements(n), n
+
+
+@OPT_IN
+def test_closure_tam_b_carrier_matches_generators_at_the_budget():
+    assert tam_b_elements(7) == filtered_tam_b_elements(7)
+    for n in (8, 9):
+        assert tam_b_elements(n) == gap_scan_tam_b_elements(n), n
+    tam_b_elements.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "n", [*range(8), *(pytest.param(n, marks=OPT_IN) for n in (8, 9))]
+)
+def test_block_swap_covers_match_rewritten_weak_covers(n):
+    for y in tam_b_elements(n):
+        expected = [_rewrite_tam_b(list(w)) for w in weak_b_lower_covers(y)]
+        assert tam_b_lower_covers(y) == expected, y
+    tam_b_elements.cache_clear()
 
 
 def test_direct_tam_a_covers_match_projected_weak_covers():
