@@ -268,7 +268,90 @@ def _subcommand(subs, name: str, help: str, handler, lattice: bool = True,
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_enumerate(subs) -> None:
+    _subcommand(subs, "enumerate", "list the elements of a lattice", _cmd_enumerate,
+                validate=True)
+
+
+def _add_pop(subs) -> None:
+    p = _subcommand(subs, "pop", "apply the pop operator to one element", _cmd_pop,
+                    sized=False)
+    p.add_argument("--x", required=True, help="element (word or path)")
+    p.add_argument("--up", action="store_true", help="use the dual operator")
+
+
+def _add_pop_poly(subs) -> None:
+    _subcommand(subs, "pop-poly", "q-census of the pop image, both directions",
+                _cmd_pop_poly, validate=True)
+
+
+def _add_image(subs) -> None:
+    p = _subcommand(subs, "image", "brute-force pop image, optional predicate check",
+                    _cmd_image, validate=True)
+    p.add_argument("--list", action="store_true")
+    p.add_argument("--check-predicate", action="store_true")
+
+
+def _add_preimage(subs) -> None:
+    p = _subcommand(subs, "preimage", "construct a pop preimage of an image element",
+                    _cmd_preimage, sized=False)
+    p.add_argument("--x", required=True)
+
+
+def _add_census(subs) -> None:
+    _subcommand(subs, "census", "image census by first entry (weak-b)", _cmd_census)
+
+
+def _add_formula(subs) -> None:
+    p = _subcommand(subs, "formula", "evaluate a closed-form formula", _cmd_formula,
+                    lattice=False)
+    p.add_argument("--name", required=True, choices=tuple(FORMULAS))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--as-printed", action="store_true",
+                   help="jay-b only: the displayed sum without the j=0 term")
+
+
+def _add_verify(subs) -> None:
+    p = _subcommand(subs, "verify", "closed form vs brute force, per n", _cmd_verify,
+                    lattice=False, validate=True)
+    p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--as-printed", action="store_true",
+                   help="jay-b only: expect the documented deviation")
+
+
+def _add_series(subs) -> None:
+    p = _subcommand(subs, "series", "coefficient table and identity checks", _cmd_series,
+                    lattice=False)
+    p.add_argument("--check", required=True, choices=tuple(SERIES))
+    p.add_argument("--order", type=int, default=12)
+
+
+# Every subcommand in the order `--help` lists them.
+_SUBCOMMANDS = {
+    "enumerate": _add_enumerate,
+    "pop": _add_pop,
+    "pop-poly": _add_pop_poly,
+    "image": _add_image,
+    "preimage": _add_preimage,
+    "census": _add_census,
+    "formula": _add_formula,
+    "verify": _add_verify,
+    "series": _add_series,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `poplat` parser; with `command`, one that holds that subcommand only.
+
+    With no argument every subcommand is registered, which `--help`, a usage
+    error naming the commands and `perfbench/layers.py` need.  A parser for
+    one command parses an argv that starts with that command exactly as the
+    full parser does: the top level takes no option but `-h`, so everything
+    after the command goes to the command's own parser, whose prog, usage
+    and errors do not depend on its siblings.  The one exception, an
+    argument no parser recognises, is left to `main`.
+    """
     parser = argparse.ArgumentParser(
         prog="poplat",
         description="Pop-stack sorting on finite lattices: enumeration, "
@@ -277,53 +360,29 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    _subcommand(subs, "enumerate", "list the elements of a lattice", _cmd_enumerate,
-                validate=True)
-
-    p = _subcommand(subs, "pop", "apply the pop operator to one element", _cmd_pop,
-                    sized=False)
-    p.add_argument("--x", required=True, help="element (word or path)")
-    p.add_argument("--up", action="store_true", help="use the dual operator")
-
-    _subcommand(subs, "pop-poly", "q-census of the pop image, both directions",
-                _cmd_pop_poly, validate=True)
-
-    p = _subcommand(subs, "image", "brute-force pop image, optional predicate check",
-                    _cmd_image, validate=True)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--check-predicate", action="store_true")
-
-    p = _subcommand(subs, "preimage", "construct a pop preimage of an image element",
-                    _cmd_preimage, sized=False)
-    p.add_argument("--x", required=True)
-
-    _subcommand(subs, "census", "image census by first entry (weak-b)", _cmd_census)
-
-    p = _subcommand(subs, "formula", "evaluate a closed-form formula", _cmd_formula,
-                    lattice=False)
-    p.add_argument("--name", required=True, choices=tuple(FORMULAS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--as-printed", action="store_true",
-                   help="jay-b only: the displayed sum without the j=0 term")
-
-    p = _subcommand(subs, "verify", "closed form vs brute force, per n", _cmd_verify,
-                    lattice=False, validate=True)
-    p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--as-printed", action="store_true",
-                   help="jay-b only: expect the documented deviation")
-
-    p = _subcommand(subs, "series", "coefficient table and identity checks", _cmd_series,
-                    lattice=False)
-    p.add_argument("--check", required=True, choices=tuple(SERIES))
-    p.add_argument("--order", type=int, default=12)
-
+    for name, add in _SUBCOMMANDS.items():
+        if command is None or command == name:
+            add(subs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; return its exit code (argparse exits 2 on bad usage).
+
+    When the first argument names a subcommand, only that subcommand's parser
+    is built; any other argv (none, `--help`, an unknown command, an option
+    before the command) gets the full parser.  Both parse every argv alike.
+    An unrecognised argument is reported by the top-level parser, whose
+    usage line lists the commands, so that error is raised by the full
+    parser.  The parser is built on every call rather than once at import,
+    which would move its cost into every import and freeze the registry's
+    names at import time.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args, unrecognised = build_parser(command).parse_known_args(argv)
+    if unrecognised:
+        build_parser().parse_args(argv)  # exits 2 with the full usage line
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:

@@ -8,11 +8,15 @@ permutations.  Decompositions:
   run straddling the middle positions n, n+1 (empty when no run does);
 * half decomposition: the subsequence of entries >= n+1, its maximal
   contiguous blocks, and each block's reversed complement.
+
+The two decompositions are NamedTuple records, so each compares equal to the
+plain tuple of its fields.  A block is a small immutable class instead,
+because its length is the length of its values, not its field count.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import last_size_cache
 from .words import Word, ascending_runs, check_permutation
@@ -64,8 +68,7 @@ def enumerate_signed(n: int) -> tuple[Word, ...]:
     return tuple(els)
 
 
-@dataclass(frozen=True)
-class AscDecomposition:
+class AscDecomposition(NamedTuple):
     runs: tuple[Word, ...]
     lengths: tuple[int, ...]
     mid: Word  # the run containing positions n and n+1, or ()
@@ -91,17 +94,38 @@ def ascent_decomposition(x: Word) -> AscDecomposition:
     return AscDecomposition(runs, tuple(len(r) for r in runs), mid)
 
 
-@dataclass(frozen=True)
 class HalfBlock:
+    """A maximal block of entries >= n+1: immutable, hashable, equal by fields."""
+
+    __slots__ = ("start", "values")
     start: int  # 1-based position of the block's first entry
     values: Word
+
+    def __init__(self, start: int, values: Word) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"HalfBlock is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not HalfBlock:
+            return NotImplemented
+        return (self.start, self.values) == (other.start, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.values))
+
+    def __repr__(self) -> str:
+        return f"HalfBlock(start={self.start!r}, values={self.values!r})"
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class HalfDecomposition:
+class HalfDecomposition(NamedTuple):
     half: Word  # all entries >= n+1 in position order
     blocks: tuple[HalfBlock, ...]
     complements: tuple[Word, ...]  # reversed, (2n+1)-complemented blocks

@@ -8,8 +8,7 @@ e.g. "5,1,7,6,3,2,8,4".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -114,26 +113,35 @@ LARGE = "large"  # constrained entry must be >= n+1, n = len(host)/2
 SMALL = "small"  # constrained entry must be <= n
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class _PatternFields(NamedTuple):
+    pattern: Word
+    adjacent: tuple[bool, ...] = ()
+    bounds: tuple[tuple[int, str], ...] = ()
+
+
+class PatternSpec(_PatternFields):
     """A classical pattern with optional vincular adjacencies and size bounds.
 
     `adjacent[i]` forces the host positions matched to pattern positions
     i+1 and i+2 (1-based) to be consecutive.  `bounds` maps a 1-based pattern
     position to LARGE or SMALL; these thresholds read n as half the host
     length, so a bounded search requires an even-length host.
+
+    A spec is a tuple (pattern, adjacent, bounds) and compares equal to the
+    plain tuple of its fields.  The constructor raises ValueError on an
+    adjacency mask of the wrong length or a bad bound.
     """
 
-    pattern: Word
-    adjacent: tuple[bool, ...] = ()
-    bounds: tuple[tuple[int, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.adjacent and len(self.adjacent) != len(self.pattern) - 1:
+    def __new__(cls, pattern: Word, adjacent: tuple[bool, ...] = (),
+                bounds: tuple[tuple[int, str], ...] = ()) -> PatternSpec:
+        if adjacent and len(adjacent) != len(pattern) - 1:
             raise ValueError("adjacency mask length must be pattern length - 1")
-        for pos, kind in self.bounds:
-            if not 1 <= pos <= len(self.pattern) or kind not in (LARGE, SMALL):
+        for pos, kind in bounds:
+            if not 1 <= pos <= len(pattern) or kind not in (LARGE, SMALL):
                 raise ValueError(f"bad bound ({pos}, {kind})")
+        return super().__new__(cls, pattern, adjacent, bounds)
 
 
 P312 = PatternSpec((3, 1, 2))
@@ -199,39 +207,32 @@ def contains_pattern(host: Sequence[int], spec: PatternSpec) -> bool:
 # A 312-avoiding prefix is summarised by its gaps and its maximum.  A gap
 # (a, c) is an entry a placed after a larger entry, with c the maximum before
 # a: a later value v completes a 312 with v as its "2" exactly when a < v < c
-# for some gap.  The state keeps the union of the open intervals (a, c) as a
+# for some gap.  The scan keeps the union of the open intervals (a, c) as a
 # bitmask (bit v set when v is refused) next to the maximum.  Containment is
-# monotone in the prefix, so a scan can stop at the first refused entry and a
-# generator can prune there.
-GapState = tuple[int, int]
-EMPTY_GAPS: GapState = (0, 0)
+# monotone in the prefix, so the scan stops at the first refused entry.
 
 
-def scan_312_gaps(
-    word: Sequence[int], floor: int | None = None, state: GapState = EMPTY_GAPS
-) -> GapState | None:
-    """Append the positive entries of `word` to a prefix summarised by `state`.
+def scan_312_gaps(word: Sequence[int], floor: int | None = None) -> bool:
+    """True when no entry v of `word` is the "2" of a 312.
 
-    Returns the extended state, or None as soon as an entry v would be the
-    "2" of a 312.  With `floor` set, only entries v >= floor are refused,
-    which is the starred pattern when floor = n+1.  O(1) big-int operations
-    per entry.
+    With `floor` set, only entries v >= floor are refused, which is the
+    starred pattern when floor = n+1.  O(1) big-int operations per entry.
     """
-    gaps, top = state
+    gaps = top = 0
     floor = floor or 0
     for v in word:
         if gaps >> v & 1 and v >= floor:
-            return None
+            return False
         if v < top:
             gaps |= (1 << top) - (2 << v)  # bits v+1 .. top-1
         else:
             top = v
-    return gaps, top
+    return True
 
 
 def avoids_312(word: Sequence[int]) -> bool:
     """True when no entries c, a, b occur in that order with a < b < c."""
-    return scan_312_gaps(word) is not None
+    return scan_312_gaps(word)
 
 
 def avoids_312_star(word: Sequence[int]) -> bool:
@@ -241,7 +242,7 @@ def avoids_312_star(word: Sequence[int]) -> bool:
     """
     if len(word) % 2 != 0:
         raise ValueError("size-bounded patterns need an even-length host")
-    return scan_312_gaps(word, len(word) // 2 + 1) is not None
+    return scan_312_gaps(word, len(word) // 2 + 1)
 
 
 # --- binomials -------------------------------------------------------------

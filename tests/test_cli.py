@@ -1,6 +1,10 @@
+import argparse
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,6 +277,81 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "nonsense", "--max-n", "2"])
     assert exc.value.code == 2
+
+
+def outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv); a SystemExit gives its code."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_parser_main(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+PARSER_ARGVS = [
+    "",
+    "--help",
+    "nonsense --lattice weak-a --n 2",
+    *(f"{name} --help" for name in cli._SUBCOMMANDS),
+    "--json series --check G",
+    "-h series",
+    "series --check X",
+    "formula --n 3",
+    "enumerate --lattice weak-a --n 2 --bogus",
+    "series --check G --order 4 extra",
+    "series --check G --order 4 --json",
+    "pop --lattice weak-b --x 5,1,7,6,3,2,8,4",
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: argv or "no-arguments")
+def test_main_parses_like_the_full_parser(capsys, argv):
+    argv = argv.split()
+    assert outcome(capsys, main, argv) == outcome(capsys, full_parser_main, argv)
+
+
+def test_a_command_registers_only_its_own_parser(capsys, monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run(capsys, "series", "--check", "G", "--order", "4", "--json")[0] == 0
+    assert names == ["series"]
+    names.clear()
+    cli.build_parser()
+    assert names == list(cli._SUBCOMMANDS)
+
+
+def python(*args):
+    """Run this interpreter on the poplat package under test."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=False)
+
+
+def test_importing_the_cli_loads_no_dataclasses_machinery():
+    probe = python("-c", "import sys; before = set(sys.modules); import poplat.cli; "
+                   "print(*sorted(set(sys.modules) - before))")
+    loaded = probe.stdout.split()
+    assert "poplat.cli" in loaded, probe.stderr
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_the_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["series", "--check", "G", "--order", "4", "--json"]
+    child = python("-m", "poplat.cli", *argv)
+    assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv)
 
 
 def test_pop_poly_j_a_9_validated_matches_unvalidated(capsys):

@@ -5,6 +5,7 @@ import pytest
 from poplat.errors import GuardError
 from poplat.families import FAMILIES
 from poplat.signed import (
+    HalfBlock,
     ascent_decomposition,
     complement_reverse,
     enumerate_signed,
@@ -158,3 +159,17 @@ def test_complement_reverse():
     assert complement_reverse((6, 5, 7), 8) == (2, 4, 3)
     assert complement_reverse((8,), 8) == (1,)
     assert complement_reverse((), 8) == ()
+
+
+def test_decomposition_records_are_immutable_and_equal_by_fields():
+    d = half_decomposition((2, 1, 4, 3))
+    assert d == ((4, 3), (HalfBlock(3, (4, 3)),), ((2, 1),))
+    block = d.blocks[0]
+    assert block == HalfBlock(3, (4, 3)) != HalfBlock(2, (4, 3))
+    assert hash(block) == hash(HalfBlock(3, (4, 3)))
+    assert repr(block) == "HalfBlock(start=3, values=(4, 3))"
+    for change in (lambda: setattr(block, "start", 1), lambda: delattr(block, "values"),
+                   lambda: setattr(d, "half", ())):
+        with pytest.raises(AttributeError):
+            change()
+    assert ascent_decomposition((2, 1, 4, 3)) == (((2,), (1, 4), (3,)), (1, 2, 1), (1, 4))

@@ -33,7 +33,6 @@ from poplat.tamari import (
 )
 from poplat.weak import weak_b_lower_covers
 from poplat.words import (
-    EMPTY_GAPS,
     P312,
     P312_STAR,
     avoids_312,
@@ -42,7 +41,6 @@ from poplat.words import (
     index_of,
     reduction,
     reverse_runs,
-    scan_312_gaps,
 )
 from word_stats import bounded_ascent_count, descent_count, weak_a_lower_covers
 
@@ -126,6 +124,20 @@ def transitive_reduction_lattice(elements):
 # and the test is the membership test.
 
 
+def bitmask_gap_scan(word, floor, state):
+    """Scan `word` on from a prefix's (gaps, maximum) state, as
+    `words.scan_312_gaps` scans from the empty one; None on a refused entry."""
+    gaps, top = state
+    for v in word:
+        if gaps >> v & 1 and v >= floor:
+            return None
+        if v < top:
+            gaps |= (1 << top) - (2 << v)  # bits v+1 .. top-1
+        else:
+            top = v
+    return gaps, top
+
+
 def gap_scan_tam_b_elements(n):
     floor = n + 1
     mirror = 2 * n + 1
@@ -140,11 +152,11 @@ def gap_scan_tam_b_elements(n):
         for v in range(1, mirror):
             if used[v]:
                 continue
-            nxt = scan_312_gaps((v,), floor, state)
+            nxt = bitmask_gap_scan((v,), floor, state)
             if nxt is None:
                 continue
             longer = (mirror - v,) + tail
-            if scan_312_gaps(longer, floor, nxt) is None:
+            if bitmask_gap_scan(longer, floor, nxt) is None:
                 continue
             used[v] = used[mirror - v] = True
             half.append(v)
@@ -152,7 +164,7 @@ def gap_scan_tam_b_elements(n):
             half.pop()
             used[v] = used[mirror - v] = False
 
-    grow(EMPTY_GAPS, ())
+    grow((0, 0), ())
     return tuple(out)
 
 

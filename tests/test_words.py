@@ -3,12 +3,14 @@ import itertools
 import pytest
 
 from poplat.words import (
+    LARGE,
     P213_STAR,
     P231_STAR,
     P312,
     P312_STAR,
     P312_STAR_BIG,
     P312_STAR_SMALL,
+    SMALL,
     VINCULAR_312,
     VINCULAR_312_STAR,
     PatternSpec,
@@ -232,3 +234,15 @@ def test_word_text_round_trip():
         parse_word("1,2,x")
     with pytest.raises(ValueError):
         parse_word("1,1")
+
+
+def test_pattern_spec_checks_its_fields():
+    assert P312_STAR == ((3, 1, 2), (), ((3, LARGE),))
+    assert hash(P312_STAR) == hash(PatternSpec((3, 1, 2), bounds=((3, LARGE),)))
+    with pytest.raises(AttributeError):
+        P312_STAR.bounds = ()
+    with pytest.raises(ValueError, match="adjacency mask"):
+        PatternSpec((3, 1, 2), adjacent=(True,))
+    for bound in ((4, LARGE), (0, SMALL), (1, "huge")):
+        with pytest.raises(ValueError, match="bad bound"):
+            PatternSpec((3, 1, 2), bounds=(bound,))
