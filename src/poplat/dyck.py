@@ -103,26 +103,45 @@ def _flip_valley(path: str, x: int) -> str:
     return path[: x - 1] + RISE + FALL + path[x + 1 :]
 
 
-def _prefixes(length: int, closed: bool, finish=str) -> list[str]:
+def _prefixes(length: int, closed: bool, finish=str, uppers: list | None = None) -> list[str]:
     """Step sequences of the given length that never dip below the axis, in
     lexicographic order ('f' < 'r'); closed ones end on the axis.  Each is
-    passed through `finish` as it is made."""
-    out: list[str] = []
+    passed through `finish` as it is made.
 
-    def extend(prefix: list[str], h: int, left: int) -> None:
+    Given a list `uppers` (closed paths only), the recursion also appends to
+    it, for every path, the ranks of its valley flips, left to right: a rise
+    after a fall at x, at height h, is a valley whose flip adds
+    `_flip_shifts(length // 2)[x][h]` to the path's own rank.
+    """
+    if length < 0:
+        raise ValueError(f"negative length {length}")
+    out: list[str] = []
+    ranked = uppers is not None
+    shift = _flip_shifts(length // 2) if ranked else None
+    flips: list[int] = []
+
+    def extend(prefix: list[str], h: int, left: int, valley: bool) -> None:
+        # `valley`: the recursion ranks flips and the last step was a fall.
         if left == 0:
+            if ranked:
+                rank = len(out)
+                uppers.append([rank + s for s in flips])
             out.append(finish("".join(prefix)))
             return
         if h > 0:
             prefix.append(FALL)
-            extend(prefix, h - 1, left - 1)
+            extend(prefix, h - 1, left - 1, ranked)
             prefix.pop()
         if h < left or not closed:
+            if valley:
+                flips.append(shift[len(prefix)][h])
             prefix.append(RISE)
-            extend(prefix, h + 1, left - 1)
+            extend(prefix, h + 1, left - 1, False)
             prefix.pop()
+            if valley:
+                flips.pop()
 
-    extend([], 0, length)
+    extend([], 0, length, False)
     # The recursive closure refers to itself, a cycle that would keep `out`,
     # and every element in it, until the next full collection.
     del extend
@@ -132,8 +151,6 @@ def _prefixes(length: int, closed: bool, finish=str) -> list[str]:
 @last_size_cache
 def all_paths(m: int) -> tuple[str, ...]:
     """Every path of semi-length m, lexicographically sorted ('f' < 'r')."""
-    if m < 0:
-        raise ValueError("negative semi-length")
     return tuple(_prefixes(2 * m, closed=True))
 
 
@@ -147,8 +164,6 @@ def symmetric_paths(n: int) -> tuple[str, ...]:
     Each is a first half of 2n steps followed by its reversed complement;
     distinct first halves of one length keep their order when extended.
     """
-    if n < 0:
-        raise ValueError("negative rank")
     return tuple(_prefixes(2 * n, False, lambda p: p + p[::-1].translate(_MIRROR)))
 
 
@@ -173,32 +188,12 @@ def _flip_shifts(m: int) -> list[list[int]]:
     return [[_finishes(2 * m - x - 1, v + 1) for v in range(m + 1)] for x in range(2 * m)]
 
 
-def _j_a_uppers(paths: tuple[str, ...], m: int) -> list[list[int]]:
-    """Upper covers of every path, as ranks in `paths` = `all_paths(m)`.
-
-    A valley at x has height x - 2 * (falls before x), and its flip's rank
-    is the path's own rank plus `_flip_shifts(m)[x][height]`: no flipped path
-    is ever spelled out.  Valleys are taken left to right, as `valleys` lists
-    them.
-    """
-    shift = _flip_shifts(m)
-    valley = FALL + RISE
-    up_adj = []
-    for rank, path in enumerate(paths):
-        ups = []
-        x = path.find(valley) + 1
-        while x:
-            ups.append(rank + shift[x][x - 2 * path.count(FALL, 0, x)])
-            x = path.find(valley, x + 1) + 1
-        up_adj.append(ups)
-    return up_adj
-
-
 @memoised_builder
 def j_a_lattice(m: int, validate: bool = True) -> FiniteLattice:
     """Ideal lattice on all paths of semi-length m; covers flip one valley."""
-    elements = all_paths(m)
-    return FiniteLattice.from_uppers(elements, _j_a_uppers(elements, m), validate)
+    uppers: list[list[int]] = []
+    elements = _prefixes(2 * m, True, uppers=uppers)
+    return FiniteLattice.from_uppers(elements, uppers, validate)
 
 
 def _flip_orbit(path: str, x: int) -> str:

@@ -30,7 +30,6 @@ build and safe to share.
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import wraps
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -223,8 +222,9 @@ class FiniteLattice:
         `up_adj[i]` lists, without repeats, the indices in `elements` of the
         upper covers of `elements[i]`; its order is the order in which Kahn's
         algorithm meets them, so it fixes the stored element order.  The
-        lists are dropped before the masks are allocated, which sets peak
-        memory, so a caller passes them straight in and keeps no reference.
+        build consumes `up_adj`: it empties the list in place before the
+        masks are allocated, which sets peak memory, so a caller that still
+        holds the list holds no cover.
 
         Validation tests a join for every two upper covers of a common
         element, sum over z of C(#upper covers of z, 2) bitmask tests.  With
@@ -238,37 +238,34 @@ class FiniteLattice:
             for j in ups:
                 indegree[j] += 1
 
-        # Kahn's algorithm: linear extension + cycle detection.
-        queue = deque(i for i, d in enumerate(indegree) if d == 0)
-        topo: list[int] = []
-        while queue:
-            i = queue.popleft()
-            topo.append(i)
+        # Kahn's algorithm, with `topo` as its FIFO queue: linear extension
+        # and cycle detection.  The new index of each element it meets is
+        # appended to its upper covers' lower-cover lists, so every list
+        # fills in increasing order and is complete, its element ready, once
+        # its length reaches the in-degree.
+        below: list[list[int]] = [[] for _ in range(n)]
+        topo = [i for i, d in enumerate(indegree) if d == 0]
+        for new, i in enumerate(topo):
             for j in up_adj[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    queue.append(j)
+                covers = below[j]
+                covers.append(new)
+                if len(covers) == indegree[j]:
+                    topo.append(j)
+        up_adj.clear()
+        del indegree
         if len(topo) != n:
             raise NotALatticeError("cycle detected in cover relation")
 
-        # Re-index along the extension.  Scanning lower ends upward fills
-        # each lower-cover list in increasing order, and scanning those lists
-        # from the top down fills each upper-cover list (indexed from the
-        # top) in increasing order too: no sort is needed.
-        position = [0] * n
-        for new, old in enumerate(topo):
-            position[old] = new
-        lowers: list[list[int]] = [[] for _ in range(n)]
-        for i, old in enumerate(topo):
-            for j in up_adj[old]:
-                lowers[position[j]].append(i)
-        del up_adj, position, indegree
+        # Scanning the lower-cover lists from the top down fills each
+        # upper-cover list (indexed from the top) in increasing order too: no
+        # sort is needed.
+        lowers = tuple([tuple(below[old]) for old in topo])
+        del below
         last = n - 1
         uppers: list[list[int]] = [[] for _ in range(n)]
         for j in range(last, -1, -1):
             for i in lowers[j]:
                 uppers[last - i].append(last - j)
-        lowers = tuple(map(tuple, lowers))
         uppers = tuple(map(tuple, uppers))
 
         order = tuple(elements[i] for i in topo)

@@ -15,7 +15,7 @@ because its length is the length of its values, not its field count.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from typing import NamedTuple
 
 from .lattice import last_size_cache
@@ -42,30 +42,58 @@ def validate_signed(word) -> Word:
     return x
 
 
-def mirror_complete(first_half: tuple[int, ...]) -> Word:
-    """Extend a first half to the full centrally symmetric word."""
-    n = len(first_half)
-    return first_half + tuple(2 * n + 1 - v for v in reversed(first_half))
+def signed_words(n: int, uppers: list | None = None) -> list[Word]:
+    """All rank-n elements in lexicographic order: at each position of the
+    first half, every value whose complementary pair is still free, smallest
+    first.  The tests cross-check this against filtering the symmetric group.
+
+    Given a list `uppers`, also append each element's signed weak-order
+    upper-cover ranks, by swapped position.  A first half x_0..x_{n-1} has
+    rank sum c_k (n-1-k)! 2^(n-1-k), c_k the free values below x_k.  Swapping
+    an ascent a = x_k < b = x_{k+1} gives c'_k = c_{k+1} + 1 + [2n+1-a < b]
+    and c'_{k+1} = c_k - [2n+1-b < a]; the central swap (x_{n-1} <= n) adds 1.
+    """
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    m = 2 * n
+    word, free = [0] * m, [True] * (m + 1)
+    weight = [math.factorial(n - 1 - k) << (n - 1 - k) for k in range(n)]
+    out: list[Word] = []
+    shifts: list[int] = []  # rank shifts of the ascents placed so far
+    # one shared int per rank: an int per cover would fragment the heap
+    ranks = list(range(math.factorial(n) << n)) if uppers is not None else None
+
+    def place(k: int, a: int, c: int) -> None:  # a = x_{k-1}, c = c_{k-1}
+        if k == n:
+            if uppers is not None:  # the central swap is last, when it is an ascent
+                uppers.append([ranks[len(out) + s] for s in shifts + [1] * (0 < a <= n)])
+            out.append(tuple(word))
+            return
+        below = 0
+        for b in filter(free.__getitem__, range(1, m + 1)):
+            free[b] = free[m + 1 - b] = False
+            word[k], word[m - 1 - k] = b, m + 1 - b
+            ascent = 0 < a < b and uppers is not None
+            if ascent:
+                shifts.append((below + 1 + (m + 1 - a < b) - c) * weight[k - 1]
+                              + (c - (m + 1 - b < a) - below) * weight[k])
+            place(k + 1, b, below)
+            if ascent:
+                shifts.pop()
+            free[b] = free[m + 1 - b] = True
+            below += 1
+
+    place(0, 0, 0)
+    # The recursive closure refers to itself, a cycle that would keep `out`,
+    # and every element in it, until the next full collection.
+    del place
+    return out
 
 
 @last_size_cache
 def enumerate_signed(n: int) -> tuple[Word, ...]:
-    """All rank-n elements in lexicographic order.
-
-    The first halves are generated directly, one value from each
-    complementary pair in every order, to avoid the (2n)! blowup of
-    filtering the symmetric group; the test suite cross-checks them against
-    that filter.
-    """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    els = []
-    for pairs in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((False, True), repeat=n):
-            first = tuple(2 * n + 1 - v if neg else v for v, neg in zip(pairs, signs))
-            els.append(mirror_complete(first))
-    els.sort()
-    return tuple(els)
+    """All rank-n elements in lexicographic order (see `signed_words`)."""
+    return tuple(signed_words(n))
 
 
 class AscDecomposition(NamedTuple):

@@ -41,6 +41,7 @@ force to agree:
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import FiniteLattice, last_size_cache, memoised_builder
 from .signed import complement_reverse, half_decomposition, validate_signed
@@ -97,20 +98,39 @@ def tam_a_elements(n: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
+def _tam_b_closure(n: int) -> tuple[list[Word], Iterator[list[int]]]:
+    """The closure of the top word (2n, ..., 1) under `tam_b_lower_covers`,
+    sorted, and lazily, in that order, each element's lower covers as
+    positions in it.  The search keeps its records in flat arrays: a small
+    object per element left among the kept words would hold memory that the
+    validation table cannot reuse."""
+    from array import array  # loaded by type-B builds only, not by every CLI call
+    top = tuple(range(2 * n, 0, -1))
+    found = [top]
+    position = {top: 0}
+    covers, ends = array("l"), array("l", [0])
+    for y in found:
+        for w in tam_b_lower_covers(y):
+            i = position.get(w)
+            if i is None:
+                i = position[w] = len(found)
+                found.append(w)
+            covers.append(i)
+        ends.append(len(covers))
+    order = sorted(range(len(found)), key=found.__getitem__)
+    rank = array("l", order)
+    for r, k in enumerate(order):
+        rank[k] = r
+    lowers = ([rank[i] for i in covers[ends[k]:ends[k + 1]]] for k in order)
+    return [found[k] for k in order], lowers
+
+
 @last_size_cache
 def tam_b_elements(n: int) -> tuple[Word, ...]:
     """Signed permutations of rank n avoiding the starred 312 pattern,
     lexicographically sorted: the closure of the top word (2n, ..., 1) under
     `tam_b_lower_covers`."""
-    top = tuple(range(2 * n, 0, -1))
-    seen = {top}
-    todo = [top]
-    while todo:
-        for w in tam_b_lower_covers(todo.pop()):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return tuple(sorted(seen))
+    return tuple(_tam_b_closure(n)[0])
 
 
 # --- covers -------------------------------------------------------------------
@@ -160,35 +180,39 @@ def tam_b_lower_covers(y: Word) -> list[Word]:
     return _block_swaps(y, len(y) // 2 + 1)
 
 
-def _quotient_lattice(elements: tuple[Word, ...], lower_covers,
+def _quotient_lattice(elements: Sequence[Word], lowers: Iterable[list[int]],
                       validate: bool) -> FiniteLattice:
     """Sublattice of the weak order on a carrier of congruence-class minima.
 
-    `lower_covers(y)` lists y's lower covers inside the carrier.  The
-    upper-cover lists are filled in carrier order, and Kahn's linear
-    extension in `FiniteLattice.from_uppers` follows them, which fixes the
+    `lowers` lists, element by element in carrier order, the carrier
+    positions of its lower covers.  The upper-cover lists are filled in
+    carrier order and handed to `FiniteLattice.from_uppers`, which consumes
+    them; Kahn's linear extension there follows them, which fixes the
     element order that every report prints.
 
     No list repeats an entry: two weak lower covers w1, w2 of a class minimum
     y project to distinct elements, since w1 = w2 modulo the congruence would
     give y = w1 v w2 = w1 modulo it, below y in y's own class.
     """
-    index = {p: i for i, p in enumerate(elements)}
     up_adj: list[list[int]] = [[] for _ in elements]
-    for j, y in enumerate(elements):
-        for w in lower_covers(y):
-            up_adj[index[w]].append(j)
+    for j, covers in enumerate(lowers):
+        for i in covers:
+            up_adj[i].append(j)
     return FiniteLattice.from_uppers(elements, up_adj, validate)
 
 
 @memoised_builder
 def tam_a_lattice(n: int, validate: bool = True) -> FiniteLattice:
-    return _quotient_lattice(tam_a_elements(n), tam_a_lower_covers, validate)
+    elements = tam_a_elements(n)
+    index = {p: i for i, p in enumerate(elements)}
+    lowers = ([index[w] for w in tam_a_lower_covers(y)] for y in elements)
+    return _quotient_lattice(elements, lowers, validate)
 
 
 @memoised_builder
 def tam_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
-    return _quotient_lattice(tam_b_elements(n), tam_b_lower_covers, validate)
+    """Indexes the closure's own cover records: no block swap is made twice."""
+    return _quotient_lattice(*_tam_b_closure(n), validate)
 
 
 # --- congruence adjacency and projections ------------------------------------

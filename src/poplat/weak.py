@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .lattice import FiniteLattice, index_uppers, memoised_builder
-from .signed import ascent_decomposition, enumerate_signed, validate_signed
+from .signed import ascent_decomposition, signed_words, validate_signed
 from .words import Word, ascending_runs, reverse_runs
 
 
@@ -25,33 +25,10 @@ def weak_a_covers(p: Word) -> list[Word]:
     return [_swap(p, i) for i in range(len(p) - 1) if p[i] < p[i + 1]]
 
 
-def _weak_b_swaps(x: Word, descents: bool) -> list[Word]:
-    """Swap each ascent (or descent) at positions <= n, mirrored when off-center."""
-    n = len(x) // 2
-    out = []
-    for i in range(n):
-        if (x[i] > x[i + 1]) == descents:
-            y = _swap(x, i)
-            if i < n - 1:
-                y = _swap(y, 2 * n - 2 - i)
-            out.append(y)
-    return out
-
-
-def weak_b_covers(x: Word) -> list[Word]:
-    """Upper covers in the signed weak order (mirrored double swaps)."""
-    return _weak_b_swaps(x, descents=False)
-
-
-def weak_b_lower_covers(x: Word) -> list[Word]:
-    """Lower covers in the signed weak order (mirrored double swaps)."""
-    return _weak_b_swaps(x, descents=True)
-
-
 @memoised_builder
 def weak_a_lattice(num_letters: int, validate: bool = True) -> FiniteLattice:
     """Weak order on the permutations of {1, ..., num_letters}."""
-    elements = sorted(itertools.permutations(range(1, num_letters + 1)))
+    elements = tuple(itertools.permutations(range(1, num_letters + 1)))
     return FiniteLattice.from_uppers(
         elements, index_uppers(elements, weak_a_covers), validate
     )
@@ -60,10 +37,9 @@ def weak_a_lattice(num_letters: int, validate: bool = True) -> FiniteLattice:
 @memoised_builder
 def weak_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     """Weak order on the rank-n signed permutations."""
-    elements = enumerate_signed(n)
-    return FiniteLattice.from_uppers(
-        elements, index_uppers(elements, weak_b_covers), validate
-    )
+    uppers: list[list[int]] = []
+    elements = signed_words(n, uppers)
+    return FiniteLattice.from_uppers(elements, uppers, validate)
 
 
 def pop_weak(x: Word) -> Word:
@@ -91,26 +67,6 @@ def image_run_condition(x: Word) -> bool:
     return all(
         runs[k][0] < runs[k + 1][-1] for k in range(len(runs) - 1)
     )
-
-
-def staircase_image_element(n: int, j: int) -> Word:
-    """The explicit image element with first entry 1 indexed by 1 <= j <= n-1.
-
-    Five pieces: a 1, then j consecutive high values, an identity stretch,
-    the j low values mirroring the high ones, and the final 2n.
-    """
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"j must satisfy 1 <= j <= n-1, got {j}")
-    x = [0] * (2 * n)
-    x[0] = 1
-    for i in range(2, j + 2):
-        x[i - 1] = 2 * n - j + i - 2
-    for i in range(j + 2, 2 * n - j):
-        x[i - 1] = i
-    for i in range(2 * n - j, 2 * n):
-        x[i - 1] = j + i - 2 * n + 2
-    x[2 * n - 1] = 2 * n
-    return validate_signed(tuple(x))
 
 
 def image_census_by_first_entry(n: int) -> dict[int, int]:

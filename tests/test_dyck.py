@@ -3,6 +3,7 @@ import math
 import pytest
 
 from poplat.dyck import (
+    _prefixes,
     all_paths,
     check_path,
     flip_peaks_down,
@@ -25,7 +26,7 @@ from poplat.dyck import (
 from poplat.errors import GuardError
 from poplat.families import FAMILIES
 from poplat.lattice import QPoly
-from word_stats import half_peak_count, peak_count
+from word_stats import half_peak_count, j_a_uppers, peak_count
 
 
 def elevate(path):
@@ -98,6 +99,16 @@ def test_j_a_lattice_small():
     assert len(j_a_lattice(1)) == 1
     with pytest.raises(GuardError):
         FAMILIES["j-a"].admit(11)
+
+
+def test_ranked_paths_match_the_string_scan_reference():
+    """The enumerator's valley-flip ranks equal the find/count scan's, list
+    by list and in the same order, at every admitted semi-length."""
+    for m in range(11):
+        uppers = []
+        paths = _prefixes(2 * m, True, uppers=uppers)
+        assert tuple(paths) == all_paths(m)
+        assert uppers == j_a_uppers(all_paths(m), m), m
 
 
 def test_j_b_lattice_small():

@@ -16,6 +16,7 @@ from poplat.families import FAMILIES
 from poplat.lattice import FiniteLattice, QPoly, memoised_builder
 from poplat.tamari import tam_a_adjacent, tam_a_lattice, tam_b_adjacent, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
+from word_stats import weak_b_covers
 
 
 def cover_json(lat, serialize=str):
@@ -237,7 +238,7 @@ def _weak_a_pairs(n):
 
 def _weak_b_pairs(n):
     elements = list(signed.enumerate_signed(n))
-    return elements, [(x, y) for x in elements for y in weak.weak_b_covers(x)]
+    return elements, [(x, y) for x in elements for y in weak_b_covers(x)]
 
 
 def _j_a_pairs(m):
@@ -495,6 +496,13 @@ def test_kernel_matches_reference_on_families(builder, n):
     ref = reference_build(elements, covers)
     assert_matches_reference(lat, ref, TAMARI_ADJACENCY.get(builder, ()))
     assert builder(n, False).elements == ref.elements
+
+
+def test_from_uppers_consumes_its_cover_lists():
+    up_adj = [[1, 2], [3], [3], []]
+    lat = FiniteLattice.from_uppers("abcd", up_adj)
+    assert up_adj == []
+    assert lat.cover_pairs() == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
 
 
 CROSS_CHECK_TOP = {

@@ -31,7 +31,6 @@ from poplat.tamari import (
     tam_b_lattice,
     tam_b_lower_covers,
 )
-from poplat.weak import weak_b_lower_covers
 from poplat.words import (
     P312,
     P312_STAR,
@@ -42,7 +41,12 @@ from poplat.words import (
     reduction,
     reverse_runs,
 )
-from word_stats import bounded_ascent_count, descent_count, weak_a_lower_covers
+from word_stats import (
+    bounded_ascent_count,
+    descent_count,
+    weak_a_lower_covers,
+    weak_b_lower_covers,
+)
 
 # --- reference oracles -------------------------------------------------------
 # The filter-then-reduce construction: keep the pattern avoiders of the whole

@@ -1,24 +1,49 @@
 import itertools
+import math
 
 import pytest
 
 from poplat.formulas import census_prediction, weak_b_coefficient
+from poplat.signed import enumerate_signed, signed_words, validate_signed
 from poplat.weak import (
     image_census_by_first_entry,
     image_run_condition,
     pop_weak,
     pop_weak_up,
-    staircase_image_element,
     weak_a_lattice,
     weak_b_lattice,
+)
+from word_stats import (
+    bounded_ascent_count,
+    weak_a_lower_covers,
+    weak_b_covers,
     weak_b_lower_covers,
 )
-from word_stats import bounded_ascent_count, weak_a_lower_covers
 
 
 def weak_b_upper_cover_count(x):
     """Cover count read off the word itself: ascents at positions <= n."""
     return bounded_ascent_count(x, len(x) // 2)
+
+
+def staircase_image_element(n, j):
+    """The explicit image element with first entry 1 indexed by 1 <= j <= n-1.
+
+    Five pieces: a 1, then j consecutive high values, an identity stretch,
+    the j low values mirroring the high ones, and the final 2n.
+    """
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"j must satisfy 1 <= j <= n-1, got {j}")
+    x = [0] * (2 * n)
+    x[0] = 1
+    for i in range(2, j + 2):
+        x[i - 1] = 2 * n - j + i - 2
+    for i in range(j + 2, 2 * n - j):
+        x[i - 1] = i
+    for i in range(2 * n - j, 2 * n):
+        x[i - 1] = j + i - 2 * n + 2
+    x[2 * n - 1] = 2 * n
+    return validate_signed(tuple(x))
 
 
 def test_pop_direct_examples():
@@ -38,6 +63,20 @@ def test_lower_covers_read_off_word():
         lat = weak_b_lattice(n)
         for x in lat.elements:
             assert sorted(weak_b_lower_covers(x)) == sorted(lat.lower_covers(x))
+
+
+def test_ranked_signed_words_match_the_tuple_swap_reference():
+    """The enumerator's cover ranks equal the ranks of the spelled-out
+    mirrored swaps, list by list and in the same order, at every admitted
+    rank; its words are 2^n n! distinct signed permutations in lex order."""
+    for n in range(7):
+        uppers = []
+        words = signed_words(n, uppers)
+        assert words == sorted(set(map(validate_signed, words)))
+        assert len(words) == 2**n * math.factorial(n)
+        assert tuple(words) == enumerate_signed(n)
+        index = {x: i for i, x in enumerate(words)}
+        assert uppers == [[index[y] for y in weak_b_covers(x)] for x in words], n
 
 
 def test_weak_a_cover_counts_are_ascents():

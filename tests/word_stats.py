@@ -2,8 +2,11 @@
 
 The program reads cover counts off its lattices and the census shortcuts;
 these plain counts are the tests' independent side of those comparisons.
+The cover functions spell every cover out, or find every valley by a string
+scan, apart from the builders, which read cover ranks off their enumerators;
+the tests hold the builders to them.
 """
-from poplat.dyck import peaks, semi_length
+from poplat.dyck import FALL, RISE, _flip_shifts, peaks, semi_length
 
 
 def descent_count(word):
@@ -19,6 +22,55 @@ def weak_a_lower_covers(word):
             w[i], w[i + 1] = w[i + 1], w[i]
             out.append(tuple(w))
     return out
+
+
+def _swap(word, i):
+    w = list(word)
+    w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
+
+
+def _weak_b_swaps(x, descents):
+    """Swap each ascent (or descent) at positions <= n, mirrored when off-center."""
+    n = len(x) // 2
+    out = []
+    for i in range(n):
+        if (x[i] > x[i + 1]) == descents:
+            y = _swap(x, i)
+            if i < n - 1:
+                y = _swap(y, 2 * n - 2 - i)
+            out.append(y)
+    return out
+
+
+def weak_b_covers(x):
+    """Upper covers in the signed weak order (mirrored double swaps)."""
+    return _weak_b_swaps(x, descents=False)
+
+
+def weak_b_lower_covers(x):
+    """Lower covers in the signed weak order (mirrored double swaps)."""
+    return _weak_b_swaps(x, descents=True)
+
+
+def j_a_uppers(paths, m):
+    """Upper covers of every path, as ranks in `paths` = `all_paths(m)`.
+
+    A valley at x has height x - 2 * (falls before x), and its flip's rank
+    is the path's own rank plus `_flip_shifts(m)[x][height]`.  Valleys are
+    found left to right by a string scan.
+    """
+    shift = _flip_shifts(m)
+    valley = FALL + RISE
+    up_adj = []
+    for rank, path in enumerate(paths):
+        ups = []
+        x = path.find(valley) + 1
+        while x:
+            ups.append(rank + shift[x][x - 2 * path.count(FALL, 0, x)])
+            x = path.find(valley, x + 1) + 1
+        up_adj.append(ups)
+    return up_adj
 
 
 def bounded_ascent_count(word, bound):
