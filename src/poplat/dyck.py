@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .lattice import FiniteLattice, QPoly, index_uppers, last_size_cache, memoised_builder
+from .lattice import FiniteLattice, QPoly, last_size_cache, memoised_builder
 
 RISE = "r"
 FALL = "f"
@@ -54,16 +54,6 @@ def is_symmetric(path: str) -> bool:
     )
 
 
-def valleys(path: str) -> list[int]:
-    """x-coordinates preceded by a fall and followed by a rise."""
-    out = []
-    i = path.find(FALL + RISE)
-    while i >= 0:
-        out.append(i + 1)
-        i = path.find(FALL + RISE, i + 2)
-    return out
-
-
 def peaks(path: str) -> list[int]:
     """x-coordinates preceded by a rise and followed by a fall."""
     return [
@@ -99,53 +89,94 @@ def flip_peaks_down(path: str) -> str:
     return "".join(steps)
 
 
-def _flip_valley(path: str, x: int) -> str:
-    return path[: x - 1] + RISE + FALL + path[x + 1 :]
+def _steps(k: int, h: int, room: int, closed: bool) -> list[tuple[str, int]]:
+    """The k-step sequences from height h that never dip below the axis,
+    in lexicographic order, with their end heights; closed ones can still
+    reach the axis `room` steps after their start."""
+    level = [("", h)]
+    for left in range(room, room - k, -1):
+        grown = []
+        for seq, g in level:
+            if g:
+                grown.append((seq + FALL, g - 1))
+            if g < left or not closed:
+                grown.append((seq + RISE, g + 1))
+        level = grown
+    return level
 
 
-def _prefixes(length: int, closed: bool, finish=str, uppers: list | None = None) -> list[str]:
-    """Step sequences of the given length that never dip below the axis, in
-    lexicographic order ('f' < 'r'); closed ones end on the axis.  Each is
-    passed through `finish` as it is made.
+def _valley_shifts(steps: str, x0: int, h0: int, shift: list[list[int]]) -> list[int]:
+    """`shift[x][v]` of each valley of `steps`, which start at x0, height h0:
+    after i of them the height is h0 + i - 2 * (falls among the i)."""
+    out = []
+    i = steps.find(FALL + RISE) + 1
+    while i:
+        out.append(shift[x0 + i][h0 + i - 2 * steps.count(FALL, 0, i)])
+        i = steps.find(FALL + RISE, i + 1) + 1
+    return out
 
-    Given a list `uppers` (closed paths only), the recursion also appends to
-    it, for every path, the ranks of its valley flips, left to right: a rise
-    after a fall at x, at height h, is a valley whose flip adds
-    `_flip_shifts(length // 2)[x][h]` to the path's own rank.
+
+_MIRROR = str.maketrans(RISE + FALL, FALL + RISE)
+
+
+def _mirror(steps: str) -> str:
+    """The reversed complement: the second half of a symmetric path."""
+    return steps[::-1].translate(_MIRROR)
+
+
+def _prefixes(length: int, closed: bool, uppers: list | None = None) -> list[str]:
+    """Closed: the paths of `length` steps.  Open: the symmetric paths of
+    2 * `length` steps, each a first half that never dips below the axis
+    followed by its mirror.  Both in lexicographic order ('f' < 'r').
+
+    Each path (first half) joins a head of a = length // 2 steps to a tail
+    from the head's end height h.  All heads have one length, so the heads
+    in order, each followed by its tails in order, list the paths in order;
+    mirroring keeps it.  Given `uppers`, each path's valley-flip ranks are
+    appended, left to right: a flip at x, height v, adds `shift[x][v]` to
+    the path's rank.  The valleys are the head's, the junction at a (height
+    h) when the head ends in 'f' and the tail starts with 'r', then the
+    tail's, so each head's and tail's shifts are found once.  A first half
+    that ends in 'f' also has the central valley, at `length`.
     """
     if length < 0:
         raise ValueError(f"negative length {length}")
-    out: list[str] = []
-    ranked = uppers is not None
-    shift = _flip_shifts(length // 2) if ranked else None
-    flips: list[int] = []
-
-    def extend(prefix: list[str], h: int, left: int, valley: bool) -> None:
-        # `valley`: the recursion ranks flips and the last step was a fall.
-        if left == 0:
-            if ranked:
-                rank = len(out)
-                uppers.append([rank + s for s in flips])
-            out.append(finish("".join(prefix)))
-            return
-        if h > 0:
-            prefix.append(FALL)
-            extend(prefix, h - 1, left - 1, ranked)
-            prefix.pop()
-        if h < left or not closed:
-            if valley:
-                flips.append(shift[len(prefix)][h])
-            prefix.append(RISE)
-            extend(prefix, h + 1, left - 1, False)
-            prefix.pop()
-            if valley:
-                flips.pop()
-
-    extend([], 0, length, False)
-    # The recursive closure refers to itself, a cycle that would keep `out`,
-    # and every element in it, until the next full collection.
-    del extend
-    return out
+    a = length // 2
+    heads = _steps(a, 0, length, closed)
+    ends = {h for _, h in heads}
+    tails = {h: _steps(length - a, h, length - a, closed) for h in ends}
+    if uppers is not None:
+        shift = _flip_shifts(a) if closed else _open_shifts(length)
+        # Each tail's shifts, without and with the junction valley; an open
+        # tail is scanned with the rise that starts its mirror.
+        tail_shifts = {}
+        for h, group in tails.items():
+            plain = [
+                _valley_shifts(t if closed else t + RISE, a, h, shift) for t, _ in group
+            ]
+            junction = [
+                [shift[a][h]] + s if t.startswith(RISE) else s
+                for (t, _), s in zip(group, plain)
+            ]
+            tail_shifts[h] = plain, junction
+        rows = (
+            hs + ts
+            for head, h in heads
+            for hs in [_valley_shifts(head, 0, 0, shift)]
+            for ts in tail_shifts[h][head.endswith(FALL)]
+        )
+        # one shared int per rank: an int per cover would fragment the heap
+        ranks = list(range(sum(len(tails[h]) for _, h in heads)))
+        uppers.extend([ranks[rank + s] for s in row] for rank, row in enumerate(rows))
+    if closed:
+        return [head + tail for head, h in heads for tail, _ in tails[h]]
+    middles = {h: [t + _mirror(t) for t, _ in group] for h, group in tails.items()}
+    return [
+        head + middle + end
+        for head, h in heads
+        for end in [_mirror(head)]
+        for middle in middles[h]
+    ]
 
 
 @last_size_cache
@@ -154,17 +185,10 @@ def all_paths(m: int) -> tuple[str, ...]:
     return tuple(_prefixes(2 * m, closed=True))
 
 
-_MIRROR = str.maketrans(RISE + FALL, FALL + RISE)
-
-
 @last_size_cache
 def symmetric_paths(n: int) -> tuple[str, ...]:
-    """Paths of semi-length 2n symmetric about the midpoint, sorted.
-
-    Each is a first half of 2n steps followed by its reversed complement;
-    distinct first halves of one length keep their order when extended.
-    """
-    return tuple(_prefixes(2 * n, False, lambda p: p + p[::-1].translate(_MIRROR)))
+    """Paths of semi-length 2n symmetric about the midpoint, sorted."""
+    return tuple(_prefixes(2 * n, False))
 
 
 def _finishes(k: int, h: int) -> int:
@@ -174,6 +198,14 @@ def _finishes(k: int, h: int) -> int:
     if r < 0 or odd:
         return 0
     return math.comb(k, r) - (math.comb(k, r - 1) if r else 0)
+
+
+def _open_finishes(k: int, h: int) -> int:
+    """Ways to go k steps from height h, ending anywhere, without dipping
+    below the axis: C(k, r) - C(k, r - h - 1) with r falls (reflection),
+    summed over r <= R = (h + k) // 2, telescopes to C(k, R - h) + ... + C(k, R)."""
+    top = (h + k) // 2
+    return sum(math.comb(k, r) for r in range(max(0, top - h), top + 1))
 
 
 def _flip_shifts(m: int) -> list[list[int]]:
@@ -188,6 +220,17 @@ def _flip_shifts(m: int) -> list[list[int]]:
     return [[_finishes(2 * m - x - 1, v + 1) for v in range(m + 1)] for x in range(2 * m)]
 
 
+def _open_shifts(length: int) -> list[list[int]]:
+    """shift[x][v] as in `_flip_shifts`, for the first halves of `length`
+    steps of `symmetric_paths`: an off-center valley flips with its mirror,
+    so the first half changes as a path does but finishes anywhere; the
+    central valley, at x = length, turns the last fall into a rise: 1."""
+    return [
+        [_open_finishes(length - x - 1, v + 1) for v in range(length + 1)]
+        for x in range(length)
+    ] + [[1] * (length + 1)]
+
+
 @memoised_builder
 def j_a_lattice(m: int, validate: bool = True) -> FiniteLattice:
     """Ideal lattice on all paths of semi-length m; covers flip one valley."""
@@ -196,33 +239,18 @@ def j_a_lattice(m: int, validate: bool = True) -> FiniteLattice:
     return FiniteLattice.from_uppers(elements, uppers, validate)
 
 
-def _flip_orbit(path: str, x: int) -> str:
-    """Flip the valley at x and, when off-center, its mirror valley."""
-    m2 = len(path)
-    out = _flip_valley(path, x)
-    if x != m2 // 2:
-        out = _flip_valley(out, m2 - x)
-    return out
-
-
 @memoised_builder
 def j_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     """Ideal lattice on symmetric paths of semi-length 2n.
 
     Covers flip the central valley alone or a mirror pair of valleys, so the
     result stays symmetric; meets and joins agree with the ambient type-A
-    lattice, which the tests check.
+    lattice, which the tests check.  A symmetric path's rank is its first
+    half's, so the covers are ranked from the first halves.
     """
-    elements = symmetric_paths(n)
-    return FiniteLattice.from_uppers(
-        elements, index_uppers(elements, _j_b_upper_covers), validate
-    )
-
-
-def _j_b_upper_covers(path: str) -> list[str]:
-    """Flip each valley orbit whose left valley is at most the midpoint."""
-    mid = len(path) // 2
-    return [_flip_orbit(path, x) for x in valleys(path) if x <= mid]
+    uppers: list[list[int]] = []
+    elements = _prefixes(2 * n, False, uppers)
+    return FiniteLattice.from_uppers(elements, uppers, validate)
 
 
 # --- image characterization and direct statistics -----------------------------
@@ -242,21 +270,33 @@ def image_predicate_b(path: str) -> bool:
     return image_predicate_a(path)
 
 
+def _flippable_peak_count(path: str, stop: int) -> int:
+    """Peaks of height at least 2 with x-coordinate below `stop`.  A peak at
+    x has height 2 * (rises before x) - x."""
+    peak, count = RISE + FALL, 0
+    x = path.find(peak, 0, stop) + 1
+    while x:
+        count += 2 * path.count(RISE, 0, x) - x >= 2
+        x = path.find(peak, x + 1, stop) + 1
+    return count
+
+
 def lower_cover_count_a(path: str) -> int:
     """Lower covers without building the lattice: flippable peaks."""
-    return len(flippable_peaks(path))
+    return _flippable_peak_count(path, len(path))
 
 
 def lower_cover_count_b(path: str) -> int:
     """Flippable peak orbits with x-coordinate at most the midpoint."""
-    mid = semi_length(path)
-    return sum(1 for x in flippable_peaks(path) if x <= mid)
+    return _flippable_peak_count(path, semi_length(path) + 1)
 
 
 def _up_census(paths: tuple[str, ...], lower_cover_count) -> QPoly:
     """q-census of the upward pop image of `paths`, O(#paths)."""
     coeffs: dict[int, int] = {}
-    for z in {flip_valleys_up(p) for p in paths}:
+    valley, peak = FALL + RISE, RISE + FALL
+    # `flip_valleys_up` spelled out: a call per path costs as much as the flip.
+    for z in {p.replace(valley, peak) for p in paths}:
         d = lower_cover_count(z)
         coeffs[d] = coeffs.get(d, 0) + 1
     return QPoly(coeffs)

@@ -342,6 +342,9 @@ def test_criterion_12_largest_admitted_sizes():
         (("verify", "--theorem", "jay-b", "--max-n", "11"),
          cost(THEOREMS["jay-b"].elements(11), lattice=False),
          lambda r: r["totals"] == {"match": 11, "mismatch": 0}),
+        (("verify", "--theorem", "jay-a", "--max-n", "12"),
+         cost(THEOREMS["jay-a"].elements(12), lattice=False),
+         lambda r: r["totals"] == {"match": 13, "mismatch": 0}),
     ]
     notes = []
     for argv, budgeted, check in cases:

@@ -21,12 +21,19 @@ from poplat.dyck import (
     pop_up_polynomial_a,
     pop_up_polynomial_b,
     symmetric_paths,
-    valleys,
 )
 from poplat.errors import GuardError
 from poplat.families import FAMILIES
-from poplat.lattice import QPoly
-from word_stats import half_peak_count, j_a_uppers, peak_count
+from poplat.lattice import QPoly, index_uppers
+from word_stats import (
+    half_peak_count,
+    j_a_uppers,
+    j_b_upper_covers,
+    peak_count,
+    recursive_prefixes,
+    recursive_symmetric_paths,
+    valleys,
+)
 
 
 def elevate(path):
@@ -77,6 +84,14 @@ def test_all_paths_counts():
         assert list(all_paths(m)) == sorted(all_paths(m))
 
 
+def test_joined_paths_match_the_recursive_reference():
+    """The join of two half-tables lists the recursion's paths, in its order."""
+    for m in range(11):
+        assert list(all_paths(m)) == recursive_prefixes(2 * m, True), m
+    for n in range(7):
+        assert list(symmetric_paths(n)) == recursive_symmetric_paths(n), n
+
+
 def test_symmetric_paths():
     for n in range(1, 6):
         paths = symmetric_paths(n)
@@ -109,6 +124,16 @@ def test_ranked_paths_match_the_string_scan_reference():
         paths = _prefixes(2 * m, True, uppers=uppers)
         assert tuple(paths) == all_paths(m)
         assert uppers == j_a_uppers(all_paths(m), m), m
+
+
+def test_j_b_ranks_match_the_spelled_out_covers():
+    """The first halves' valley-flip ranks equal the ranks of the flipped
+    orbits, spelled out and looked up, list by list and in the same order."""
+    for n in range(7):
+        uppers = []
+        paths = _prefixes(2 * n, False, uppers)
+        assert tuple(paths) == symmetric_paths(n)
+        assert uppers == index_uppers(paths, j_b_upper_covers), n
 
 
 def test_j_b_lattice_small():
@@ -203,6 +228,13 @@ def test_lower_cover_counts_match_lattice():
         lat = j_b_lattice(n)
         for p in lat.elements:
             assert len(lat.lower_covers(p)) == lower_cover_count_b(p)
+
+
+def test_lower_cover_counts_match_flippable_peaks():
+    for m in range(11):
+        for p in all_paths(m):
+            assert lower_cover_count_a(p) == len(flippable_peaks(p)), p
+            assert lower_cover_count_b(p) == sum(1 for x in flippable_peaks(p) if x <= m), p
 
 
 def test_image_peaks_all_flippable():

@@ -16,7 +16,7 @@ from poplat.families import FAMILIES
 from poplat.lattice import FiniteLattice, QPoly, memoised_builder
 from poplat.tamari import tam_a_adjacent, tam_a_lattice, tam_b_adjacent, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
-from word_stats import weak_b_covers
+from word_stats import flip_orbit, flip_valley, valleys, weak_b_covers
 
 
 def cover_json(lat, serialize=str):
@@ -244,14 +244,14 @@ def _weak_b_pairs(n):
 def _j_a_pairs(m):
     elements = list(dyck.all_paths(m))
     return elements, [
-        (p, dyck._flip_valley(p, x)) for p in elements for x in dyck.valleys(p)
+        (p, flip_valley(p, x)) for p in elements for x in valleys(p)
     ]
 
 
 def _j_b_pairs(n):
     elements = list(dyck.symmetric_paths(n))
     return elements, [
-        (p, dyck._flip_orbit(p, x)) for p in elements for x in dyck.valleys(p) if x <= 2 * n
+        (p, flip_orbit(p, x)) for p in elements for x in valleys(p) if x <= 2 * n
     ]
 
 

@@ -4,7 +4,9 @@ The program reads cover counts off its lattices and the census shortcuts;
 these plain counts are the tests' independent side of those comparisons.
 The cover functions spell every cover out, or find every valley by a string
 scan, apart from the builders, which read cover ranks off their enumerators;
-the tests hold the builders to them.
+the tests hold the builders to them.  `recursive_prefixes` enumerates the
+Dyck carriers one recursive call per step, apart from the program's join of
+two half-tables.
 """
 from poplat.dyck import FALL, RISE, _flip_shifts, peaks, semi_length
 
@@ -71,6 +73,60 @@ def j_a_uppers(paths, m):
             x = path.find(valley, x + 1) + 1
         up_adj.append(ups)
     return up_adj
+
+
+def recursive_prefixes(length, closed, finish=str):
+    """Step sequences of the given length that never dip below the axis, in
+    lexicographic order ('f' < 'r'); closed ones end on the axis.  Each is
+    passed through `finish` as it is made."""
+    out = []
+
+    def extend(prefix, h, left):
+        if left == 0:
+            out.append(finish("".join(prefix)))
+            return
+        if h > 0:
+            prefix.append(FALL)
+            extend(prefix, h - 1, left - 1)
+            prefix.pop()
+        if h < left or not closed:
+            prefix.append(RISE)
+            extend(prefix, h + 1, left - 1)
+            prefix.pop()
+
+    extend([], 0, length)
+    return out
+
+
+def recursive_symmetric_paths(n):
+    """Paths of semi-length 2n symmetric about the midpoint: each first half
+    of 2n steps followed by its reversed complement."""
+    mirror = str.maketrans(RISE + FALL, FALL + RISE)
+    return recursive_prefixes(2 * n, False, lambda p: p + p[::-1].translate(mirror))
+
+
+def valleys(path):
+    """x-coordinates preceded by a fall and followed by a rise."""
+    return [i + 1 for i in range(len(path) - 1) if path[i] == FALL and path[i + 1] == RISE]
+
+
+def flip_valley(path, x):
+    return path[: x - 1] + RISE + FALL + path[x + 1 :]
+
+
+def flip_orbit(path, x):
+    """Flip the valley at x and, when off-center, its mirror valley."""
+    m2 = len(path)
+    out = flip_valley(path, x)
+    if x != m2 // 2:
+        out = flip_valley(out, m2 - x)
+    return out
+
+
+def j_b_upper_covers(path):
+    """Flip each valley orbit whose left valley is at most the midpoint."""
+    mid = len(path) // 2
+    return [flip_orbit(path, x) for x in valleys(path) if x <= mid]
 
 
 def bounded_ascent_count(word, bound):
