@@ -11,7 +11,6 @@ from .lattice import FiniteLattice, QPoly
 from .words import (
     Word,
     binomial,
-    contains_pattern,
     descending_runs,
     parse_word,
     reduction,
@@ -25,7 +24,6 @@ __all__ = [
     "QPoly",
     "Word",
     "binomial",
-    "contains_pattern",
     "descending_runs",
     "parse_word",
     "reduction",

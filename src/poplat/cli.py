@@ -19,8 +19,11 @@ take no size):
 
 `--no-validate` (skip the lattice-property check) is taken by the
 subcommands that build a lattice of a given size: enumerate, pop-poly, image
-and verify.  It trusts the built instance to be a lattice, which every family
-is; the check only guards the builders.
+and verify, which refuses it for the theorems whose census builds no lattice
+(jay-a, jay-b).  It trusts the built instance to be a lattice, which every
+family is; the check only guards the builders.  `--as-printed` (formula,
+verify) is taken only by a theorem whose printed closed form differs from
+the checked one; the others refuse it.
 
 Formula/theorem names deliberately decouple the user from indexing pitfalls:
 `verify --theorem jay-a --max-n K` checks the closed form at index n against
@@ -57,9 +60,21 @@ def _predicate_for(name: str):
     return predicate
 
 
-def _offered_by(field: str) -> str:
-    """The families whose record fills `field`, for an error message."""
-    return " and ".join(f.name for f in FAMILIES.values() if getattr(f, field))
+def _offered_by(field: str, records: dict = FAMILIES) -> str:
+    """The names of the records that fill `field`, for a message."""
+    return " and ".join(name for name, record in records.items() if getattr(record, field))
+
+
+def _closed_form(records: dict, name: str, as_printed: bool):
+    """The closed form of `records[name]`, or its as-printed variant, which
+    only some records have."""
+    if not as_printed:
+        return records[name].formula
+    if records[name].as_printed is None:
+        raise ValueError(
+            f"--as-printed is available for {_offered_by('as_printed', records)} only"
+        )
+    return records[name].as_printed
 
 
 def _as_json(value: QPoly | int):
@@ -176,23 +191,28 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    theorem = FORMULAS[args.name]
-    value = theorem.formula(theorem.admit_formula(args.n), args.as_printed)
+    formula = _closed_form(FORMULAS, args.name, args.as_printed)
+    value = formula(FORMULAS[args.name].admit_formula(args.n))
     payload = {"command": "formula", "name": args.name, "n": args.n,
                "value": _as_json(value)}
     _emit(payload, args.json, [str(value)])
     return 0
 
 
-def _verify_cases(theorem: str, max_n: int, as_printed: bool, no_validate: bool):
+def _verify_cases(theorem: str, max_n: int, closed_form, validate: bool):
     """Yield (n, computed QPoly or int, formula QPoly or int) per case."""
     t = THEOREMS[theorem]
     for n in range(t.first_n, max_n + 1):
-        yield n, t.census(n, not no_validate), t.formula(n, as_printed)
+        yield n, t.census(n, validate), closed_form(n)
 
 
 def _cmd_verify(args) -> int:
     theorem = THEOREMS[args.theorem]
+    closed_form = _closed_form(THEOREMS, args.theorem, args.as_printed)
+    if args.no_validate and not theorem.builds:
+        raise ValueError(
+            f"--no-validate is available for {_offered_by('builds', THEOREMS)} only"
+        )
     theorem.admit(args.max_n)
     records = []
     lines = []
@@ -200,7 +220,7 @@ def _cmd_verify(args) -> int:
     # Each case's time covers building it (the generator step) and comparing.
     start = time.perf_counter()
     for n, computed, formula in _verify_cases(
-        args.theorem, args.max_n, args.as_printed, args.no_validate
+        args.theorem, args.max_n, closed_form, not args.no_validate
     ):
         matched = computed == formula
         elapsed = time.perf_counter() - start
@@ -308,7 +328,8 @@ def _add_formula(subs) -> None:
     p.add_argument("--name", required=True, choices=tuple(FORMULAS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--as-printed", action="store_true",
-                   help="jay-b only: the displayed sum without the j=0 term")
+                   help="the closed form as the source prints it "
+                   f"({_offered_by('as_printed', FORMULAS)} only)")
 
 
 def _add_verify(subs) -> None:
@@ -317,7 +338,8 @@ def _add_verify(subs) -> None:
     p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--as-printed", action="store_true",
-                   help="jay-b only: expect the documented deviation")
+                   help="check the closed form as the source prints it "
+                   f"({_offered_by('as_printed', THEOREMS)} only)")
 
 
 def _add_series(subs) -> None:
@@ -386,7 +408,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:
-        # ValueError covers the budget, non-lattice and non-interval errors
+        # ValueError covers bad input, a refused size and a non-lattice
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

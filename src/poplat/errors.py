@@ -9,6 +9,3 @@ class GuardError(ValueError):
 class NotALatticeError(ValueError):
     """The cover relation does not define a lattice; carries a witness pair."""
 
-
-class NonIntervalClassError(ValueError):
-    """A congruence class is not an interval of the lattice."""

@@ -102,9 +102,11 @@ class Theorem(NamedTuple):
     formula_name: str
     first_n: int
     census: Callable[[int, bool], Value]  # (n, validate) -> computed value
-    formula: Callable[[int, bool], Value]  # (n, as_printed) -> closed form
+    formula: Callable[[int], Value]  # n -> closed form
     elements: Callable[[int], int]  # elements the census of case n holds
     builds: bool = True  # whether the census builds a lattice of them
+    # n -> the closed form as the source prints it, where that differs
+    as_printed: Callable[[int], Value] | None = None
 
     def admit(self, max_n: int) -> None:
         """Check the cases up to max_n, bounded by the last, against the budget."""
@@ -142,6 +144,9 @@ def _parse_signed(text: str) -> words.Word:
 
 def _parse_tam_a(text: str) -> words.Word:
     word = _parse_permutation(text)
+    if not word:
+        raise ValueError("the empty word is in no type-A Tamari lattice: "
+                         "size n holds words on n+1 letters")
     if not words.avoids_312(word):
         raise ValueError(f"{text!r} is not 312-avoiding")
     return word
@@ -234,26 +239,23 @@ def _weak_census(n: int, validate: bool) -> int:
 THEOREMS: dict[str, Theorem] = {
     t.name: t
     for t in (
-        Theorem("weak", "weak-b", 1, _weak_census,
-                lambda n, as_printed: formulas.weak_b_coefficient(n),
+        Theorem("weak", "weak-b", 1, _weak_census, formulas.weak_b_coefficient,
                 FAMILIES["weak-b"].size),
         Theorem("tam-a", "tam-a", 1, _lattice_census(tamari.tam_a_lattice),
-                lambda n, as_printed: formulas.tam_a_polynomial(n),
-                FAMILIES["tam-a"].size),
+                formulas.tam_a_polynomial, FAMILIES["tam-a"].size),
         Theorem("tam-b", "tam-b", 1, _lattice_census(tamari.tam_b_lattice),
-                lambda n, as_printed: formulas.tam_b_polynomial(n),
-                FAMILIES["tam-b"].size),
+                formulas.tam_b_polynomial, FAMILIES["tam-b"].size),
         # Both ideal-lattice theorems count the upward image on the paths
         # themselves, O(#paths), without building a lattice.  At index n the
         # type-A form counts paths of semi-length n + 2.
         Theorem("jay-a", "jay-a", 0,
                 lambda n, validate: dyck.pop_up_polynomial_a(n + 2),
-                lambda n, as_printed: formulas.j_a_polynomial(n),
-                lambda n: _catalan(n + 2), builds=False),
+                formulas.j_a_polynomial, lambda n: _catalan(n + 2), builds=False),
+        # As printed, the inner sum starts at j = 1 and misses (-1)^n q^n.
         Theorem("jay-b", "jay-b", 1,
                 lambda n, validate: dyck.pop_up_polynomial_b(n),
-                lambda n, as_printed: formulas.j_b_polynomial(n, include_j0=not as_printed),
-                FAMILIES["j-b"].size, builds=False),
+                formulas.j_b_polynomial, FAMILIES["j-b"].size, builds=False,
+                as_printed=lambda n: formulas.j_b_polynomial(n, include_j0=False)),
     )
 }
 

@@ -23,17 +23,17 @@ None, so looking it up raises NotALatticeError.  A mask has one bit per
 irreducible of its half (45 at j-a 10, 722 at weak-b 6), where a full
 downset has one bit per element.
 
-The lookup does not prove that a poset is a lattice: validation and
-congruence classes build full-width downset tables for the duration of the
-call and free them.  All queries are pure; instances are immutable after
-build and safe to share.
+The lookup does not prove that a poset is a lattice: validation, the only
+caller that builds a full-width table, builds its upset table for the
+duration of the check and frees it.  All queries are pure; instances are
+immutable after build and safe to share.
 """
 from __future__ import annotations
 
 from functools import wraps
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import NonIntervalClassError, NotALatticeError
+from .errors import NotALatticeError
 
 
 class QPoly:
@@ -430,70 +430,6 @@ class FiniteLattice:
     def pop_image(self, direction: str = "down") -> set:
         image = self._image(direction, range(len(self.elements)))
         return {self.elements[i] for i in image}
-
-    # -- congruences ---------------------------------------------------------
-
-    def congruence_classes(
-        self, adjacency: Callable[[Hashable], Iterable[Hashable]]
-    ) -> dict:
-        """Map every element to the minimum of its class.
-
-        Classes are the connected components of the symmetric closure of
-        `adjacency`.  Each class must be an interval of the lattice (unique
-        minimum, unique maximum, and equal to the full segment between them).
-        """
-        n = len(self.elements)
-        last = n - 1
-        parent = list(range(n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for x in self.elements:
-            i = self._index[x]
-            for y in adjacency(x):
-                ra, rb = find(i), find(self._index[y])
-                if ra != rb:
-                    parent[ra] = rb
-
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-
-        down, up = _closure(self._lowers), _closure(self._uppers)
-        projection: dict = {}
-        for members in groups.values():
-            class_mask = up_mask = 0
-            for i in members:
-                class_mask |= 1 << i
-                up_mask |= 1 << (last - i)
-            minima = [i for i in members if (down[i] & class_mask) == 1 << i]
-            maxima = [
-                i for i in members if (up[last - i] & up_mask) == 1 << (last - i)
-            ]
-            if len(minima) != 1 or len(maxima) != 1:
-                raise NonIntervalClassError(
-                    f"class {sorted(self.elements[i] for i in members)!r} has "
-                    f"{len(minima)} minimal and {len(maxima)} maximal elements"
-                )
-            lo = minima[0]
-            # With a unique minimum and maximum the class lies in the segment
-            # between them; it fills the segment iff no member has a lower
-            # cover outside the class that is still above the minimum.
-            if any(
-                not class_mask >> c & 1 and down[c] >> lo & 1
-                for i in members
-                for c in self._lowers[i]
-            ):
-                raise NonIntervalClassError(
-                    f"class of {self.elements[lo]!r} is not an interval"
-                )
-            for i in members:
-                projection[self.elements[i]] = self.elements[lo]
-        return projection
 
 
 def last_size_cache(fn: Callable[[int], object]):

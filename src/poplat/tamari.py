@@ -30,13 +30,10 @@ The type-A carrier is read off a stack in lexicographic order.  The type-B
 carrier is the closure of the top word under lower covers, sorted: in a
 finite lattice every element lies on a chain of covers below the top.
 
-Projections to the carrier are computed two independent ways that the tests
-force to agree:
-
-* rewriting: repeatedly swap the high pair of the leftmost adjacent-descent
-  pattern occurrence (together with its mirror in type B) until none applies;
-* class minimum: connected components of the congruence adjacency inside the
-  ambient weak order, each an interval whose minimum is the projection.
+A projection to the carrier rewrites: it repeatedly makes the leftmost
+congruence move (together with its mirror in type B) until none applies.
+The tests check it against the class minimum of the congruence inside the
+ambient weak order.
 """
 from __future__ import annotations
 
@@ -45,7 +42,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .lattice import FiniteLattice, last_size_cache, memoised_builder
 from .signed import complement_reverse, half_decomposition, validate_signed
-from .weak import weak_a_lattice, weak_b_lattice
 from .words import (
     Word,
     avoids_312,
@@ -215,29 +211,7 @@ def tam_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     return _quotient_lattice(*_tam_b_closure(n), validate)
 
 
-# --- congruence adjacency and projections ------------------------------------
-
-
-def tam_a_adjacent(p: Word) -> list[Word]:
-    """One-step congruence moves: swap adjacent (c, a) with witness a<b<c after."""
-    out = []
-    for i in range(len(p) - 1):
-        c, a = p[i], p[i + 1]
-        if c > a and any(a < b < c for b in p[i + 2 :]):
-            q = list(p)
-            q[i], q[i + 1] = a, c
-            out.append(tuple(q))
-    return out
-
-
-def _signed_double_swap(x: Word, i: int) -> Word:
-    """Swap positions (i, i+1), 0-based, together with the mirrored pair."""
-    y = list(x)
-    y[i], y[i + 1] = y[i + 1], y[i]
-    mi = len(x) - 2 - i
-    if mi != i:
-        y[mi], y[mi + 1] = y[mi + 1], y[mi]
-    return tuple(y)
+# --- projections --------------------------------------------------------------
 
 
 def _positions(x: Word) -> list[int]:
@@ -268,16 +242,6 @@ def _movable(x: Word, pos: list[int], i: int) -> bool:
         if pos[b] >= j:
             return True
     return False
-
-
-def tam_b_adjacent(x: Word) -> list[Word]:
-    """One-step congruence moves in the signed weak order (with mirror swaps)."""
-    pos = _positions(x)
-    return [
-        _signed_double_swap(x, i)
-        for i in range(len(x) - 1)
-        if _movable(x, pos, i)
-    ]
 
 
 def project_tam_a(p: Word) -> Word:
@@ -328,15 +292,6 @@ def _rewrite_tam_b(y: list[int]) -> Word:
     return tuple(y)
 
 
-def project_tam_a_by_classes(n: int) -> dict[Word, Word]:
-    """Class-minimum oracle over the full weak order on S_{n+1}."""
-    return weak_a_lattice(n + 1).congruence_classes(tam_a_adjacent)
-
-
-def project_tam_b_by_classes(n: int) -> dict[Word, Word]:
-    return weak_b_lattice(n).congruence_classes(tam_b_adjacent)
-
-
 # --- pop --------------------------------------------------------------------
 
 
@@ -385,25 +340,6 @@ def tam_b_image_predicate(x: Word) -> bool:
     return all(
         hong_image_predicate(reduction(block.values))
         for block in half_decomposition(x).blocks
-    )
-
-
-def tam_b_image_predicate_as_printed(x: Word) -> bool:
-    """Literal mixed-statement variant: block condition evaluated on pop(x).
-
-    Kept for documentation; it wrongly accepts some non-image elements
-    (smallest case: 2143 at rank 2), which the tests pin down.
-    """
-    x = validate_signed(x)
-    n = len(x) // 2
-    if n == 0:
-        return True
-    if index_of(x, 2 * n) < n + 1:
-        return False
-    popped = pop_tam_b(x)
-    return all(
-        hong_image_predicate(reduction(block.values))
-        for block in half_decomposition(popped).blocks
     )
 
 
@@ -474,53 +410,3 @@ def preimage_tam_b(x: Word) -> Word:
     y = validate_signed(tuple(itertools.chain.from_iterable(parts)))
     assert pop_tam_b(y) == x, (x, y)
     return y
-
-
-# --- congruence chain construction ---------------------------------------------
-
-
-def adjacency_chain(x: Word, y: Word, z: Word) -> list[Word]:
-    """Lift a single type-A congruence move to a chain of type-B moves.
-
-    Given adjacent x -> y in the type-A congruence (swap of one adjacent
-    descent with a later witness) and z whose large-entry pattern is x, walk
-    the high value rightward past the small entries separating it from its
-    partner, then swap the pair; every step is a legal type-B move and the
-    endpoint's large-entry pattern is y.
-    """
-    x = check_permutation(x)
-    y = check_permutation(y)
-    z = validate_signed(z)
-    n = len(z) // 2
-    diff = [i for i in range(len(x)) if x[i] != y[i]]
-    if len(diff) != 2 or diff[1] != diff[0] + 1:
-        raise ValueError("x and y must differ by one adjacent swap")
-    i = diff[0]
-    c, a = x[i], x[i + 1]
-    if not (a < c and y[i] == a and y[i + 1] == c):
-        raise ValueError("x -> y must swap a descent (c, a) to (a, c)")
-    if not any(a < b < c for b in x[i + 2 :]):
-        raise ValueError("no witness between the swapped values occurs later")
-    if reduction(half_decomposition(z).half) != x:
-        raise ValueError("z's large-entry pattern must equal x")
-
-    big_c, big_a = c + n, a + n
-    chain = [z]
-    cur = z
-    while True:
-        pos = cur.index(big_c)
-        if cur[pos + 1] == big_a:
-            break
-        if cur[pos + 1] > n:
-            raise ValueError("unexpected large entry between the pair")
-        if not _movable(cur, _positions(cur), pos):
-            raise ValueError(f"illegal intermediate move at {cur}")
-        cur = _signed_double_swap(cur, pos)
-        chain.append(cur)
-    pos = cur.index(big_c)
-    if not _movable(cur, _positions(cur), pos):
-        raise ValueError(f"final swap not legal at {cur}")
-    cur = _signed_double_swap(cur, pos)
-    chain.append(cur)
-    assert reduction(half_decomposition(cur).half) == y, (cur, y)
-    return chain

@@ -1,0 +1,255 @@
+"""The tests' reference lattice and the family builders' key-pair oracle.
+
+`ReferenceLattice` is the kernel's first construction, kept as the oracle
+that `FiniteLattice` is cross-checked against; its `congruence_classes` is
+the only implementation of congruence classes.  `KEY_PAIRS` spells out each
+family's elements and cover pairs as keys from its own cover functions.
+"""
+import itertools
+from collections import deque
+
+from poplat import dyck, signed, tamari, weak
+from poplat.dyck import j_a_lattice, j_b_lattice
+from poplat.errors import NotALatticeError
+from poplat.lattice import QPoly
+from poplat.tamari import tam_a_lattice, tam_b_lattice
+from poplat.weak import weak_a_lattice, weak_b_lattice
+from word_stats import flip_orbit, flip_valley, valleys, weak_b_covers
+
+
+class NonIntervalClassError(ValueError):
+    """A congruence class is not an interval of the lattice."""
+
+
+# --- reference oracle ----------------------------------------------------------
+# The kernel's first construction: covers deduplicated as key pairs and looked
+# up through a key dict, both cover lists sorted, and the order kept as
+# forward-indexed masks along one Kahn linear extension: down[i] holds bit j
+# for every j <= i below i, up[i] bit j for every j >= i above i (so every
+# upset is full width).  Queries go through keys one element at a time.  It
+# shares no code with `FiniteLattice` and never validates.
+
+
+def reference_order(elements, covers):
+    """Kahn's linear extension of the deduplicated covers, as the element
+    tuple and each element's sorted lower and upper cover indices in it."""
+    keys = list(elements)
+    tmp_index = {k: i for i, k in enumerate(keys)}
+    up_adj = [[] for _ in keys]
+    down_adj = [[] for _ in keys]
+    seen = set()
+    for lo, hi in covers:
+        pair = (tmp_index[lo], tmp_index[hi])
+        if pair in seen:
+            continue
+        seen.add(pair)
+        up_adj[pair[0]].append(pair[1])
+        down_adj[pair[1]].append(pair[0])
+    indegree = [len(down_adj[i]) for i in range(len(keys))]
+    queue = deque(i for i, d in enumerate(indegree) if d == 0)
+    topo = []
+    while queue:
+        i = queue.popleft()
+        topo.append(i)
+        for j in up_adj[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                queue.append(j)
+    if len(topo) != len(keys):
+        raise NotALatticeError("cycle detected in cover relation")
+    order = tuple(keys[i] for i in topo)
+    index = {k: i for i, k in enumerate(order)}
+    lowers = [tuple(sorted(index[keys[j]] for j in down_adj[old])) for old in topo]
+    uppers = [tuple(sorted(index[keys[j]] for j in up_adj[old])) for old in topo]
+    return order, lowers, uppers
+
+
+class ReferenceLattice:
+    def __init__(self, elements, covers):
+        self.elements, self.lowers, self.uppers = reference_order(elements, covers)
+        self.index = {k: i for i, k in enumerate(self.elements)}
+        n = len(self.elements)
+        self.down = [0] * n
+        for i in range(n):
+            mask = 1 << i
+            for j in self.lowers[i]:
+                mask |= self.down[j]
+            self.down[i] = mask
+        self.up = [0] * n
+        for i in range(n - 1, -1, -1):
+            mask = 1 << i
+            for j in self.uppers[i]:
+                mask |= self.up[j]
+            self.up[i] = mask
+        bottoms = sum(1 for c in self.lowers if not c)
+        tops = sum(1 for c in self.uppers if not c)
+        if n and (bottoms != 1 or tops != 1):
+            raise NotALatticeError(f"{bottoms} minimal and {tops} maximal elements")
+
+    def cover_pairs(self):
+        return [(self.elements[i], self.elements[j])
+                for i in range(len(self.elements)) for j in self.uppers[i]]
+
+    def upper_covers(self, x):
+        return tuple(self.elements[j] for j in self.uppers[self.index[x]])
+
+    def lower_covers(self, x):
+        return tuple(self.elements[j] for j in self.lowers[self.index[x]])
+
+    def leq(self, x, y):
+        return bool(self.down[self.index[y]] >> self.index[x] & 1)
+
+    def _meet_mask(self, mask):
+        top_bit = mask.bit_length() - 1
+        return top_bit if self.down[top_bit] == mask else None
+
+    def _join_mask(self, mask):
+        low_bit = (mask & -mask).bit_length() - 1
+        return low_bit if self.up[low_bit] == mask else None
+
+    def meet(self, *xs):
+        mask = -1
+        for x in xs:
+            mask &= self.down[self.index[x]]
+        got = self._meet_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no meet of {xs!r}")
+        return self.elements[got]
+
+    def join(self, *xs):
+        mask = -1
+        for x in xs:
+            mask &= self.up[self.index[x]]
+        got = self._join_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no join of {xs!r}")
+        return self.elements[got]
+
+    def pop_down(self, x):
+        i = self.index[x]
+        mask = self.down[i]
+        for j in self.lowers[i]:
+            mask &= self.down[j]
+        got = self._meet_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no meet of the lower covers of {x!r}")
+        return self.elements[got]
+
+    def pop_up(self, x):
+        i = self.index[x]
+        mask = self.up[i]
+        for j in self.uppers[i]:
+            mask &= self.up[j]
+        got = self._join_mask(mask)
+        if got is None:
+            raise NotALatticeError(f"no join of the upper covers of {x!r}")
+        return self.elements[got]
+
+    def pop_image(self, direction):
+        op = self.pop_down if direction == "down" else self.pop_up
+        return {op(x) for x in self.elements}
+
+    def pop_polynomial(self, direction):
+        covers = self.uppers if direction == "down" else self.lowers
+        coeffs = {}
+        for z in self.pop_image(direction):
+            d = len(covers[self.index[z]])
+            coeffs[d] = coeffs.get(d, 0) + 1
+        return QPoly(coeffs)
+
+    def congruence_classes(self, adjacency):
+        n = len(self.elements)
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for x in self.elements:
+            for y in adjacency(x):
+                ra, rb = find(self.index[x]), find(self.index[y])
+                if ra != rb:
+                    parent[ra] = rb
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        projection = {}
+        for members in groups.values():
+            class_mask = sum(1 << i for i in members)
+            minima = [i for i in members if (self.down[i] & class_mask) == 1 << i]
+            maxima = [i for i in members if (self.up[i] & class_mask) == 1 << i]
+            if len(minima) != 1 or len(maxima) != 1:
+                raise NonIntervalClassError(
+                    f"class {sorted(self.elements[i] for i in members)!r} has "
+                    f"{len(minima)} minimal and {len(maxima)} maximal elements"
+                )
+            lo, hi = minima[0], maxima[0]
+            if (self.up[lo] & self.down[hi]) != class_mask:
+                raise NonIntervalClassError(
+                    f"class of {self.elements[lo]!r} is not an interval"
+                )
+            for i in members:
+                projection[self.elements[i]] = self.elements[lo]
+        return projection
+
+
+def reference_build(elements, covers):
+    """The kernel's first `FiniteLattice.build`, without the lattice check."""
+    return ReferenceLattice(elements, covers)
+
+
+# --- key-pair oracle of the family builders ------------------------------------
+# Each family's elements and (lower, upper) cover pairs, spelled out as keys
+# from its own cover functions.  Through `reference_build` they give the
+# lattice that the family's index-space builder must reproduce, element order
+# and cover lists included.
+
+
+def _inversions(p):
+    return sum(a > b for a, b in itertools.combinations(p, 2))
+
+
+def _tamari_pairs(elements, lower_covers):
+    """Deduplicated pairs sorted by (inversions, word) of the upper end, then
+    of the lower one."""
+    ranked = sorted(elements, key=lambda p: (_inversions(p), p))
+    rank = {p: r for r, p in enumerate(ranked)}
+    pairs = {(w, y) for y in elements for w in lower_covers(y)}
+    return list(elements), sorted(pairs, key=lambda pair: (rank[pair[1]], rank[pair[0]]))
+
+
+def _weak_a_pairs(n):
+    elements = sorted(itertools.permutations(range(1, n + 1)))
+    return elements, [(p, q) for p in elements for q in weak.weak_a_covers(p)]
+
+
+def _weak_b_pairs(n):
+    elements = list(signed.enumerate_signed(n))
+    return elements, [(x, y) for x in elements for y in weak_b_covers(x)]
+
+
+def _j_a_pairs(m):
+    elements = list(dyck.all_paths(m))
+    return elements, [
+        (p, flip_valley(p, x)) for p in elements for x in valleys(p)
+    ]
+
+
+def _j_b_pairs(n):
+    elements = list(dyck.symmetric_paths(n))
+    return elements, [
+        (p, flip_orbit(p, x)) for p in elements for x in valleys(p) if x <= 2 * n
+    ]
+
+
+# builder -> n -> (elements, cover pairs) of its lattice of size n
+KEY_PAIRS = {
+    weak_a_lattice: _weak_a_pairs,
+    weak_b_lattice: _weak_b_pairs,
+    tam_a_lattice: lambda n: _tamari_pairs(tamari.tam_a_elements(n), tamari.tam_a_lower_covers),
+    tam_b_lattice: lambda n: _tamari_pairs(tamari.tam_b_elements(n), tamari.tam_b_lower_covers),
+    j_a_lattice: _j_a_pairs,
+    j_b_lattice: _j_b_pairs,
+}

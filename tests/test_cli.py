@@ -11,10 +11,10 @@ import pytest
 
 from poplat import cli, dyck, weak
 from poplat.cli import main
-from poplat.families import FAMILIES, MAX_ORDER, SERIES, THEOREMS
+from poplat.families import FAMILIES, FORMULAS, MAX_ORDER, SERIES, THEOREMS
 from poplat.lattice import FiniteLattice
 from poplat.words import format_word
-from test_lattice import KEY_PAIRS, reference_build
+from reference import KEY_PAIRS, reference_build
 from test_tamari import filtered_tam_b_elements, transitive_reduction_lattice
 
 
@@ -262,6 +262,12 @@ def test_guard_errors_exit_2(capsys):
     code, _, err = run(capsys, "pop", "--lattice", "j-a", "--x", "rfx")
     assert code == 2
 
+    # tam-a of size n holds words on n+1 letters, so no size holds the empty word
+    message = ("error: the empty word is in no type-A Tamari lattice: "
+               "size n holds words on n+1 letters\n")
+    for argv in (["pop", "--up"], ["pop"], ["preimage"]):
+        assert run(capsys, *argv, "--lattice", "tam-a", "--x", "", "--json") == (2, "", message)
+
 
 def test_verify_tam_b_past_the_guard_exits_2(capsys):
     # n = 9 is the largest type-B case the budget admits; --max-n 10 is
@@ -459,7 +465,26 @@ def test_no_validate_only_where_a_lattice_is_built(capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, *args, "--no-validate"])
         assert exc.value.code == 2
-    capsys.readouterr()
+    # The knobs a record has no use for are refused by name: the ideal-lattice
+    # censuses build no lattice, and only jay-b has an as-printed closed form.
+    knobs = {
+        "verify --theorem jay-a --max-n 2 --no-validate":
+            "--no-validate is available for weak and tam-a and tam-b only",
+        "verify --theorem jay-b --max-n 2 --no-validate":
+            "--no-validate is available for weak and tam-a and tam-b only",
+    }
+    for name in THEOREMS:
+        if name != "jay-b":
+            knobs[f"verify --theorem {name} --max-n 2 --as-printed"] = (
+                "--as-printed is available for jay-b only")
+    for name in FORMULAS:
+        if name != "jay-b":
+            knobs[f"formula --name {name} --n 2 --as-printed"] = (
+                "--as-printed is available for jay-b only")
+    for argv, message in knobs.items():
+        assert run(capsys, *argv.split()[:-1], "--json")[0] == 0, argv
+        assert run(capsys, *argv.split(), "--json") == (2, "", f"error: {message}\n"), argv
+    assert run(capsys, "formula", "--name", "jay-b", "--n", "2", "--as-printed")[0] == 0
 
 
 def test_size_flag_only_where_a_family_is_sized(capsys):

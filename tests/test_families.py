@@ -72,7 +72,8 @@ def refuse_all_work(monkeypatch):
         monkeypatch.setitem(FAMILIES, name, family._replace(build=refuse, first_entry_census=census))
     for theorems in (THEOREMS, FORMULAS):
         for name, theorem in theorems.items():
-            monkeypatch.setitem(theorems, name, theorem._replace(census=refuse, formula=refuse))
+            monkeypatch.setitem(theorems, name, theorem._replace(
+                census=refuse, formula=refuse, as_printed=theorem.as_printed and refuse))
     for name, record in SERIES.items():
         monkeypatch.setitem(SERIES, name, record._replace(solve=refuse))
 

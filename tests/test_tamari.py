@@ -11,36 +11,38 @@ from poplat.lattice import FiniteLattice
 from poplat.signed import enumerate_signed, half_decomposition
 from poplat.tamari import (
     _rewrite_tam_b,
-    adjacency_chain,
     hong_image_predicate,
     pop_tam_a,
     pop_tam_b,
     preimage_ending_in_one,
     preimage_tam_b,
     project_tam_a,
-    project_tam_a_by_classes,
     project_tam_b,
-    project_tam_b_by_classes,
     tam_a_elements,
     tam_a_lattice,
     tam_a_lower_covers,
-    tam_b_adjacent,
     tam_b_elements,
     tam_b_image_predicate,
-    tam_b_image_predicate_as_printed,
     tam_b_lattice,
     tam_b_lower_covers,
 )
 from poplat.words import (
-    P312,
-    P312_STAR,
     avoids_312,
     avoids_312_star,
-    contains_pattern,
     index_of,
     reduction,
     reverse_runs,
 )
+from congruence import (
+    adjacency_chain,
+    movable_b,
+    project_tam_a_by_classes,
+    project_tam_b_by_classes,
+    tam_a_adjacent,
+    tam_b_adjacent,
+    tam_b_image_predicate_as_printed,
+)
+from patterns import P312, P312_STAR, contains_pattern
 from word_stats import (
     bounded_ascent_count,
     descent_count,
@@ -230,24 +232,12 @@ def restart_project_tam_a(p):
             return tuple(p)
 
 
-def _restart_movable_b(x, i):
-    n = len(x) // 2
-    c, a = x[i], x[i + 1]
-    if c <= a:
-        return False
-    pos = {v: t for t, v in enumerate(x)}
-    return any(
-        (b >= n + 1 and pos[b] >= i + 1) or (b <= n and pos[b] <= i + 1)
-        for b in range(a + 1, c)
-    )
-
-
 def restart_project_tam_b(x):
     x = list(x)
     last = len(x) - 1
     while True:
         for i in range(last):
-            if _restart_movable_b(x, i):
+            if movable_b(x, i):
                 for k in {i, last - 1 - i}:
                     x[k], x[k + 1] = x[k + 1], x[k]
                 break
@@ -574,8 +564,6 @@ def test_adjacency_chain_single_step():
 
 def test_adjacency_chain_sweep_rank3():
     from itertools import permutations
-
-    from poplat.tamari import tam_a_adjacent
 
     by_pattern = {}
     for z in enumerate_signed(3):

@@ -3,6 +3,16 @@ import itertools
 import pytest
 
 from poplat.words import (
+    binomial,
+    descending_runs,
+    format_word,
+    has_double_descent,
+    index_of,
+    parse_word,
+    reduction,
+    reverse_runs,
+)
+from patterns import (
     LARGE,
     P213_STAR,
     P231_STAR,
@@ -14,15 +24,7 @@ from poplat.words import (
     VINCULAR_312,
     VINCULAR_312_STAR,
     PatternSpec,
-    binomial,
     contains_pattern,
-    descending_runs,
-    format_word,
-    has_double_descent,
-    index_of,
-    parse_word,
-    reduction,
-    reverse_runs,
 )
 from word_stats import bounded_ascent_count, descent_count
 
