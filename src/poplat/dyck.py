@@ -124,6 +124,26 @@ def _mirror(steps: str) -> str:
     return steps[::-1].translate(_MIRROR)
 
 
+def _halves(length: int, closed: bool) -> tuple[int, list, dict]:
+    """(a, heads, tails) of the join that `_prefixes` describes: the heads of
+    a = length // 2 steps, as (steps, end height), and per end height h the
+    steps of the tails from h, each list in lexicographic order."""
+    if length < 0:
+        raise ValueError(f"negative length {length}")
+    a = length // 2
+    heads = _steps(a, 0, length, closed)
+    ends = {h for _, h in heads}
+    return a, heads, {h: [t for t, _ in _steps(length - a, h, length - a, closed)] for h in ends}
+
+
+def _tail_shifts(closed: bool, a: int, h: int, tails: list[str], shift) -> tuple[list, list]:
+    """The valley shifts of each of `tails`, which start at a, height h:
+    without and with the junction valley at a.  An open tail is scanned with
+    the rise that starts its mirror, which finds the central valley."""
+    plain = [_valley_shifts(t if closed else t + RISE, a, h, shift) for t in tails]
+    return plain, [[shift[a][h]] + s if t.startswith(RISE) else s for t, s in zip(tails, plain)]
+
+
 def _prefixes(length: int, closed: bool, uppers: list | None = None) -> list[str]:
     """Closed: the paths of `length` steps.  Open: the symmetric paths of
     2 * `length` steps, each a first half that never dips below the axis
@@ -139,38 +159,21 @@ def _prefixes(length: int, closed: bool, uppers: list | None = None) -> list[str
     tail's, so each head's and tail's shifts are found once.  A first half
     that ends in 'f' also has the central valley, at `length`.
     """
-    if length < 0:
-        raise ValueError(f"negative length {length}")
-    a = length // 2
-    heads = _steps(a, 0, length, closed)
-    ends = {h for _, h in heads}
-    tails = {h: _steps(length - a, h, length - a, closed) for h in ends}
+    a, heads, tails = _halves(length, closed)
     if uppers is not None:
         shift = _flip_shifts(a) if closed else _open_shifts(length)
-        # Each tail's shifts, without and with the junction valley; an open
-        # tail is scanned with the rise that starts its mirror.
-        tail_shifts = {}
-        for h, group in tails.items():
-            plain = [
-                _valley_shifts(t if closed else t + RISE, a, h, shift) for t, _ in group
-            ]
-            junction = [
-                [shift[a][h]] + s if t.startswith(RISE) else s
-                for (t, _), s in zip(group, plain)
-            ]
-            tail_shifts[h] = plain, junction
-        rows = (
-            hs + ts
-            for head, h in heads
-            for hs in [_valley_shifts(head, 0, 0, shift)]
-            for ts in tail_shifts[h][head.endswith(FALL)]
-        )
+        tail_shifts = {h: _tail_shifts(closed, a, h, group, shift) for h, group in tails.items()}
         # one shared int per rank: an int per cover would fragment the heap
-        ranks = list(range(sum(len(tails[h]) for _, h in heads)))
-        uppers.extend([ranks[rank + s] for s in row] for rank, row in enumerate(rows))
+        ranks, rank = list(range(sum(len(tails[h]) for _, h in heads))), 0
+        for head, h in heads:
+            hs = _valley_shifts(head, 0, 0, shift)
+            for ts in tail_shifts[h][head.endswith(FALL)]:
+                uppers.append([ranks[rank + s] for s in hs + ts])
+                rank += 1
     if closed:
-        return [head + tail for head, h in heads for tail, _ in tails[h]]
-    middles = {h: [t + _mirror(t) for t, _ in group] for h, group in tails.items()}
+        return [head + tail for head, h in heads for tail in tails[h]]
+    middles = {h: [t + _mirror(t) for t in group] for h, group in tails.items()}
+    del tails  # freed before the paths are joined, which sets the peak
     return [
         head + middle + end
         for head, h in heads
@@ -271,13 +274,14 @@ def image_predicate_b(path: str) -> bool:
 
 
 def _flippable_peak_count(path: str, stop: int) -> int:
-    """Peaks of height at least 2 with x-coordinate below `stop`.  A peak at
-    x has height 2 * (rises before x) - x."""
-    peak, count = RISE + FALL, 0
-    x = path.find(peak, 0, stop) + 1
-    while x:
-        count += 2 * path.count(RISE, 0, x) - x >= 2
-        x = path.find(peak, x + 1, stop) + 1
+    """Peaks of height at least 2 with x-coordinate below `stop`.  Peaks
+    never overlap, and the steps between two of them move the height by
+    2 * (rises) - (steps); a peak is flippable when the height before its
+    rise is at least 1."""
+    h = count = 0
+    for steps in path[:stop].split(RISE + FALL)[:-1]:
+        h += 2 * steps.count(RISE) - len(steps)
+        count += h > 0
     return count
 
 
@@ -291,22 +295,49 @@ def lower_cover_count_b(path: str) -> int:
     return _flippable_peak_count(path, semi_length(path) + 1)
 
 
-def _up_census(paths: tuple[str, ...], lower_cover_count) -> QPoly:
-    """q-census of the upward pop image of `paths`, O(#paths)."""
+def _up_census(length: int, closed: bool, lower_cover_count) -> QPoly:
+    """q-census of the upward pop image of the paths `_prefixes(length,
+    closed)` lists, streamed from its join without holding a path.
+
+    The pop flips every valley at once, and a flip's shift depends only on
+    its valley's position and height, which the other flips leave alone: the
+    image's rank is the path's plus all its valleys' shifts.  Each image rank
+    is marked in one byte per path; the first mark spells the image out and
+    counts its lower covers.
+    """
+    a, heads, tails = _halves(length, closed)
+    shift = _flip_shifts(a) if closed else _open_shifts(length)
+    # per end height, each tail's place among its tails plus its valleys'
+    # shifts, without and with the junction valley
+    offsets = {
+        h: [[i + sum(s) for i, s in enumerate(part)]
+            for part in _tail_shifts(closed, a, h, group, shift)]
+        for h, group in tails.items()
+    }
+    seen = bytearray(sum(len(tails[h]) for _, h in heads))
     coeffs: dict[int, int] = {}
-    valley, peak = FALL + RISE, RISE + FALL
-    # `flip_valleys_up` spelled out: a call per path costs as much as the flip.
-    for z in {p.replace(valley, peak) for p in paths}:
-        d = lower_cover_count(z)
-        coeffs[d] = coeffs.get(d, 0) + 1
+    valley, peak, rank = FALL + RISE, RISE + FALL, 0
+    for head, h in heads:
+        group = tails[h]
+        start = rank + sum(_valley_shifts(head, 0, 0, shift))
+        for tail, offset in zip(group, offsets[h][head.endswith(FALL)]):
+            if not seen[start + offset]:
+                seen[start + offset] = 1
+                path = head + tail
+                if not closed:
+                    path += _mirror(path)
+                d = lower_cover_count(path.replace(valley, peak))
+                coeffs[d] = coeffs.get(d, 0) + 1
+        rank += len(group)
     return QPoly(coeffs)
 
 
 def pop_up_polynomial_a(m: int) -> QPoly:
-    """q-census of the upward pop image over semi-length m."""
-    return _up_census(all_paths(m), lower_cover_count_a)
+    """q-census of the upward pop image over semi-length m, one byte per path."""
+    return _up_census(2 * m, True, lower_cover_count_a)
 
 
 def pop_up_polynomial_b(n: int) -> QPoly:
-    """q-census of the upward pop image over the symmetric paths of rank n."""
-    return _up_census(symmetric_paths(n), lower_cover_count_b)
+    """q-census of the upward pop image over the symmetric paths of rank n,
+    streamed from their first halves, whose ranks are the paths' ranks."""
+    return _up_census(2 * n, False, lower_cover_count_b)

@@ -30,9 +30,10 @@ def cost(elements: int, lattice: bool = True) -> int:
     tables, scratch) plus N^2/8 bytes for full-width masks.  A command-line
     run builds one such table, validation's N^2/16 bytes for the length of
     the check, so that term over-covers it.  A census without a lattice
-    costs 200 B per element.
+    marks each image in one byte per path; a second byte per path and 4 MiB
+    cover its half-tables, which grow as the square root of N.
     """
-    return 4096 * elements + elements * elements // 8 if lattice else 200 * elements
+    return 4096 * elements + elements * elements // 8 if lattice else 2 * elements + (4 << 20)
 
 
 def _check_least(flag: str, n: int, least: int) -> None:

@@ -26,7 +26,8 @@ downset has one bit per element.
 The lookup does not prove that a poset is a lattice: validation, the only
 caller that builds a full-width table, builds its upset table for the
 duration of the check and frees it.  All queries are pure; instances are
-immutable after build and safe to share.
+immutable after build, but for the key index that the first key query
+fills in, and safe to share.
 """
 from __future__ import annotations
 
@@ -128,10 +129,11 @@ def _closure(below: tuple[tuple[int, ...], ...]) -> list[int]:
 
 
 def _irreducible_closure(
-    below: tuple[tuple[int, ...], ...]
+    below: tuple[tuple[int, ...], ...], ids: Sequence[int]
 ) -> tuple[list[int], dict[int, int | None]]:
     """Irreducible-width masks of a half whose covers `below` point to lower
-    indices, and the lookup from a mask to the index it belongs to.
+    indices, and the lookup from a mask to the index it belongs to, taken
+    from `ids` (the shared int of each index).
 
     An entry with exactly one cover below it is irreducible and owns the next
     bit; every mask is the union of the masks below the entry, plus the
@@ -140,7 +142,7 @@ def _irreducible_closure(
     masks: list[int] = []
     lookup: dict[int, int | None] = {}
     bit = 1
-    for i, covers in enumerate(below):
+    for i, covers in zip(ids, below):
         if len(covers) == 1:
             mask = masks[covers[0]] | bit
             bit <<= 1
@@ -171,7 +173,11 @@ class FiniteLattice:
     its `mask -> index` lookup: the down half (`_lowers`, `_down`,
     `_down_lookup`) indexed by element index, and the up half (`_uppers`,
     `_up`, `_up_lookup`) indexed from the top, where position k stands for
-    element n-1-k.
+    element n-1-k.  The cover tuples and both lookups share one int object
+    per index, where an int per cover entry would cost 28 bytes each.  The
+    `key -> index` map (`_index`) is built by the first query that takes a
+    key, so a census or an image never builds it; two threads that race to
+    build it build equal maps.
     """
 
     __slots__ = (
@@ -179,13 +185,13 @@ class FiniteLattice:
         "_down", "_down_lookup", "_up", "_up_lookup",
     )
 
-    def __init__(self, elements, index, uppers, lowers):
+    def __init__(self, elements, uppers, lowers, ids):
         self.elements = elements
-        self._index = index
+        self._index = None
         self._uppers = uppers
         self._lowers = lowers
-        self._down, self._down_lookup = _irreducible_closure(lowers)
-        self._up, self._up_lookup = _irreducible_closure(uppers)
+        self._down, self._down_lookup = _irreducible_closure(lowers, ids)
+        self._up, self._up_lookup = _irreducible_closure(uppers, ids)
 
     # -- construction --------------------------------------------------
 
@@ -233,6 +239,7 @@ class FiniteLattice:
         wrong element, since the irreducible-width tables cannot tell.
         """
         n = len(elements)
+        ids = list(range(n))
         indegree = [0] * n
         for ups in up_adj:
             for j in ups:
@@ -245,7 +252,7 @@ class FiniteLattice:
         # its length reaches the in-degree.
         below: list[list[int]] = [[] for _ in range(n)]
         topo = [i for i, d in enumerate(indegree) if d == 0]
-        for new, i in enumerate(topo):
+        for new, i in zip(ids, topo):
             for j in up_adj[i]:
                 covers = below[j]
                 covers.append(new)
@@ -265,12 +272,10 @@ class FiniteLattice:
         uppers: list[list[int]] = [[] for _ in range(n)]
         for j in range(last, -1, -1):
             for i in lowers[j]:
-                uppers[last - i].append(last - j)
+                uppers[last - i].append(ids[last - j])
         uppers = tuple(map(tuple, uppers))
 
-        order = tuple(elements[i] for i in topo)
-        index = {k: i for i, k in enumerate(order)}
-        lat = cls(order, index, uppers, lowers)
+        lat = cls(tuple(elements[i] for i in topo), uppers, lowers, ids)
         if n:
             bottoms = sum(1 for covers in lowers if not covers)
             tops = sum(1 for covers in uppers if not covers)
@@ -308,8 +313,14 @@ class FiniteLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _keys(self) -> dict:
+        """The `key -> index` map, built on the first call."""
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(self.elements)}
+        return self._index
+
     def __contains__(self, key) -> bool:
-        return key in self._index
+        return key in self._keys()
 
     @property
     def bottom(self):
@@ -320,17 +331,18 @@ class FiniteLattice:
         return self.elements[len(self.elements) - 1] if self.elements else None
 
     def leq(self, x, y) -> bool:
-        below = self._down[self._index[x]]
-        return (below & self._down[self._index[y]]) == below
+        index = self._keys()
+        below = self._down[index[x]]
+        return (below & self._down[index[y]]) == below
 
     def upper_covers(self, x) -> tuple:
         last = len(self.elements) - 1
         return tuple(
-            self.elements[last - k] for k in reversed(self._uppers[last - self._index[x]])
+            self.elements[last - k] for k in reversed(self._uppers[last - self._keys()[x]])
         )
 
     def lower_covers(self, x) -> tuple:
-        return tuple(self.elements[j] for j in self._lowers[self._index[x]])
+        return tuple(self.elements[j] for j in self._lowers[self._keys()[x]])
 
     def cover_pairs(self) -> list[tuple]:
         last = len(self.elements) - 1
@@ -357,9 +369,9 @@ class FiniteLattice:
     def _bound(self, direction: str, xs: tuple):
         """Meet ("down") or join ("up") of the keys xs, as a key."""
         masks, lookup, _, position = self._half(direction)
-        mask = -1
+        index, mask = self._keys(), -1
         for x in xs:
-            mask &= masks[position[self._index[x]]]
+            mask &= masks[position[index[x]]]
         got = lookup.get(mask)
         if got is None:
             raise NotALatticeError(
@@ -401,12 +413,12 @@ class FiniteLattice:
 
     def pop_down(self, x):
         """Meet of x with everything it covers."""
-        (got,) = self._image("down", (self._index[x],))
+        (got,) = self._image("down", (self._keys()[x],))
         return self.elements[got]
 
     def pop_up(self, x):
         """Join of x with everything covering it."""
-        (got,) = self._image("up", (self._index[x],))
+        (got,) = self._image("up", (self._keys()[x],))
         return self.elements[got]
 
     def pop_polynomial(self, direction: str = "down") -> QPoly:

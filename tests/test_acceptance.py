@@ -344,12 +344,12 @@ def test_criterion_12_largest_admitted_sizes():
         (("census", "--lattice", "weak-b", "--n", "6"), cost(FAMILIES["weak-b"].size(6)),
          lambda r: r["verdict"] == "match"),
         # the path-only branch of the model: no lattice is built
-        (("verify", "--theorem", "jay-b", "--max-n", "11"),
-         cost(THEOREMS["jay-b"].elements(11), lattice=False),
-         lambda r: r["totals"] == {"match": 11, "mismatch": 0}),
-        (("verify", "--theorem", "jay-a", "--max-n", "12"),
-         cost(THEOREMS["jay-a"].elements(12), lattice=False),
-         lambda r: r["totals"] == {"match": 13, "mismatch": 0}),
+        (("verify", "--theorem", "jay-b", "--max-n", "15"),
+         cost(THEOREMS["jay-b"].elements(15), lattice=False),
+         lambda r: r["totals"] == {"match": 15, "mismatch": 0}),
+        (("verify", "--theorem", "jay-a", "--max-n", "15"),
+         cost(THEOREMS["jay-a"].elements(15), lattice=False),
+         lambda r: r["totals"] == {"match": 16, "mismatch": 0}),
     ]
     notes = []
     for argv, budgeted, check in cases:

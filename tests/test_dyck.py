@@ -27,6 +27,7 @@ from poplat.families import FAMILIES
 from poplat.lattice import QPoly, index_uppers
 from word_stats import (
     half_peak_count,
+    image_set_census,
     j_a_uppers,
     j_b_upper_covers,
     peak_count,
@@ -276,6 +277,15 @@ def test_direct_polynomials_match_lattice():
         assert pop_up_polynomial_a(m) == j_a_lattice(m).pop_polynomial("up")
     for n in range(1, 5):
         assert pop_up_polynomial_b(n) == j_b_lattice(n).pop_polynomial("up")
+
+
+def test_streamed_censuses_match_the_set_based_oracle():
+    """The census streamed from the join equals the set of popped paths at
+    every size up to jay-a 10 (semi-length 12) and jay-b 8."""
+    for m in range(13):
+        assert pop_up_polynomial_a(m) == image_set_census(all_paths(m), lower_cover_count_a), m
+    for n in range(9):
+        assert pop_up_polynomial_b(n) == image_set_census(symmetric_paths(n), lower_cover_count_b), n
 
 
 def test_duality_on_ideal_lattices():

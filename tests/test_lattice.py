@@ -273,6 +273,38 @@ def test_from_uppers_consumes_its_cover_lists():
     assert lat.cover_pairs() == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
 
 
+@pytest.mark.parametrize("builder,n", [(j_a_lattice, 8), (weak_b_lattice, 4)],
+                         ids=["j-a-8", "weak-b-4"])
+def test_kernel_tables_share_one_int_per_index(builder, n):
+    """The cover tuples of both halves and both mask lookups hold one int
+    object per index, not one per cover entry."""
+    lat = builder(n, False)
+    ints = {id(i) for covers in (lat._uppers, lat._lowers) for row in covers for i in row}
+    for lookup in (lat._down_lookup, lat._up_lookup):
+        ints.update(id(i) for i in lookup.values() if i is not None)
+    assert len(ints) <= len(lat)
+
+
+def test_key_index_is_built_by_the_first_key_query():
+    uppers = []
+    paths = dyck._prefixes(12, True, uppers)
+    lat = FiniteLattice.from_uppers(paths, uppers)
+    for direction in ("down", "up"):
+        lat.pop_polynomial(direction)
+        lat.pop_image(direction)
+    lat.cover_pairs()
+    assert lat._index is None
+    x, y = lat.elements[7], lat.elements[40]
+    assert x in lat and "rf" not in lat
+    index = lat._index
+    assert index == {k: i for i, k in enumerate(lat.elements)}
+    for query in (lat.leq, lat.meet, lat.join):
+        query(x, y)
+    for query in (lat.upper_covers, lat.lower_covers, lat.pop_down, lat.pop_up):
+        query(x)
+    assert lat._index is index
+
+
 CROSS_CHECK_TOP = {
     weak_a_lattice: 6, weak_b_lattice: 4, tam_a_lattice: 7,
     tam_b_lattice: 6, j_a_lattice: 9, j_b_lattice: 6,

@@ -6,9 +6,11 @@ The cover functions spell every cover out, or find every valley by a string
 scan, apart from the builders, which read cover ranks off their enumerators;
 the tests hold the builders to them.  `recursive_prefixes` enumerates the
 Dyck carriers one recursive call per step, apart from the program's join of
-two half-tables.
+two half-tables, and `image_set_census` pops every path and keeps the set of
+images, apart from the program's census streamed from that join.
 """
-from poplat.dyck import FALL, RISE, _flip_shifts, peaks, semi_length
+from poplat.dyck import FALL, RISE, _flip_shifts, flip_valleys_up, peaks, semi_length
+from poplat.lattice import QPoly
 
 
 def descent_count(word):
@@ -103,6 +105,16 @@ def recursive_symmetric_paths(n):
     of 2n steps followed by its reversed complement."""
     mirror = str.maketrans(RISE + FALL, FALL + RISE)
     return recursive_prefixes(2 * n, False, lambda p: p + p[::-1].translate(mirror))
+
+
+def image_set_census(paths, lower_cover_count):
+    """q-census of the upward pop image of `paths`: the set of the images,
+    each counted by `lower_cover_count`."""
+    coeffs = {}
+    for z in {flip_valleys_up(p) for p in paths}:
+        d = lower_cover_count(z)
+        coeffs[d] = coeffs.get(d, 0) + 1
+    return QPoly(coeffs)
 
 
 def valleys(path):
