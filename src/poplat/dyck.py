@@ -126,11 +126,18 @@ def _mirror(steps: str) -> str:
 
 def _halves(length: int, closed: bool) -> tuple[int, list, dict]:
     """(a, heads, tails) of the join that `_prefixes` describes: the heads of
-    a = length // 2 steps, as (steps, end height), and per end height h the
-    steps of the tails from h, each list in lexicographic order."""
+    a steps, as (steps, end height), and per end height h the steps of the
+    tails from h, each list in lexicographic order.  Closed heads and tails
+    mirror each other, so a = length // 2 balances them; open tails end
+    anywhere, so a is the counted split with the fewest heads and tails in
+    all (24 310 and 16 684 at length 28; 3 432 and 107 048 at the middle)."""
     if length < 0:
         raise ValueError(f"negative length {length}")
-    a = length // 2
+    if closed:
+        a = length // 2
+    else:  # heads of k steps, plus tails from each of their end heights
+        a = min(range(length + 1), key=lambda k: _open_finishes(k, 0) + sum(
+            _open_finishes(length - k, h) for h in range(k % 2, k + 1, 2)))
     heads = _steps(a, 0, length, closed)
     ends = {h for _, h in heads}
     return a, heads, {h: [t for t, _ in _steps(length - a, h, length - a, closed)] for h in ends}
@@ -149,7 +156,7 @@ def _prefixes(length: int, closed: bool, uppers: list | None = None) -> list[str
     2 * `length` steps, each a first half that never dips below the axis
     followed by its mirror.  Both in lexicographic order ('f' < 'r').
 
-    Each path (first half) joins a head of a = length // 2 steps to a tail
+    Each path (first half) joins a head of a steps (see `_halves`) to a tail
     from the head's end height h.  All heads have one length, so the heads
     in order, each followed by its tails in order, list the paths in order;
     mirroring keeps it.  Given `uppers`, each path's valley-flip ranks are
@@ -273,29 +280,7 @@ def image_predicate_b(path: str) -> bool:
     return image_predicate_a(path)
 
 
-def _flippable_peak_count(path: str, stop: int) -> int:
-    """Peaks of height at least 2 with x-coordinate below `stop`.  Peaks
-    never overlap, and the steps between two of them move the height by
-    2 * (rises) - (steps); a peak is flippable when the height before its
-    rise is at least 1."""
-    h = count = 0
-    for steps in path[:stop].split(RISE + FALL)[:-1]:
-        h += 2 * steps.count(RISE) - len(steps)
-        count += h > 0
-    return count
-
-
-def lower_cover_count_a(path: str) -> int:
-    """Lower covers without building the lattice: flippable peaks."""
-    return _flippable_peak_count(path, len(path))
-
-
-def lower_cover_count_b(path: str) -> int:
-    """Flippable peak orbits with x-coordinate at most the midpoint."""
-    return _flippable_peak_count(path, semi_length(path) + 1)
-
-
-def _up_census(length: int, closed: bool, lower_cover_count) -> QPoly:
+def _up_census(length: int, closed: bool) -> QPoly:
     """q-census of the upward pop image of the paths `_prefixes(length,
     closed)` lists, streamed from its join without holding a path.
 
@@ -303,10 +288,17 @@ def _up_census(length: int, closed: bool, lower_cover_count) -> QPoly:
     its valley's position and height, which the other flips leave alone: the
     image's rank is the path's plus all its valleys' shifts.  Each image rank
     is marked in one byte per path; the first mark spells the image out and
-    counts its lower covers.
+    counts its lower covers: its flippable peaks, on j-b those up to the
+    midpoint.  The pop raises each valley point by 2 and no other point, so
+    an image meets the axis only at its ends; a peak of height 1 needs the
+    axis on both sides, so only the image "rf" has one, and the others' peaks
+    are all flippable.  On j-b the count reads the image's first `length` + 1
+    steps, which the flips spell from the first half and its mirror's first
+    two steps.
     """
     a, heads, tails = _halves(length, closed)
     shift = _flip_shifts(a) if closed else _open_shifts(length)
+    stop = length if closed else length + 1
     # per end height, each tail's place among its tails plus its valleys'
     # shifts, without and with the junction valley
     offsets = {
@@ -325,8 +317,9 @@ def _up_census(length: int, closed: bool, lower_cover_count) -> QPoly:
                 seen[start + offset] = 1
                 path = head + tail
                 if not closed:
-                    path += _mirror(path)
-                d = lower_cover_count(path.replace(valley, peak))
+                    path += _mirror(path[-2:])
+                image = path.replace(valley, peak)
+                d = image.count(peak, 0, stop) - (image == peak)
                 coeffs[d] = coeffs.get(d, 0) + 1
         rank += len(group)
     return QPoly(coeffs)
@@ -334,10 +327,10 @@ def _up_census(length: int, closed: bool, lower_cover_count) -> QPoly:
 
 def pop_up_polynomial_a(m: int) -> QPoly:
     """q-census of the upward pop image over semi-length m, one byte per path."""
-    return _up_census(2 * m, True, lower_cover_count_a)
+    return _up_census(2 * m, True)
 
 
 def pop_up_polynomial_b(n: int) -> QPoly:
     """q-census of the upward pop image over the symmetric paths of rank n,
     streamed from their first halves, whose ranks are the paths' ranks."""
-    return _up_census(2 * n, False, lower_cover_count_b)
+    return _up_census(2 * n, False)

@@ -1,17 +1,18 @@
 """Generic finite-lattice kernel built from an explicit cover relation.
 
 Construction computes a linear extension (Kahn's algorithm, in cover order),
-re-indexes the elements along it, and keeps the order as two halves, each
-the covers below every entry and a table of irreducible-width bitmasks
-(Python ints):
+re-indexes the elements along it, and keeps the order as two halves, both
+indexed by element: each is the covers on one side of every element and a
+table of irreducible-width bitmasks (Python ints) with its `mask -> index`
+lookup.
 
-* the down half, indexed by element: every element with exactly one lower
-  cover (a join-irreducible) owns one bit, and `_down[i]` holds the bits of
-  the join-irreducibles j <= i;
-* the up half, indexed from the top: position k stands for element n-1-k,
-  every element with exactly one upper cover (a meet-irreducible) owns one
-  bit, and `_up[k]` holds the bits of the meet-irreducibles j >= n-1-k.  It
-  is the down half of the dual lattice.
+* the down half: `_lowers[i]` lists the lower covers of element i, every
+  element with exactly one lower cover (a join-irreducible) owns one bit,
+  and `_down[i]` holds the bits of the join-irreducibles j <= i;
+* the up half: `_uppers[i]` lists the upper covers of element i, every
+  element with exactly one upper cover (a meet-irreducible) owns one bit,
+  the highest of them bit 0, and `_up[i]` holds the bits of the
+  meet-irreducibles j >= i.  It is the down half of the dual lattice.
 
 In a finite lattice x -> J(x), the set of join-irreducibles below x, is
 injective and J(x meet y) = J(x) & J(y) (Birkhoff's representation theorem;
@@ -25,12 +26,17 @@ downset has one bit per element.
 
 The lookup does not prove that a poset is a lattice: validation, the only
 caller that builds a full-width table, builds its upset table for the
-duration of the check and frees it.  All queries are pure; instances are
-immutable after build, but for the key index that the first key query
-fills in, and safe to share.
+duration of the check and frees it.  That table alone numbers its bits from
+the top, element i as bit n-1-i: a Python int is as wide as its highest bit,
+and every upset holds the top, so with a bit per element index each mask
+would be n bits wide (N²/8 bytes in all), where from the top element i's
+mask is n-i bits wide (N²/16).  All queries are pure; instances are immutable
+after build, but for the key index that the first key query fills in, and
+safe to share.
 """
 from __future__ import annotations
 
+import gc
 from functools import wraps
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -104,45 +110,22 @@ class QPoly:
         return f"QPoly({self.coeffs!r})"
 
 
-def _extremum(masks: list[int], mask: int) -> int | None:
-    """Index whose own mask is `mask`, or None when `mask` is not principal.
-
-    In `masks` index j holds bit j, and every other bit of masks[j] is lower.
-    The highest bit of an intersection of masks is then a maximal element of
-    it, and the intersection is principal exactly when it is that element's
-    own mask.
-    """
-    top = mask.bit_length() - 1
-    return top if masks[top] == mask else None
-
-
-def _closure(below: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Full-width downset masks of a half whose covers `below` point to lower
-    indices: masks[i] has bit j for every entry j <= i."""
-    masks: list[int] = []
-    for i, covers in enumerate(below):
-        mask = 1 << i
-        for j in covers:
-            mask |= masks[j]
-        masks.append(mask)
-    return masks
-
-
 def _irreducible_closure(
-    below: tuple[tuple[int, ...], ...], ids: Sequence[int]
+    n: int, entries: Iterable[tuple[int, tuple[int, ...]]]
 ) -> tuple[list[int], dict[int, int | None]]:
-    """Irreducible-width masks of a half whose covers `below` point to lower
-    indices, and the lookup from a mask to the index it belongs to, taken
-    from `ids` (the shared int of each index).
+    """Irreducible-width masks of a half, indexed by element, and the lookup
+    from a mask to the element it belongs to.
 
-    An entry with exactly one cover below it is irreducible and owns the next
-    bit; every mask is the union of the masks below the entry, plus the
-    entry's own bit.  A mask shared by two entries looks up None.
+    `entries` gives each element's shared index int with its covers on the
+    half's lower side, every element after its covers.  An entry with
+    exactly one cover is irreducible and owns the next bit; every mask is the
+    union of its covers' masks, plus the entry's own bit.  A mask shared by
+    two entries looks up None.
     """
-    masks: list[int] = []
+    masks = [0] * n
     lookup: dict[int, int | None] = {}
     bit = 1
-    for i, covers in zip(ids, below):
+    for i, covers in entries:
         if len(covers) == 1:
             mask = masks[covers[0]] | bit
             bit <<= 1
@@ -151,7 +134,7 @@ def _irreducible_closure(
             for j in covers:
                 mask |= masks[j]
         lookup[mask] = None if mask in lookup else i
-        masks.append(mask)
+        masks[i] = mask
     return masks, lookup
 
 
@@ -169,15 +152,14 @@ class FiniteLattice:
 
     `elements` is stored in linear-extension order; all public methods accept
     and return the original element keys.  The order is kept as two halves,
-    each the covers below every entry, a table of irreducible-width masks and
-    its `mask -> index` lookup: the down half (`_lowers`, `_down`,
-    `_down_lookup`) indexed by element index, and the up half (`_uppers`,
-    `_up`, `_up_lookup`) indexed from the top, where position k stands for
-    element n-1-k.  The cover tuples and both lookups share one int object
-    per index, where an int per cover entry would cost 28 bytes each.  The
-    `key -> index` map (`_index`) is built by the first query that takes a
-    key, so a census or an image never builds it; two threads that race to
-    build it build equal maps.
+    both indexed by element index: the down half (`_lowers`, `_down`,
+    `_down_lookup`) and the up half (`_uppers`, `_up`, `_up_lookup`), each
+    the covers on one side of every element in increasing order, a table of
+    irreducible-width masks and its `mask -> index` lookup.  The cover tuples
+    and both lookups share one int object per index, where an int per cover
+    entry would cost 28 bytes each.  The `key -> index` map (`_index`) is
+    built by the first query that takes a key, so a census or an image never
+    builds it; two threads that race to build it build equal maps.
     """
 
     __slots__ = (
@@ -190,8 +172,11 @@ class FiniteLattice:
         self._index = None
         self._uppers = uppers
         self._lowers = lowers
-        self._down, self._down_lookup = _irreducible_closure(lowers, ids)
-        self._up, self._up_lookup = _irreducible_closure(uppers, ids)
+        n = len(ids)
+        self._down, self._down_lookup = _irreducible_closure(n, zip(ids, lowers))
+        self._up, self._up_lookup = _irreducible_closure(
+            n, zip(reversed(ids), reversed(uppers))
+        )
 
     # -- construction --------------------------------------------------
 
@@ -237,7 +222,22 @@ class FiniteLattice:
         `validate=False` the caller vouches that the poset is a lattice: on a
         bounded non-lattice a query may raise NotALatticeError or return a
         wrong element, since the irreducible-width tables cannot tell.
+
+        The build makes one list or tuple per element and half, none of which
+        can be part of a cycle, so the cyclic garbage collector is paused
+        while it runs: its passes would only scan them.  Its previous state
+        is restored on return or raise.
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._from_uppers(elements, up_adj, validate)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _from_uppers(cls, elements, up_adj, validate):
         n = len(elements)
         ids = list(range(n))
         indegree = [0] * n
@@ -263,22 +263,19 @@ class FiniteLattice:
         if len(topo) != n:
             raise NotALatticeError("cycle detected in cover relation")
 
-        # Scanning the lower-cover lists from the top down fills each
-        # upper-cover list (indexed from the top) in increasing order too: no
-        # sort is needed.
-        lowers = tuple([tuple(below[old]) for old in topo])
+        # Scanning the lower-cover lists in index order fills each
+        # upper-cover list in increasing order too: no sort is needed.
+        lowers = tuple(map(tuple, map(below.__getitem__, topo)))
         del below
-        last = n - 1
         uppers: list[list[int]] = [[] for _ in range(n)]
-        for j in range(last, -1, -1):
-            for i in lowers[j]:
-                uppers[last - i].append(ids[last - j])
+        for j, covers in zip(ids, lowers):
+            for i in covers:
+                uppers[i].append(j)
         uppers = tuple(map(tuple, uppers))
 
-        lat = cls(tuple(elements[i] for i in topo), uppers, lowers, ids)
+        lat = cls(tuple(map(elements.__getitem__, topo)), uppers, lowers, ids)
         if n:
-            bottoms = sum(1 for covers in lowers if not covers)
-            tops = sum(1 for covers in uppers if not covers)
+            bottoms, tops = lowers.count(()), uppers.count(())
             if bottoms != 1 or tops != 1:
                 raise NotALatticeError(
                     f"{bottoms} minimal and {tops} maximal elements"
@@ -294,17 +291,27 @@ class FiniteLattice:
         is a lattice iff every two upper covers of a common element have a
         join (Freese, Jezek and Nation, Free Lattices, ch. 11).  Elements and
         pairs are scanned in linear-extension order, against a full-width
-        upset table built for this call.
+        upset table built for this call, its bits numbered from the top (see
+        the module docstring): `up[i]` has bit last - j for every element
+        j >= i, so the highest bit of an AND of upsets is its least element in
+        linear-extension order, and the AND is principal, a join, exactly
+        when it is that element's own upset.
         """
-        up, last = _closure(self._uppers), len(self.elements) - 1
-        for z in range(last + 1):
-            covers = self._uppers[last - z][::-1]
+        uppers, last = self._uppers, len(self.elements) - 1
+        up = [0] * (last + 1)
+        for i in range(last, -1, -1):
+            mask = 1 << (last - i)
+            for j in uppers[i]:
+                mask |= up[j]
+            up[i] = mask
+        for z, covers in enumerate(uppers):
             for p, a in enumerate(covers):
                 for b in covers[p + 1:]:
-                    if _extremum(up, up[a] & up[b]) is None:
+                    mask = up[a] & up[b]
+                    if up[last + 1 - mask.bit_length()] != mask:
                         raise NotALatticeError(
-                            f"no join for {self.elements[last - a]!r}, "
-                            f"{self.elements[last - b]!r}, "
+                            f"no join for {self.elements[a]!r}, "
+                            f"{self.elements[b]!r}, "
                             f"upper covers of {self.elements[z]!r}"
                         )
 
@@ -336,48 +343,38 @@ class FiniteLattice:
         return (below & self._down[index[y]]) == below
 
     def upper_covers(self, x) -> tuple:
-        last = len(self.elements) - 1
-        return tuple(
-            self.elements[last - k] for k in reversed(self._uppers[last - self._keys()[x]])
-        )
+        return tuple(self.elements[j] for j in self._uppers[self._keys()[x]])
 
     def lower_covers(self, x) -> tuple:
         return tuple(self.elements[j] for j in self._lowers[self._keys()[x]])
 
     def cover_pairs(self) -> list[tuple]:
-        last = len(self.elements) - 1
         return [
-            (x, self.elements[last - k])
-            for i, x in enumerate(self.elements)
-            for k in reversed(self._uppers[last - i])
+            (x, self.elements[j])
+            for x, covers in zip(self.elements, self._uppers)
+            for j in covers
         ]
 
     def _half(self, direction: str):
-        """(masks, lookup, covers below, position) of the half that pops
-        `direction`.
-
-        `position[i]` is the half's index of element i; the map is its own
-        inverse, so it also takes a half index back to an element index.
-        """
-        n = len(self.elements)
+        """(masks, lookup, covers below) of the half that pops `direction`."""
         if direction == "down":
-            return self._down, self._down_lookup, self._lowers, range(n)
+            return self._down, self._down_lookup, self._lowers
         if direction == "up":
-            return self._up, self._up_lookup, self._uppers, range(n - 1, -1, -1)
+            return self._up, self._up_lookup, self._uppers
         raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
 
     def _bound(self, direction: str, xs: tuple):
         """Meet ("down") or join ("up") of the keys xs, as a key."""
-        masks, lookup, _, position = self._half(direction)
+        masks, lookup, _ = self._half(direction)
         index, mask = self._keys(), -1
         for x in xs:
-            mask &= masks[position[index[x]]]
+            mask &= masks[index[x]]
         got = lookup.get(mask)
         if got is None:
             raise NotALatticeError(
                 f"no {'meet' if direction == 'down' else 'join'} of {xs!r}"
             )
-        return self.elements[position[got]]
+        return self.elements[got]
 
     def meet(self, *xs):
         return self._bound("down", xs) if xs else self.top
@@ -395,12 +392,11 @@ class FiniteLattice:
         non-lattice names the first element, in the order given, whose pop
         does not exist.
         """
-        masks, lookup, below, position = self._half(direction)
+        masks, lookup, below = self._half(direction)
         image = set()
         for i in indices:
-            k = position[i]
-            mask = masks[k]
-            for j in below[k]:
+            mask = masks[i]
+            for j in below[i]:
                 mask &= masks[j]
             got = lookup.get(mask)
             if got is None:
@@ -409,7 +405,7 @@ class FiniteLattice:
                     f"no {word} of the {side} covers of {self.elements[i]!r}"
                 )
             image.add(got)
-        return {position[k] for k in image}
+        return image
 
     def pop_down(self, x):
         """Meet of x with everything it covers."""
@@ -429,13 +425,10 @@ class FiniteLattice:
         The two agree on every lattice (duality), which the tests exercise.
         """
         image = self._image(direction, range(len(self.elements)))
-        if direction == "down":
-            last = len(self.elements) - 1
-            degrees = [len(self._uppers[last - i]) for i in image]
-        else:
-            degrees = [len(self._lowers[i]) for i in image]
+        covers = self._uppers if direction == "down" else self._lowers
         coeffs: dict[int, int] = {}
-        for d in degrees:
+        for i in image:
+            d = len(covers[i])
             coeffs[d] = coeffs.get(d, 0) + 1
         return QPoly(coeffs)
 

@@ -15,8 +15,6 @@ from poplat.dyck import (
     is_symmetric,
     j_a_lattice,
     j_b_lattice,
-    lower_cover_count_a,
-    lower_cover_count_b,
     peaks,
     pop_up_polynomial_a,
     pop_up_polynomial_b,
@@ -30,6 +28,8 @@ from word_stats import (
     image_set_census,
     j_a_uppers,
     j_b_upper_covers,
+    lower_cover_count_a,
+    lower_cover_count_b,
     peak_count,
     recursive_prefixes,
     recursive_symmetric_paths,

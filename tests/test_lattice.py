@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -248,6 +249,10 @@ FAMILY_INSTANCES = (
 
 
 FAMILY_IDS = [f"{b.__name__}-{n}" for b, n in FAMILY_INSTANCES]
+FAMILY_SMALL = [
+    (weak_a_lattice, 4), (weak_b_lattice, 3), (tam_a_lattice, 5),
+    (tam_b_lattice, 4), (j_a_lattice, 6), (j_b_lattice, 4),
+]
 
 
 @pytest.mark.parametrize("builder,n", FAMILY_INSTANCES, ids=FAMILY_IDS)
@@ -271,6 +276,45 @@ def test_from_uppers_consumes_its_cover_lists():
     lat = FiniteLattice.from_uppers("abcd", up_adj)
     assert up_adj == []
     assert lat.cover_pairs() == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "up_adj,error",
+    [
+        (((1, 2), (3,), (3,), ()), None),
+        (((1,), (2,), (1,), ()), "cycle"),
+        (((1, 2), (3,), (), ()), "2 maximal"),
+    ],
+    ids=["lattice", "cycle", "two-maximal"],
+)
+def test_from_uppers_restores_the_collector_state(up_adj, error, enabled):
+    """The build pauses the cyclic collector and leaves it as it found it,
+    whether it returns or raises."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        up_adj = [list(ups) for ups in up_adj]
+        if error is None:
+            FiniteLattice.from_uppers("abcd", up_adj)
+        else:
+            with pytest.raises(NotALatticeError, match=error):
+                FiniteLattice.from_uppers("abcd", up_adj)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "builder,n", FAMILY_SMALL, ids=[f"{b.__name__}-{n}" for b, n in FAMILY_SMALL]
+)
+def test_a_build_leaves_no_cyclic_garbage(builder, n):
+    """Nothing a build allocates is part of a cycle, so pausing the
+    collector for its length leaves it nothing to find later, not even once
+    the lattice is dropped."""
+    gc.collect()
+    builder.__wrapped__(n, True)
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("builder,n", [(j_a_lattice, 8), (weak_b_lattice, 4)],
@@ -332,17 +376,15 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     last = len(ref.elements) - 1
     assert lat.elements == ref.elements
     assert lat._lowers == tuple(ref.lowers)
-    assert lat._uppers == tuple(
-        tuple(last - j for j in reversed(ups)) for ups in reversed(ref.uppers)
-    )
-    # Each half's masks are the reference's downsets (upsets, read from the
-    # top) restricted to its irreducibles, the k-th irreducible as bit k, and
-    # no two elements share a mask.
+    assert lat._uppers == tuple(ref.uppers)
+    # Each half's masks are the reference's downsets (upsets) restricted to
+    # its irreducibles, the k-th irreducible as bit k, the meet-irreducibles
+    # counted from the top, and no two elements share a mask.
     everything = range(last + 1)
     join_irreducibles = [j for j in everything if len(ref.lowers[j]) == 1]
     meet_irreducibles = [j for j in reversed(everything) if len(ref.uppers[j]) == 1]
     assert lat._down == restricted(ref.down, join_irreducibles)
-    assert lat._up == restricted(ref.up[::-1], meet_irreducibles)
+    assert lat._up == restricted(ref.up, meet_irreducibles)
     for masks, lookup in ((lat._down, lat._down_lookup), (lat._up, lat._up_lookup)):
         assert lookup == {mask: k for k, mask in enumerate(masks)}
         assert len(lookup) == len(ref.elements)

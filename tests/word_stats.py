@@ -152,6 +152,29 @@ def peak_count(path):
     return len(peaks(path))
 
 
+def flippable_peak_count(path, stop):
+    """Peaks of height at least 2 with x-coordinate below `stop`.  Peaks
+    never overlap, and the steps between two of them move the height by
+    2 * (rises) - (steps); a peak is flippable when the height before its
+    rise is at least 1."""
+    h = count = 0
+    for steps in path[:stop].split(RISE + FALL)[:-1]:
+        h += 2 * steps.count(RISE) - len(steps)
+        count += h > 0
+    return count
+
+
+def lower_cover_count_a(path):
+    """Lower covers in j-a: flippable peaks."""
+    return flippable_peak_count(path, len(path))
+
+
+def lower_cover_count_b(path):
+    """Lower covers in j-b: flippable peak orbits with x-coordinate at most
+    the midpoint."""
+    return flippable_peak_count(path, semi_length(path) + 1)
+
+
 def half_peak_count(path):
     """Peaks with x-coordinate at most the midpoint (the symmetric statistic)."""
     mid = semi_length(path)
