@@ -242,15 +242,15 @@ def _open_shifts(length: int) -> list[list[int]]:
 
 
 @memoised_builder
-def j_a_lattice(m: int, validate: bool = True) -> FiniteLattice:
+def j_a_lattice(m: int) -> FiniteLattice:
     """Ideal lattice on all paths of semi-length m; covers flip one valley."""
     uppers: list[list[int]] = []
     elements = _prefixes(2 * m, True, uppers=uppers)
-    return FiniteLattice.from_uppers(elements, uppers, validate)
+    return FiniteLattice.from_uppers(elements, uppers)
 
 
 @memoised_builder
-def j_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
+def j_b_lattice(n: int) -> FiniteLattice:
     """Ideal lattice on symmetric paths of semi-length 2n.
 
     Covers flip the central valley alone or a mirror pair of valleys, so the
@@ -260,7 +260,7 @@ def j_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
     """
     uppers: list[list[int]] = []
     elements = _prefixes(2 * n, False, uppers)
-    return FiniteLattice.from_uppers(elements, uppers, validate)
+    return FiniteLattice.from_uppers(elements, uppers)
 
 
 # --- image characterization and direct statistics -----------------------------

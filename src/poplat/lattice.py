@@ -77,12 +77,6 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def evaluate(self, q: int) -> int:
-        return sum(c * q**d for d, c in self.coeffs.items())
-
     def to_json_dict(self) -> dict[str, str]:
         return {str(d): str(c) for d, c in sorted(self.coeffs.items())}
 
@@ -191,7 +185,7 @@ class FiniteLattice:
 
         A key-pair adapter over `from_uppers`: a repeated pair counts once,
         and each element's upper covers keep the order in which their pairs
-        first appear.
+        first appear.  With `validate`, `_validate` runs on the result.
         """
         keys = list(elements)
         uppers: dict[Hashable, dict] = {k: {} for k in keys}
@@ -199,16 +193,16 @@ class FiniteLattice:
             raise ValueError("duplicate elements")
         for lo, hi in covers:
             uppers[lo][hi] = None
-        return cls.from_uppers(keys, index_uppers(keys, uppers.__getitem__), validate)
+        lat = cls.from_uppers(keys, index_uppers(keys, uppers.__getitem__))
+        if validate:
+            lat._validate()
+        return lat
 
     @classmethod
     def from_uppers(
-        cls,
-        elements: Sequence[Hashable],
-        up_adj: list[list[int]],
-        validate: bool = True,
+        cls, elements: Sequence[Hashable], up_adj: list[list[int]]
     ) -> "FiniteLattice":
-        """Build from index lists; optionally verify latticehood.
+        """Build from index lists, without verifying latticehood.
 
         `up_adj[i]` lists, without repeats, the indices in `elements` of the
         upper covers of `elements[i]`; its order is the order in which Kahn's
@@ -217,11 +211,11 @@ class FiniteLattice:
         masks are allocated, which sets peak memory, so a caller that still
         holds the list holds no cover.
 
-        Validation tests a join for every two upper covers of a common
-        element, sum over z of C(#upper covers of z, 2) bitmask tests.  With
-        `validate=False` the caller vouches that the poset is a lattice: on a
-        bounded non-lattice a query may raise NotALatticeError or return a
-        wrong element, since the irreducible-width tables cannot tell.
+        The build checks only for a cycle and for a unique minimum and
+        maximum; the caller vouches that the poset is a lattice, or validates
+        it with `_validate`.  On a bounded non-lattice a query may raise
+        NotALatticeError or return a wrong element, since the
+        irreducible-width tables cannot tell.
 
         The build makes one list or tuple per element and half, none of which
         can be part of a cycle, so the cyclic garbage collector is paused
@@ -231,13 +225,13 @@ class FiniteLattice:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return cls._from_uppers(elements, up_adj, validate)
+            return cls._from_uppers(elements, up_adj)
         finally:
             if enabled:
                 gc.enable()
 
     @classmethod
-    def _from_uppers(cls, elements, up_adj, validate):
+    def _from_uppers(cls, elements, up_adj):
         n = len(elements)
         ids = list(range(n))
         indegree = [0] * n
@@ -280,22 +274,21 @@ class FiniteLattice:
                 raise NotALatticeError(
                     f"{bottoms} minimal and {tops} maximal elements"
                 )
-        if validate:
-            lat._validate()
         return lat
 
     def _validate(self) -> None:
         """Raise NotALatticeError unless the bounded poset is a lattice.
 
-        A finite poset with a unique minimum and maximum (checked by `build`)
-        is a lattice iff every two upper covers of a common element have a
-        join (Freese, Jezek and Nation, Free Lattices, ch. 11).  Elements and
-        pairs are scanned in linear-extension order, against a full-width
-        upset table built for this call, its bits numbered from the top (see
-        the module docstring): `up[i]` has bit last - j for every element
-        j >= i, so the highest bit of an AND of upsets is its least element in
-        linear-extension order, and the AND is principal, a join, exactly
-        when it is that element's own upset.
+        A finite poset with a unique minimum and maximum (checked by
+        `from_uppers`) is a lattice iff every two upper covers of a common
+        element have a join (Freese, Jezek and Nation, Free Lattices,
+        ch. 11): sum over z of C(#upper covers of z, 2) bitmask tests.
+        Elements and pairs are scanned in linear-extension order, against a
+        full-width upset table built for this call, its bits numbered from
+        the top (see the module docstring): `up[i]` has bit last - j for
+        every element j >= i, so the highest bit of an AND of upsets is its
+        least element in linear-extension order, and the AND is principal,
+        a join, exactly when it is that element's own upset.
         """
         uppers, last = self._uppers, len(self.elements) - 1
         up = [0] * (last + 1)
@@ -457,10 +450,11 @@ def last_size_cache(fn: Callable[[int], object]):
     return cached
 
 
-def memoised_builder(build: Callable[[int, bool], FiniteLattice]):
-    """Memoise a family builder `build(n, validate=True)` for the last n built.
+def memoised_builder(build: Callable[[int], FiniteLattice]):
+    """Memoise an unvalidated family builder `build(n)` for the last n built,
+    as `builder(n, validate=True)`.
 
-    The lattice is built once without validation; a call with validate=True
+    The lattice is built once, by `build(n)`; a call with validate=True
     validates that same instance (once), so every call for n, however
     `validate` is passed, returns one object.  The memo is a
     `last_size_cache`, so building another size first forgets the last one.
@@ -468,7 +462,7 @@ def memoised_builder(build: Callable[[int, bool], FiniteLattice]):
 
     @last_size_cache
     def entry(n: int) -> list:
-        return [build(n, False), False]  # the lattice, whether it is validated
+        return [build(n), False]  # the lattice, whether it is validated
 
     @wraps(build)
     def builder(n: int, validate: bool = True) -> FiniteLattice:

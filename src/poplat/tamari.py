@@ -30,10 +30,12 @@ The type-A carrier is read off a stack in lexicographic order.  The type-B
 carrier is the closure of the top word under lower covers, sorted: in a
 finite lattice every element lies on a chain of covers below the top.
 
-A projection to the carrier rewrites: it repeatedly makes the leftmost
-congruence move (together with its mirror in type B) until none applies.
-The tests check it against the class minimum of the congruence inside the
-ambient weak order.
+A projection to the carrier rewrites with the same floor: it makes the
+leftmost congruence move, a descent (c, a) with a witness a < b < c at or
+after a's position if b >= f, at or before it if b < f, until none applies.
+With f = 0 every witness is large, so it must follow the pair, as in type A;
+with f = n+1 each move is made together with its mirror.  The tests check
+it against the class minimum of the congruence inside the ambient weak order.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import FiniteLattice, last_size_cache, memoised_builder
-from .signed import complement_reverse, half_decomposition, validate_signed
+from .signed import complement_reverse, large_blocks, validate_signed
 from .words import (
     Word,
     avoids_312,
@@ -176,8 +178,8 @@ def tam_b_lower_covers(y: Word) -> list[Word]:
     return _block_swaps(y, len(y) // 2 + 1)
 
 
-def _quotient_lattice(elements: Sequence[Word], lowers: Iterable[list[int]],
-                      validate: bool) -> FiniteLattice:
+def _quotient_lattice(elements: Sequence[Word],
+                      lowers: Iterable[list[int]]) -> FiniteLattice:
     """Sublattice of the weak order on a carrier of congruence-class minima.
 
     `lowers` lists, element by element in carrier order, the carrier
@@ -194,102 +196,67 @@ def _quotient_lattice(elements: Sequence[Word], lowers: Iterable[list[int]],
     for j, covers in enumerate(lowers):
         for i in covers:
             up_adj[i].append(j)
-    return FiniteLattice.from_uppers(elements, up_adj, validate)
+    return FiniteLattice.from_uppers(elements, up_adj)
 
 
 @memoised_builder
-def tam_a_lattice(n: int, validate: bool = True) -> FiniteLattice:
+def tam_a_lattice(n: int) -> FiniteLattice:
     elements = tam_a_elements(n)
     index = {p: i for i, p in enumerate(elements)}
     lowers = ([index[w] for w in tam_a_lower_covers(y)] for y in elements)
-    return _quotient_lattice(elements, lowers, validate)
+    return _quotient_lattice(elements, lowers)
 
 
 @memoised_builder
-def tam_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
+def tam_b_lattice(n: int) -> FiniteLattice:
     """Indexes the closure's own cover records: no block swap is made twice."""
-    return _quotient_lattice(*_tam_b_closure(n), validate)
+    return _quotient_lattice(*_tam_b_closure(n))
 
 
 # --- projections --------------------------------------------------------------
 
 
-def _positions(x: Word) -> list[int]:
-    """Inverse array: pos[v] is the 0-based position of value v in x."""
-    pos = [0] * (len(x) + 1)
-    for t, v in enumerate(x):
-        pos[v] = t
-    return pos
+def _project(y: list[int], floor: int) -> Word:
+    """Minimum of y's congruence class, by leftmost-move rewriting in place.
 
-
-def _movable(x: Word, pos: list[int], i: int) -> bool:
-    """Is the adjacent descent at 0-based (i, i+1) removable by a congruence move?
-
-    The witness b with a < b < c must sit at or after a's position when large
-    (at least n+1) and at or before it when small; large witnesses after the
-    pair are the adjacent-descent starred-312 occurrences, small ones before
-    are their mirror images.  `pos` is the inverse array of x.
+    A descent (c, a) at i moves when a witness a < b < c sits at or after
+    a's position if b >= floor, at or before it if b < floor; with floor > 0
+    the move is made together with its mirror at len(y) - 2 - i.  Each move
+    removes an inversion, so the loop terminates.  A move at i and its mirror
+    only move values at positions >= min(i, mirror), so no pair left of
+    min(i, mirror) - 1 becomes movable and the scan resumes there.  The
+    inverse array `pos` is kept across the moves.
     """
-    c, a = x[i], x[i + 1]
-    if c <= a:
-        return False
-    floor = len(x) // 2 + 1
-    j = i + 1
-    for b in range(a + 1, min(c, floor)):
-        if pos[b] <= j:
-            return True
-    for b in range(max(a + 1, floor), c):
-        if pos[b] >= j:
-            return True
-    return False
+    pos = [0] * (len(y) + 1)
+    for t, v in enumerate(y):
+        pos[v] = t
+    last = len(y) - 1
+    i = 0
+    while i < last:
+        c, a = y[i], y[i + 1]
+        movable = c > a and (
+            any(pos[b] <= i + 1 for b in range(a + 1, min(c, floor)))
+            or any(pos[b] >= i + 1 for b in range(max(a + 1, floor), c))
+        )
+        if not movable:
+            i += 1
+            continue
+        mirror = last - 1 - i if floor else i
+        for k in {i, mirror}:
+            y[k], y[k + 1] = y[k + 1], y[k]
+            pos[y[k]], pos[y[k + 1]] = k, k + 1
+        i = max(min(i, mirror) - 1, 0)
+    return tuple(y)
 
 
 def project_tam_a(p: Word) -> Word:
-    """Minimum of p's congruence class, by leftmost-move rewriting.
-
-    Each move removes one inversion, so the loop terminates; the endpoint is
-    312-avoiding and is checked against the class-minimum computation in the
-    tests.  A swap at i changes neither the pairs left of i-1 nor the set of
-    entries after any of them, so the scan for the next leftmost move
-    resumes at i-1.
-    """
-    p = list(check_permutation(p))
-    i = 0
-    while i < len(p) - 1:
-        c, a = p[i], p[i + 1]
-        if c > a and any(a < b < c for b in p[i + 2 :]):
-            p[i], p[i + 1] = a, c
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return tuple(p)
+    """Minimum of p's congruence class in the weak order."""
+    return _project(list(check_permutation(p)), 0)
 
 
 def project_tam_b(x: Word) -> Word:
     """Minimum of x's congruence class in the signed weak order."""
-    return _rewrite_tam_b(list(validate_signed(x)))
-
-
-def _rewrite_tam_b(y: list[int]) -> Word:
-    """Leftmost-move rewriting of a signed permutation, in place.
-
-    The inverse array is kept across the double swaps.  A double swap at i
-    and its mirror mi only moves values at positions >= min(i, mi), so no
-    pair left of min(i, mi) - 1 becomes movable and the scan resumes there.
-    """
-    pos = _positions(y)
-    last = len(y) - 1
-    i = 0
-    while i < last:
-        if not _movable(y, pos, i):
-            i += 1
-            continue
-        mi = last - 1 - i
-        for k in {i, mi}:
-            y[k], y[k + 1] = y[k + 1], y[k]
-            pos[y[k]], pos[y[k + 1]] = k, k + 1
-        i = max(min(i, mi) - 1, 0)
-    return tuple(y)
+    return _project(list(validate_signed(x)), len(x) // 2 + 1)
 
 
 # --- pop --------------------------------------------------------------------
@@ -338,8 +305,7 @@ def tam_b_image_predicate(x: Word) -> bool:
     if index_of(x, 2 * n) < n + 1:
         return False
     return all(
-        hong_image_predicate(reduction(block.values))
-        for block in half_decomposition(x).blocks
+        hong_image_predicate(reduction(block)) for block in large_blocks(x)
     )
 
 
@@ -393,10 +359,8 @@ def preimage_tam_b(x: Word) -> Word:
     if not tam_b_image_predicate(x):
         raise ValueError(f"{x} fails the type-B image test")
     n = len(x) // 2
-    blocks = half_decomposition(x).blocks
     new_blocks = [
-        _relabel(_preimage_end_one(reduction(b.values)), list(b.values))
-        for b in blocks
+        _relabel(_preimage_end_one(reduction(b)), list(b)) for b in large_blocks(x)
     ]
     if n and x[0] >= n + 1:
         # a first-entry-large image element always has at least two blocks:

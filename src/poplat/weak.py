@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .lattice import FiniteLattice, index_uppers, memoised_builder
-from .signed import ascent_decomposition, signed_words, validate_signed
+from .signed import signed_words, validate_signed
 from .words import Word, ascending_runs, reverse_runs
 
 
@@ -26,20 +26,18 @@ def weak_a_covers(p: Word) -> list[Word]:
 
 
 @memoised_builder
-def weak_a_lattice(num_letters: int, validate: bool = True) -> FiniteLattice:
+def weak_a_lattice(num_letters: int) -> FiniteLattice:
     """Weak order on the permutations of {1, ..., num_letters}."""
     elements = tuple(itertools.permutations(range(1, num_letters + 1)))
-    return FiniteLattice.from_uppers(
-        elements, index_uppers(elements, weak_a_covers), validate
-    )
+    return FiniteLattice.from_uppers(elements, index_uppers(elements, weak_a_covers))
 
 
 @memoised_builder
-def weak_b_lattice(n: int, validate: bool = True) -> FiniteLattice:
+def weak_b_lattice(n: int) -> FiniteLattice:
     """Weak order on the rank-n signed permutations."""
     uppers: list[list[int]] = []
     elements = signed_words(n, uppers)
-    return FiniteLattice.from_uppers(elements, uppers, validate)
+    return FiniteLattice.from_uppers(elements, uppers)
 
 
 def pop_weak(x: Word) -> Word:
@@ -63,7 +61,7 @@ def image_run_condition(x: Word) -> bool:
     entry; necessity is exhaustively checked in the tests, sufficiency is not
     claimed.
     """
-    runs = ascent_decomposition(validate_signed(x)).runs
+    runs = ascending_runs(validate_signed(x))
     return all(
         runs[k][0] < runs[k + 1][-1] for k in range(len(runs) - 1)
     )

@@ -9,10 +9,15 @@ Each rule is tested here as stated, sharing no predicate with the program's
 rewriting.  The class-minimum projections build the ambient weak order with
 the reference lattice, so they share no code with the kernel either.
 """
-from poplat.signed import half_decomposition, validate_signed
+from poplat.signed import large_blocks, validate_signed
 from poplat.tamari import hong_image_predicate, pop_tam_b
 from poplat.words import check_permutation, index_of, reduction
 from reference import _weak_a_pairs, _weak_b_pairs, reference_build
+
+
+def large_half(x):
+    """The entries >= n+1 of a rank-n x, in position order."""
+    return tuple(v for v in x if v > len(x) // 2)
 
 
 def tam_a_adjacent(p):
@@ -79,8 +84,7 @@ def tam_b_image_predicate_as_printed(x):
     if index_of(x, 2 * n) < n + 1:
         return False
     return all(
-        hong_image_predicate(reduction(block.values))
-        for block in half_decomposition(pop_tam_b(x)).blocks
+        hong_image_predicate(reduction(block)) for block in large_blocks(pop_tam_b(x))
     )
 
 
@@ -106,7 +110,7 @@ def adjacency_chain(x, y, z):
         raise ValueError("x -> y must swap a descent (c, a) to (a, c)")
     if not any(a < b < c for b in x[i + 2 :]):
         raise ValueError("no witness between the swapped values occurs later")
-    if reduction(half_decomposition(z).half) != x:
+    if reduction(large_half(z)) != x:
         raise ValueError("z's large-entry pattern must equal x")
 
     big_c, big_a = c + n, a + n
@@ -127,5 +131,5 @@ def adjacency_chain(x, y, z):
         raise ValueError(f"final swap not legal at {cur}")
     cur = _signed_double_swap(cur, pos)
     chain.append(cur)
-    assert reduction(half_decomposition(cur).half) == y, (cur, y)
+    assert reduction(large_half(cur)) == y, (cur, y)
     return chain

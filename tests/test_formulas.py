@@ -37,7 +37,7 @@ def test_tam_a_polynomial():
     assert tam_a_polynomial(2) == QPoly({2: 1, 1: 1})
     assert tam_a_polynomial(3) == QPoly({3: 1, 2: 3})
     motzkin = [1, 2, 4, 9, 21, 51, 127]
-    assert [tam_a_polynomial(n).evaluate(1) for n in range(1, 8)] == motzkin
+    assert [sum(tam_a_polynomial(n).coeffs.values()) for n in range(1, 8)] == motzkin
 
 
 def test_tam_b_polynomial():
@@ -50,7 +50,7 @@ def test_j_a_polynomial():
     assert j_a_polynomial(0) == QPoly({1: 1})
     assert j_a_polynomial(1) == QPoly({1: 1, 2: 1})
     assert j_a_polynomial(2) == QPoly({1: 1, 2: 3, 3: 1})
-    totals = [j_a_polynomial(n).evaluate(1) for n in range(5)]
+    totals = [sum(j_a_polynomial(n).coeffs.values()) for n in range(5)]
     assert totals == [1, 2, 5, 13, 35]
 
 

@@ -1,12 +1,14 @@
 """Every function and class in `src/poplat` is reached by the program.
 
-A definition counts as reached when its name is loaded (a Load-context
-`Name` or `Attribute`, or an import alias) somewhere in `src/poplat` or
-`perfbench/` outside its own body.  Module-level functions and classes are
-checked, and the methods of those classes other than dunders.  Names are
-matched without their module, so a same-named load elsewhere also counts:
-the test catches a definition whose name nothing in the program loads, not
-every unreached one.  Code that only the tests call belongs in `tests/`.
+A definition counts as reached when its name is loaded somewhere in
+`src/poplat` or `perfbench/` outside its own body.  Module-level functions
+and classes are checked, and the methods of those classes other than
+dunders.  A function or class is loaded by a Load-context `Name`, an
+`Attribute` or an import alias; a method only by an `Attribute` (`.name`),
+since no bare name can call it.  Names are matched without their module or
+class, so a same-named load elsewhere also counts: the test catches a
+definition whose name nothing in the program loads, not every unreached
+one.  Code that only the tests call belongs in `tests/`.
 """
 import ast
 from pathlib import Path
@@ -35,8 +37,9 @@ def definitions(tree):
 
 
 def loaded_names(tree, skip):
-    """Every name loaded in `tree`, not counting the subtree `skip`."""
-    names = set()
+    """(bare names and import aliases, attribute names) loaded in `tree`,
+    not counting the subtree `skip`."""
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -45,11 +48,19 @@ def loaded_names(tree, skip):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
         stack.extend(ast.iter_child_nodes(node))
-    return names
+    return names, attributes
+
+
+def is_loaded(name, tree, skip):
+    """Is the definition `name` (qualified, as from `definitions`) loaded in
+    `tree` outside `skip`?  A method counts only as an attribute."""
+    names, attributes = loaded_names(tree, skip)
+    short = name.rsplit(".", 1)[-1]
+    return short in attributes or ("." not in name and short in names)
 
 
 def unreached(root):
@@ -64,8 +75,7 @@ def unreached(root):
         if path.parent != package:
             continue
         for name, node in definitions(tree):
-            short = name.rsplit(".", 1)[-1]
-            if not any(short in loaded_names(other, node) for other in trees.values()):
+            if not any(is_loaded(name, other, node) for other in trees.values()):
                 out.append(f"{path.stem}.{name}")
     return out
 

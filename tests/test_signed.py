@@ -5,16 +5,15 @@ import pytest
 from poplat.errors import GuardError
 from poplat.families import FAMILIES
 from poplat.signed import (
-    HalfBlock,
-    ascent_decomposition,
     complement_reverse,
     enumerate_signed,
-    half_decomposition,
+    large_blocks,
     validate_signed,
 )
 from poplat.tamari import tam_b_elements
-from poplat.words import index_of, reverse_runs
-from word_stats import bounded_ascent_count
+from poplat.words import ascending_runs, index_of, reverse_runs
+from congruence import large_half
+from word_stats import bounded_ascent_count, mid_run
 
 
 def test_validate_examples():
@@ -70,76 +69,75 @@ def test_enumerate_counts_and_guard():
 
 
 def test_ascent_decomposition_examples():
-    d = ascent_decomposition((6, 8, 2, 4, 5, 7, 1, 3))
-    assert d.runs == ((6, 8), (2, 4, 5, 7), (1, 3))
-    assert d.lengths == (2, 4, 2)
-    assert d.mid == (2, 4, 5, 7)
-    assert d.run(1) == (6, 8) and d.run(-1) == (1, 3) and d.run(-2) == (2, 4, 5, 7)
-
-    d2 = ascent_decomposition((6, 8, 2, 5, 4, 7, 1, 3))
-    assert d2.mid == ()
+    # the ascending runs, and the paper's mid(x): the run holding positions
+    # n and n+1, or () when they lie in two runs
+    x = (6, 8, 2, 4, 5, 7, 1, 3)
+    assert ascending_runs(x) == [(6, 8), (2, 4, 5, 7), (1, 3)]
+    assert mid_run(x) == (2, 4, 5, 7)
+    assert mid_run((6, 8, 2, 5, 4, 7, 1, 3)) == ()
+    assert mid_run((2, 1, 4, 3)) == (1, 4)
 
     ident = tuple(range(1, 9))
-    d3 = ascent_decomposition(ident)
-    assert d3.runs == (ident,) and d3.mid == ident
+    assert ascending_runs(ident) == [ident] and mid_run(ident) == ident
 
 
 def test_half_decomposition_examples():
-    d = half_decomposition((6, 5, 7, 1, 8, 2, 4, 3))
-    assert d.half == (6, 5, 7, 8)
-    assert [(b.start, b.values) for b in d.blocks] == [(1, (6, 5, 7)), (5, (8,))]
-    assert d.complements == ((2, 4, 3), (1,))
-    assert [len(b) for b in d.blocks] == [3, 1]
+    # the large entries (>= n+1) and their maximal blocks
+    x = (6, 5, 7, 1, 8, 2, 4, 3)
+    assert large_half(x) == (6, 5, 7, 8)
+    assert large_blocks(x) == [(6, 5, 7), (8,)]
 
-    d2 = half_decomposition((2, 1, 4, 3))
-    assert d2.half == (4, 3)
-    assert [(b.start, b.values) for b in d2.blocks] == [(3, (4, 3))]
+    assert large_half((2, 1, 4, 3)) == (4, 3)
+    assert large_blocks((2, 1, 4, 3)) == [(4, 3)]
 
-    d3 = half_decomposition((1, 3, 2, 4))
-    assert [b.values for b in d3.blocks] == [(3,), (4,)]
-    assert d3.complements == ((2,), (1,))
+    assert large_blocks((1, 3, 2, 4)) == [(3,), (4,)]
+    assert large_blocks(()) == []
 
 
 def test_half_blocks_flanked_by_small_entries():
-    for x in enumerate_signed(3):
-        d = half_decomposition(x)
-        n = 3
-        for b in d.blocks:
-            lo, hi = b.start - 1, b.start + len(b)  # 1-based neighbours
-            if lo >= 1:
-                assert x[lo - 1] <= n
-            if hi <= 2 * n:
-                assert x[hi - 1] <= n
+    n = 3
+    for x in enumerate_signed(n):
+        for b in large_blocks(x):
+            start = x.index(b[0])
+            end = start + len(b)
+            assert x[start:end] == b
+            if start > 0:
+                assert x[start - 1] <= n
+            if end < 2 * n:
+                assert x[end] <= n
 
 
 def test_reconstruction_and_mirror_identity():
     for n in (1, 2, 3, 4):
         for x in enumerate_signed(n):
-            d = half_decomposition(x)
-            rebuilt = list(x)
-            for b in d.blocks:
-                rebuilt[b.start - 1 : b.start - 1 + len(b)] = b.values
+            blocks = large_blocks(x)
+            rebuilt = [v if v <= n else None for v in x]
+            for b in blocks:
+                start = x.index(b[0])
+                rebuilt[start : start + len(b)] = b
             assert tuple(rebuilt) == x
+            assert tuple(itertools.chain.from_iterable(blocks)) == large_half(x)
             small_reversed = tuple(2 * n + 1 - v for v in reversed(x) if v <= n)
-            assert small_reversed == d.half
+            assert small_reversed == large_half(x)
+            mirrored = (complement_reverse(b, 2 * n) for b in reversed(blocks))
+            assert tuple(itertools.chain.from_iterable(mirrored)) == tuple(
+                v for v in x if v <= n
+            )
 
 
 def test_half_and_rev_commute_on_carrier():
     # entries >= n+1 keep their block structure under run reversal
     for n in (1, 2, 3, 4, 5):
         for x in tam_b_elements(n):
-            rx = reverse_runs(x)
-            lhs = half_decomposition(rx).half
-            rhs = reverse_runs(half_decomposition(x).half)
-            assert lhs == rhs
+            assert large_half(reverse_runs(x)) == reverse_runs(large_half(x))
 
 
 def test_half_blocks_increase_on_carrier():
     for n in (1, 2, 3, 4, 5):
         for x in tam_b_elements(n):
-            blocks = half_decomposition(x).blocks
+            blocks = large_blocks(x)
             for prev, cur in zip(blocks, blocks[1:]):
-                assert min(cur.values) > max(prev.values)
+                assert min(cur) > max(prev)
 
 
 def test_large_values_in_first_run_when_one_short_of_max():
@@ -149,7 +147,7 @@ def test_large_values_in_first_run_when_one_short_of_max():
         for x in enumerate_signed(n):
             if bounded_ascent_count(x, n) != n - 1:
                 continue
-            first = set(ascent_decomposition(x).runs[0])
+            first = set(ascending_runs(x)[0])
             for j in range(n + 1, 2 * n + 1):
                 if index_of(x, j) <= n:
                     assert j in first, (x, j)
@@ -159,17 +157,3 @@ def test_complement_reverse():
     assert complement_reverse((6, 5, 7), 8) == (2, 4, 3)
     assert complement_reverse((8,), 8) == (1,)
     assert complement_reverse((), 8) == ()
-
-
-def test_decomposition_records_are_immutable_and_equal_by_fields():
-    d = half_decomposition((2, 1, 4, 3))
-    assert d == ((4, 3), (HalfBlock(3, (4, 3)),), ((2, 1),))
-    block = d.blocks[0]
-    assert block == HalfBlock(3, (4, 3)) != HalfBlock(2, (4, 3))
-    assert hash(block) == hash(HalfBlock(3, (4, 3)))
-    assert repr(block) == "HalfBlock(start=3, values=(4, 3))"
-    for change in (lambda: setattr(block, "start", 1), lambda: delattr(block, "values"),
-                   lambda: setattr(d, "half", ())):
-        with pytest.raises(AttributeError):
-            change()
-    assert ascent_decomposition((2, 1, 4, 3)) == (((2,), (1, 4), (3,)), (1, 2, 1), (1, 4))

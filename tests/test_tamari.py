@@ -8,9 +8,9 @@ import pytest
 from poplat.errors import GuardError
 from poplat.families import FAMILIES
 from poplat.lattice import FiniteLattice
-from poplat.signed import enumerate_signed, half_decomposition
+from poplat.signed import enumerate_signed
 from poplat.tamari import (
-    _rewrite_tam_b,
+    _project,
     hong_image_predicate,
     pop_tam_a,
     pop_tam_b,
@@ -35,6 +35,7 @@ from poplat.words import (
 )
 from congruence import (
     adjacency_chain,
+    large_half,
     movable_b,
     project_tam_a_by_classes,
     project_tam_b_by_classes,
@@ -289,7 +290,7 @@ def test_closure_tam_b_carrier_matches_generators_at_the_budget():
 )
 def test_block_swap_covers_match_rewritten_weak_covers(n):
     for y in tam_b_elements(n):
-        expected = [_rewrite_tam_b(list(w)) for w in weak_b_lower_covers(y)]
+        expected = [_project(list(w), n + 1) for w in weak_b_lower_covers(y)]
         assert tam_b_lower_covers(y) == expected, y
     tam_b_elements.cache_clear()
 
@@ -380,9 +381,9 @@ def test_project_tam_b_examples():
     # different classes).  The class minimum is therefore 31254786.
     assert project_tam_b((3, 7, 1, 5, 4, 8, 2, 6)) == (3, 1, 2, 5, 4, 7, 8, 6)
     # the large-entry pattern identity the example actually demonstrates:
-    assert reduction(
-        half_decomposition(project_tam_b((3, 7, 1, 5, 4, 8, 2, 6))).half
-    ) == project_tam_a(reduction(half_decomposition((3, 7, 1, 5, 4, 8, 2, 6)).half))
+    assert reduction(large_half(project_tam_b((3, 7, 1, 5, 4, 8, 2, 6)))) == project_tam_a(
+        reduction(large_half((3, 7, 1, 5, 4, 8, 2, 6)))
+    )
     assert project_tam_b((1, 3, 2, 4)) == (1, 3, 2, 4)
     assert project_tam_b((2, 4, 1, 3)) == (2, 1, 4, 3)
 
@@ -421,8 +422,8 @@ def test_largest_value_sits_right_of_center_on_image():
 def test_block_pattern_commutes_with_projection():
     for n in (1, 2, 3, 4):
         for x in enumerate_signed(n):
-            lhs = reduction(half_decomposition(project_tam_b(x)).half)
-            rhs = project_tam_a(reduction(half_decomposition(x).half))
+            lhs = reduction(large_half(project_tam_b(x)))
+            rhs = project_tam_a(reduction(large_half(x)))
             assert lhs == rhs, x
 
 
@@ -553,7 +554,7 @@ def test_adjacency_chain_worked_example():
         (3, 1, 4, 2, 7, 5, 8, 6),
         (3, 1, 2, 4, 5, 7, 8, 6),
     ]
-    assert reduction(half_decomposition(chain[-1]).half) == (1, 3, 4, 2)
+    assert reduction(large_half(chain[-1])) == (1, 3, 4, 2)
 
 
 def test_adjacency_chain_single_step():
@@ -567,7 +568,7 @@ def test_adjacency_chain_sweep_rank3():
 
     by_pattern = {}
     for z in enumerate_signed(3):
-        by_pattern.setdefault(reduction(half_decomposition(z).half), []).append(z)
+        by_pattern.setdefault(reduction(large_half(z)), []).append(z)
     for x in permutations((1, 2, 3)):
         for y in set(tam_a_adjacent(x)):
             for z in by_pattern[x]:
@@ -575,7 +576,7 @@ def test_adjacency_chain_sweep_rank3():
                 assert chain[0] == z
                 for cur, nxt in zip(chain, chain[1:]):
                     assert nxt in tam_b_adjacent(cur), (cur, nxt)
-                assert reduction(half_decomposition(chain[-1]).half) == y
+                assert reduction(large_half(chain[-1])) == y
 
 
 def test_adjacency_chain_precondition_errors():

@@ -11,6 +11,7 @@ images, apart from the program's census streamed from that join.
 """
 from poplat.dyck import FALL, RISE, _flip_shifts, flip_valleys_up, peaks, semi_length
 from poplat.lattice import QPoly
+from poplat.words import ascending_runs
 
 
 def descent_count(word):
@@ -146,6 +147,17 @@ def bounded_ascent_count(word, bound):
     if not 1 <= bound <= len(word) - 1:
         raise ValueError(f"bound {bound} out of range for length {len(word)}")
     return sum(1 for i in range(bound) if word[i] < word[i + 1])
+
+
+def mid_run(x):
+    """The ascending run of a rank-n x that holds positions n and n+1
+    (1-based), or () when no run holds both."""
+    n, start = len(x) // 2, 0
+    for run in ascending_runs(x):
+        if start < n < start + len(run):
+            return run
+        start += len(run)
+    return ()
 
 
 def peak_count(path):
