@@ -286,7 +286,8 @@ SERIES: dict[str, Series] = {
         Series("I", series.symmetric_avoider_series, {}),
         Series("J", series.symmetric_image_series, {
             "matches_image_formula": _matches_formula(formulas.j_b_polynomial, 1),
-            "radical_form": lambda s, order: series.radical_check_symmetric(min(order, 10))}),
+            "radical_form": lambda s, order: series.radical_symmetric_series(
+                min(order, 10)).agrees_with(s, 10)}),
         Series("M", series.tamari_block_series, {"radical_form": lambda s, order: s.agrees_with(
             series.radical_block_series(order), order)}),
         Series("N", lambda order: series.tamari_image_series(order)["N"],

@@ -2,9 +2,14 @@
 
 A series is truncated in x at a fixed order; each x-coefficient is a finite
 polynomial in y.  A coefficient is an `int` when it is integral and a
-`Fraction` only where a real denominator appears (the 1/2 of a square root);
-a float raises `TypeError`, so all arithmetic stays exact.  Square roots and
-reciprocals are computed order by order in x and require constant term 1.
+`Fraction` only where a real denominator appears (the 1/2 of a square root).
+The public constructors and `scale` raise `TypeError` on a float, and they
+and `shift_x` raise `ValueError` on a negative exponent; every internal
+result passes one gate, `BiSeries._of`, which drops zeros and empty rows and
+turns integral Fractions into ints.  In between, ints and Fractions are only
+added and multiplied (in place, one row per x-power), and `sqrt` halves an
+int exactly.  Square roots and reciprocals are computed order by order in x
+and require constant term 1.
 
 G is solved by its triangular coefficient recurrence, since [x^n] of the
 right-hand side of its equation reads only G_0..G_{n-1}; I is linear in
@@ -33,34 +38,13 @@ def _exact(v) -> Exact:
     raise TypeError(f"series coefficients must be int or Fraction, not {v!r}")
 
 
-def _yp_add(a: YPoly, b: YPoly) -> YPoly:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _yp_scale(a: YPoly, c: Exact) -> YPoly:
-    if not c:
-        return {}
-    return {k: _exact(v * c) for k, v in a.items()}
-
-
-def _yp_mul(a: YPoly, b: YPoly) -> YPoly:
-    out: YPoly = {}
+def _addmul(row: YPoly, a: YPoly, b: YPoly) -> None:
+    """row += a * b in place; `BiSeries._of` drops the zeros left."""
+    get = row.get
     for ka, va in a.items():
         for kb, vb in b.items():
             k = ka + kb
-            s = out.get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
+            row[k] = get(k, 0) + va * vb
 
 
 class BiSeries:
@@ -74,10 +58,25 @@ class BiSeries:
         self.order = order
         self.coeffs: dict[int, YPoly] = {}
         for n, poly in (coeffs or {}).items():
+            if n < 0 or min(poly, default=0) < 0:
+                raise ValueError("exponents must be nonnegative")
+            cleaned = {k: e for k, v in poly.items() if (e := _exact(v))}
+            if cleaned and n <= order:
+                self.coeffs[n] = cleaned
+
+    @classmethod
+    def _of(cls, order: int, coeffs: dict[int, YPoly]) -> "BiSeries":
+        """Internal results: drop rows past `order`, zeros and empty rows."""
+        s = object.__new__(cls)
+        s.order = order
+        s.coeffs = {}
+        for n, poly in coeffs.items():
             if n <= order:
-                cleaned = {k: _exact(v) for k, v in poly.items() if v}
-                if cleaned:
-                    self.coeffs[n] = cleaned
+                row = {k: v.numerator if v.denominator == 1 else v
+                       for k, v in poly.items() if v}
+                if row:
+                    s.coeffs[n] = row
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -93,8 +92,7 @@ class BiSeries:
     def from_terms(cls, order: int, terms: dict[tuple[int, int], Exact]) -> "BiSeries":
         coeffs: dict[int, YPoly] = {}
         for (n, k), v in terms.items():
-            if n <= order and v:
-                coeffs.setdefault(n, {})[k] = v
+            coeffs.setdefault(n, {})[k] = v
         return cls(order, coeffs)
 
     # -- access -------------------------------------------------------------
@@ -136,52 +134,45 @@ class BiSeries:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        order = min(self.order, other.order)
-        out: dict[int, YPoly] = {}
-        for n in range(order + 1):
-            poly = _yp_add(self.coeffs.get(n, {}), other.coeffs.get(n, {}))
-            if poly:
-                out[n] = poly
-        return BiSeries(order, out)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "BiSeries", sign: int) -> "BiSeries":
+        out = {n: dict(p) for n, p in self.coeffs.items()}
+        for n, p in other.coeffs.items():
+            _addmul(out.setdefault(n, {}), p, {0: sign})
+        return BiSeries._of(min(self.order, other.order), out)
 
     def scale(self, c) -> "BiSeries":
-        c = _exact(c)
-        return BiSeries(
-            self.order, {n: _yp_scale(p, c) for n, p in self.coeffs.items()}
-        )
+        return self * BiSeries.constant(self.order, _exact(c))
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
+        """A single-term operand (x, y, x^2 y) costs one `_addmul` per row of
+        the other: a shift of its exponents."""
         order = min(self.order, other.order)
-        out: dict[int, YPoly] = {n: {} for n in range(order + 1)}
+        rows = sorted(other.coeffs.items())
+        out: dict[int, YPoly] = {}
         for na, pa in self.coeffs.items():
-            if na > order:
-                continue
-            for nb, pb in other.coeffs.items():
-                n = na + nb
-                if n > order:
-                    continue
-                out[n] = _yp_add(out[n], _yp_mul(pa, pb))
-        return BiSeries(order, out)
+            for nb, pb in rows:
+                if na + nb > order:
+                    break
+                _addmul(out.setdefault(na + nb, {}), pa, pb)
+        return BiSeries._of(order, out)
 
     def shift_x(self, exponent: int) -> "BiSeries":
         """Multiply by x^exponent."""
-        return BiSeries(
-            self.order,
-            {n + exponent: p for n, p in self.coeffs.items() if n + exponent <= self.order},
-        )
+        if exponent < 0:
+            raise ValueError("exponents must be nonnegative")
+        return BiSeries._of(self.order, {n + exponent: p for n, p in self.coeffs.items()})
 
     def substitute_x_squared(self, order: int | None = None) -> "BiSeries":
         """x -> x^2; the result is reliable through twice the source order."""
         target = 2 * self.order if order is None else order
         if target > 2 * self.order + 1:
             raise ValueError("source order too small for requested truncation")
-        return BiSeries(
-            target,
-            {2 * n: p for n, p in self.coeffs.items() if 2 * n <= target},
-        )
+        return BiSeries._of(target, {2 * n: p for n, p in self.coeffs.items()})
 
     def odd_part_half_shift(self) -> "BiSeries":
         """Sum of a_{2t+1} x^{t+1} over the odd x-coefficients a_s.
@@ -190,14 +181,8 @@ class BiSeries:
         the result never leaves integer x-exponents.  The source must be
         truncated at least at 2*order - 1 for the result to be full.
         """
-        out: dict[int, YPoly] = {}
-        target = (self.order + 1) // 2
-        for n, p in self.coeffs.items():
-            if n % 2 == 1:
-                t = (n + 1) // 2
-                if t <= target:
-                    out[t] = p
-        return BiSeries(target, out)
+        odd = {(n + 1) // 2: p for n, p in self.coeffs.items() if n % 2 == 1}
+        return BiSeries._of((self.order + 1) // 2, odd)
 
     def _unit_constant(self) -> None:
         if self.coeffs.get(0, {}) != {0: 1}:
@@ -206,17 +191,17 @@ class BiSeries:
     def inverse(self) -> "BiSeries":
         """Reciprocal of a series with constant term 1, order by order."""
         self._unit_constant()
+        terms = sorted(self.coeffs.items())[1:]  # past the constant 1
         inv: dict[int, YPoly] = {0: {0: 1}}
         for n in range(1, self.order + 1):
             acc: YPoly = {}
-            for i in range(1, n + 1):
-                bi = self.coeffs.get(i)
-                if bi:
-                    acc = _yp_add(acc, _yp_mul(bi, inv.get(n - i, {})))
-            negated = _yp_scale(acc, -1)
-            if negated:
-                inv[n] = negated
-        return BiSeries(self.order, inv)
+            for i, p in terms:
+                if i > n:
+                    break
+                _addmul(acc, p, inv[n - i])
+            inv[n] = {}
+            _addmul(inv[n], acc, {0: -1})
+        return BiSeries._of(self.order, inv)
 
     def sqrt(self) -> "BiSeries":
         """Square root of a series with constant term 1, order by order."""
@@ -225,12 +210,12 @@ class BiSeries:
         for n in range(1, self.order + 1):
             cross: YPoly = {}
             for i in range(1, n):
-                cross = _yp_add(cross, _yp_mul(root.get(i, {}), root.get(n - i, {})))
-            residual = _yp_add(self.coeffs.get(n, {}), _yp_scale(cross, -1))
-            half = _yp_scale(residual, Fraction(1, 2))
-            if half:
-                root[n] = half
-        return BiSeries(self.order, root)
+                _addmul(cross, root[i], root[n - i])
+            residual = dict(self.coeffs.get(n, {}))
+            _addmul(residual, cross, {0: -1})
+            root[n] = {k: v >> 1 if type(v) is int and not v & 1 else Fraction(v) / 2
+                       for k, v in residual.items() if v}
+        return BiSeries._of(self.order, root)
 
     def inv_sqrt(self) -> "BiSeries":
         return self.sqrt().inverse()
@@ -243,15 +228,10 @@ class BiSeries:
         """
         out: dict[int, YPoly] = {}
         for xn, p in self.coeffs.items():
-            if xn < n:
-                raise ArithmeticError(f"term at x^{xn} not divisible by x^{n}")
-            shifted: YPoly = {}
-            for yk, v in p.items():
-                if yk < k:
-                    raise ArithmeticError(f"term y^{yk} not divisible by y^{k}")
-                shifted[yk - k] = v
-            out[xn - n] = shifted
-        return BiSeries(self.order - n, out)
+            if xn < n or min(p) < k:
+                raise ArithmeticError(f"a term is not divisible by x^{n} y^{k}")
+            out[xn - n] = {yk - k: v for yk, v in p.items()}
+        return BiSeries._of(self.order - n, out)
 
 
 def _xy(order: int) -> tuple[BiSeries, BiSeries, BiSeries]:
@@ -269,24 +249,20 @@ def _g_coefficients(order: int) -> dict[int, YPoly]:
     (y + 1) G_{n-1} - [n = 1] + y * sum_{j=1}^{n-2} G_{n-2-j} G_j,
     which reads only lower coefficients.
     """
-    y = {1: 1}
     g: dict[int, YPoly] = {0: {0: 1}}
     for n in range(1, order + 1):
-        cross: YPoly = {}
+        inner = dict(g[n - 1])
         for j in range(1, n - 1):
-            cross = _yp_add(cross, _yp_mul(g[n - 2 - j], g[j]))
-        prev = g[n - 1]
-        coeff = _yp_add(prev, _yp_mul(y, _yp_add(prev, cross)))
-        if n == 1:
-            coeff = _yp_add(coeff, {0: -1})
-        g[n] = coeff
+            _addmul(inner, g[n - 2 - j], g[j])
+        g[n] = dict(g[n - 1]) if n > 1 else {}  # G_0 - 1 = 0
+        _addmul(g[n], inner, {1: 1})
     return g
 
 
 @lru_cache(maxsize=None)
 def _solve_g(order: int) -> BiSeries:
     one, x, y = _xy(order)
-    g = BiSeries(order, _g_coefficients(order))
+    g = BiSeries._of(order, _g_coefficients(order))
     rhs = one + x * y * g + x * (g - one) + x.shift_x(1) * y * g * (g - one)
     if rhs != g:
         raise ArithmeticError("solved series does not satisfy its equation")
@@ -316,7 +292,7 @@ def _solve_i(order: int) -> BiSeries:
     g2 = _solve_g((order + 1) // 2).substitute_x_squared(order)
     gm1 = g2 - one
     # Linear in I: I = A + B I with A = 1 - x + xy + x^3 y (G(x^2)-1),
-    # B = x^2 y + x + x^4 y (G(x^2)-1).  Solve I = A / (1 - B); the tests
+    # B = x^2 y + x + x^4 y (G(x^2)-1).  Solve I = A / (1 - B), then
     # substitute the result back into the defining equation.
     a = one - x + x * y + x.shift_x(2) * y * gm1
     b = x.shift_x(1) * y + x + x.shift_x(3) * y * gm1
@@ -346,14 +322,13 @@ def symmetric_image_series(order: int) -> BiSeries:
     avoider series, one x per unit of rank."""
     inner = symmetric_avoider_series(2 * order)
     one = BiSeries.constant(order, 1)
-    return one + BiSeries(order, inner.odd_part_half_shift().coeffs)
+    return one + inner.odd_part_half_shift()
 
 
 def tamari_block_series(order: int) -> BiSeries:
     """Type-A Tamari image elements by (length, doubled descent count).
 
-    Built from the closed-form coefficients C(2k,k)/(k+1) * C(m-1, 2k); the
-    radical form and the enumeration cross-checks live in the tests.
+    Built from the closed-form coefficients C(2k,k)/(k+1) * C(m-1, 2k).
     """
     terms: dict[tuple[int, int], int] = {}
     for m in range(1, order + 1):
@@ -377,14 +352,12 @@ def tamari_image_series(order: int) -> dict[str, BiSeries]:
     q = m * geom
     n = p + q
     k_coeffs: dict[int, YPoly] = {}
-    for xn in range(1, order + 1):
-        poly = n.coefficient(xn)
-        regraded: YPoly = {}
+    for xn, poly in n.coeffs.items():
+        row = k_coeffs[xn] = {}
         for d, v in poly.items():
             u = xn - (d + 1) // 2
-            regraded[u] = regraded.get(u, 0) + v
-        k_coeffs[xn] = regraded
-    k = BiSeries(order, k_coeffs)
+            row[u] = row.get(u, 0) + v
+    k = BiSeries._of(order, k_coeffs)
     return {"M": m, "P": p, "Q": q, "N": n, "K": k}
 
 
@@ -415,4 +388,4 @@ def radical_block_series(order: int) -> BiSeries:
     inner = one - x.scale(2) + x * x - (x * y).scale(4) * x * y
     numerator = one - x - inner.sqrt()
     quotient = numerator.divide_monomial(2, 2).scale(Fraction(1, 2)).shift_x(1)
-    return BiSeries(order, quotient.coeffs)
+    return BiSeries._of(order, quotient.coeffs)

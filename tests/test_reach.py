@@ -36,31 +36,33 @@ def definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def loaded_names(tree, skip):
-    """(bare names and import aliases, attribute names) loaded in `tree`,
-    not counting the subtree `skip`."""
-    names, attributes = set(), set()
-    stack = [tree]
+def record_loads(tree, loads):
+    """Add each load in `tree` to `loads`, keyed by ("name" | "attribute",
+    loaded name), as the tuple of function and class nodes enclosing it.
+    A bare name or import alias is a "name" load, `.name` an "attribute"."""
+    stack = [(tree, ())]
     while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+        node, enclosing = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing += (node,)
+        key = None
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            key = "name", node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            attributes.add(node.attr)
+            key = "attribute", node.attr
         elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-        stack.extend(ast.iter_child_nodes(node))
-    return names, attributes
+            key = "name", node.name.rsplit(".", 1)[-1]
+        if key:
+            loads.setdefault(key, []).append(enclosing)
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
 
 
-def is_loaded(name, tree, skip):
-    """Is the definition `name` (qualified, as from `definitions`) loaded in
-    `tree` outside `skip`?  A method counts only as an attribute."""
-    names, attributes = loaded_names(tree, skip)
+def is_loaded(name, node, loads):
+    """Is the definition `name` (qualified, as from `definitions`) loaded
+    outside its own `node`?  A method counts only as an attribute."""
     short = name.rsplit(".", 1)[-1]
-    return short in attributes or ("." not in name and short in names)
+    keys = [("attribute", short)] + ([("name", short)] if "." not in name else [])
+    return any(node not in enclosing for key in keys for enclosing in loads.get(key, ()))
 
 
 def unreached(root):
@@ -69,15 +71,15 @@ def unreached(root):
         for directory in ("src/poplat", "perfbench")
         for path in sorted((root / directory).glob("*.py"))
     }
+    loads = {}
+    for tree in trees.values():
+        record_loads(tree, loads)
     package = root / "src" / "poplat"
-    out = []
-    for path, tree in trees.items():
-        if path.parent != package:
-            continue
-        for name, node in definitions(tree):
-            if not any(is_loaded(name, other, node) for other in trees.values()):
-                out.append(f"{path.stem}.{name}")
-    return out
+    return [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items() if path.parent == package
+        for name, node in definitions(tree) if not is_loaded(name, node, loads)
+    ]
 
 
 def test_every_definition_in_src_is_reached_by_the_program():

@@ -13,6 +13,7 @@ from poplat.formulas import (
     n_coefficient,
     tam_b_polynomial,
 )
+from poplat.families import SERIES
 from poplat.lattice import QPoly
 from poplat.series import (
     BiSeries,
@@ -27,6 +28,7 @@ from poplat.series import (
     tamari_image_series,
 )
 from poplat.tamari import pop_tam_a, pop_tam_b, tam_a_elements, tam_b_elements
+from series_reference import clear_caches, copying_arithmetic, yp_add
 from word_stats import descent_count, half_peak_count, peak_count
 
 
@@ -55,6 +57,28 @@ def test_odd_part_extraction():
     assert odd.coefficient(2, 1) == 7
     assert odd.coefficient(3, 2) == 11
     assert odd.coefficient(1, 1) == 0
+
+
+def test_negative_exponents_raise():
+    with pytest.raises(ValueError):
+        BiSeries.monomial(4, -1, 0)
+    with pytest.raises(ValueError):
+        BiSeries.from_terms(4, {(2, -3): 5})
+    with pytest.raises(ValueError):
+        BiSeries(4, {-1: {0: 1}})
+    with pytest.raises(ValueError):
+        BiSeries.constant(4, 1).shift_x(-1)
+
+
+def test_a_float_raises_even_when_zero_or_past_the_order():
+    with pytest.raises(TypeError):
+        BiSeries.constant(3, 0.0)
+    with pytest.raises(TypeError):
+        BiSeries.from_terms(3, {(1, 0): 0.0})
+    with pytest.raises(TypeError):
+        BiSeries.monomial(3, 5, 0, 0.5)
+    with pytest.raises(TypeError):
+        BiSeries.constant(3, 1).scale(0.0)
 
 
 def test_divide_requires_unit_constant():
@@ -181,6 +205,8 @@ def test_fixed_point_contraction_guard():
     low_i = symmetric_avoider_series(6)
     high_i = symmetric_avoider_series(12)
     assert high_i.agrees_with(low_i, 6)
+    # J's radical check reads the order-16 solve through order 10
+    assert symmetric_image_series(16).agrees_with(symmetric_image_series(10), 10)
 
 
 def fixed_point_g(order: int) -> BiSeries:
@@ -217,7 +243,7 @@ def test_g_substitution_check_rejects_a_wrong_coefficient(monkeypatch):
     for n in range(7):
         def perturbed(order, n=n):
             g = recurrence(order)
-            g[n] = series._yp_add(g[n], {2: 1})
+            g[n] = yp_add(g[n], {2: 1})
             return g
 
         monkeypatch.setattr(series, "_g_coefficients", perturbed)
@@ -302,9 +328,40 @@ def from_ring(p, order: int) -> BiSeries:
 
 
 def is_normalised(s: BiSeries) -> bool:
-    return all(
-        type(v) is int or (type(v) is Fraction and v.denominator != 1)
+    """No zero, no empty row, no row past the order, and every coefficient an
+    int or a Fraction with a real denominator (so never a float)."""
+    return all(0 <= n <= s.order and poly for n, poly in s.coeffs.items()) and all(
+        type(v) is int and v != 0 or (type(v) is Fraction and v.denominator != 1)
         for v in all_coefficients(s)
+    )
+
+
+def every_solved_series() -> dict:
+    """Each series the command line solves, and the radical forms its checks read."""
+    out = {(name, order): SERIES[name].solve(order) for name in "GFHI" for order in (16, 32)}
+    out["J", 16] = SERIES["J"].solve(16)
+    out["M", 16] = SERIES["M"].solve(16)
+    out["M radical", 16] = radical_block_series(16)
+    out.update(((name, 16), s) for name, s in tamari_image_series(16).items())
+    out["J radical", 10] = radical_symmetric_series(10)
+    return out
+
+
+def test_kernel_matches_the_copying_reference(monkeypatch):
+    clear_caches()
+    fast = every_solved_series()
+    with copying_arithmetic(monkeypatch):
+        slow = every_solved_series()
+    assert fast.keys() == slow.keys()
+    for key, s in fast.items():
+        assert s == slow[key], key
+        assert is_normalised(s), key
+
+
+def single_term(draw, order: int) -> BiSeries:
+    """c x^n y^k, possibly past the order or zero (then the empty series)."""
+    return BiSeries.monomial(
+        order, draw(st.integers(0, 8)), draw(st.integers(0, 3)), draw(exact_numbers)
     )
 
 
@@ -316,16 +373,27 @@ def test_arithmetic_matches_sympy_ring_series(data):
     from sympy.polys.rings import ring
 
     ring_xy, x, _ = ring("x,y", QQ)
-    order = data.draw(st.integers(0, 8))
-    a = data.draw(unit_series(order))
-    b = data.draw(unit_series(data.draw(st.integers(0, 8))))
-    pa, pb = to_ring(a, ring_xy), to_ring(b, ring_xy)
-    low = min(order, b.order)
+    draw = data.draw
+    order = draw(st.integers(0, 8))
+    a = draw(unit_series(order))
+    b = draw(unit_series(draw(st.integers(0, 8))))
+    t = single_term(draw, draw(st.integers(0, 8)))
+    k = draw(st.integers(-6, 6))
+    f = draw(st.fractions(min_value=-6, max_value=6, max_denominator=6))
+    pa, pb, pt = (to_ring(s, ring_xy) for s in (a, b, t))
+    low, with_t = min(order, b.order), min(order, t.order)
 
-    product = a * b
-    assert product == from_ring(ring_series.rs_mul(pa, pb, x, low + 1), low)
-    inverse = a.inverse()
-    assert inverse == from_ring(ring_series.rs_series_inversion(pa, x, order + 1), order)
-    root = a.sqrt()
-    assert root == from_ring(ring_series.rs_nth_root(pa, 2, x, order + 1), order)
-    assert all(is_normalised(s) for s in (product, inverse, root))
+    expected = {
+        "a * b": (a * b, ring_series.rs_mul(pa, pb, x, low + 1), low),
+        "a + b": (a + b, pa + pb, low),
+        "a - b": (a - b, pa - pb, low),
+        "t * a": (t * a, pt * pa, with_t),
+        "a * t": (a * t, pa * pt, with_t),
+        "scale int": (a.scale(k), pa * k, order),
+        "scale Fraction": (a.scale(f), pa * QQ(f.numerator, f.denominator), order),
+        "inverse": (a.inverse(), ring_series.rs_series_inversion(pa, x, order + 1), order),
+        "sqrt": (a.sqrt(), ring_series.rs_nth_root(pa, 2, x, order + 1), order),
+    }
+    for label, (got, want, want_order) in expected.items():
+        assert got == from_ring(want, want_order), label
+        assert is_normalised(got), label
