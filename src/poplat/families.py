@@ -173,14 +173,6 @@ def _parse_symmetric_path(text: str) -> str:
     return path
 
 
-def _lattice_pop_up(name: str, rank: Callable[[Element], int]):
-    """Upward pop computed in the family's lattice of size rank(x), which holds x."""
-    def pop_up(x: Element) -> Element:
-        family = FAMILIES[name]
-        return family.build(family.admit(rank(x)), False).pop_up(x)
-    return pop_up
-
-
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
@@ -188,19 +180,20 @@ FAMILIES: dict[str, Family] = {
             "weak-a", "--n", math.factorial, weak.weak_a_lattice,
             _parse_permutation, words.format_word, weak.pop_weak, weak.pop_weak_up,
             image_direction="down",
+            predicate=lambda p: weak.image_run_condition(words.check_permutation(p)),
         ),
         Family(
             "weak-b", "--n", lambda n: 2**n * math.factorial(n), weak.weak_b_lattice,
             _parse_signed, words.format_word, weak.pop_weak, weak.pop_weak_up,
             image_direction="down",
-            predicate=weak.image_run_condition,
+            predicate=lambda x: weak.image_run_condition(signed.validate_signed(x)),
             predicate_necessary_only=True,
             first_entry_census=(weak.image_census_by_first_entry, formulas.census_prediction),
         ),
         Family(
             "tam-a", "--n", lambda n: _catalan(n + 1), tamari.tam_a_lattice,
             _parse_tam_a, words.format_word, tamari.pop_tam_a,
-            _lattice_pop_up("tam-a", lambda x: len(x) - 1),
+            lambda x: tamari.pop_tam_a(x, up=True),
             image_direction="down",
             predicate=tamari.hong_image_predicate,
             preimage=tamari.preimage_ending_in_one,
@@ -208,7 +201,7 @@ FAMILIES: dict[str, Family] = {
         Family(
             "tam-b", "--n", lambda n: math.comb(2 * n, n), tamari.tam_b_lattice,
             _parse_tam_b, words.format_word, tamari.pop_tam_b,
-            _lattice_pop_up("tam-b", lambda x: len(x) // 2),
+            lambda x: tamari.pop_tam_b(x, up=True),
             image_direction="down",
             predicate=tamari.tam_b_image_predicate,
             preimage=tamari.preimage_tam_b,

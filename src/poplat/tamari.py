@@ -34,8 +34,9 @@ A projection to the carrier rewrites with the same floor: it makes the
 leftmost congruence move, a descent (c, a) with a witness a < b < c at or
 after a's position if b >= f, at or before it if b < f, until none applies.
 With f = 0 every witness is large, so it must follow the pair, as in type A;
-with f = n+1 each move is made together with its mirror.  The tests check
-it against the class minimum of the congruence inside the ambient weak order.
+with f = n+1 each move is made together with its mirror.  Rewriting up to
+the class maximum turns an ascent (a, c) into (c, a) on the same test.  The
+tests check both against the class extremes inside the ambient weak order.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .lattice import FiniteLattice, last_size_cache, memoised_builder
 from .signed import complement_reverse, large_blocks, validate_signed
+from .weak import pop_weak_up
 from .words import (
     Word,
     avoids_312,
@@ -216,16 +218,17 @@ def tam_b_lattice(n: int) -> FiniteLattice:
 # --- projections --------------------------------------------------------------
 
 
-def _project(y: list[int], floor: int) -> Word:
-    """Minimum of y's congruence class, by leftmost-move rewriting in place.
+def _project(y: list[int], floor: int, up: bool = False) -> Word:
+    """Minimum of y's congruence class, or its maximum `up`, by leftmost-move
+    rewriting in place.
 
-    A descent (c, a) at i moves when a witness a < b < c sits at or after
-    a's position if b >= floor, at or before it if b < floor; with floor > 0
-    the move is made together with its mirror at len(y) - 2 - i.  Each move
-    removes an inversion, so the loop terminates.  A move at i and its mirror
-    only move values at positions >= min(i, mirror), so no pair left of
-    min(i, mirror) - 1 becomes movable and the scan resumes there.  The
-    inverse array `pos` is kept across the moves.
+    A descent (c, a) at i moves, or `up` an ascent (a, c), when a witness
+    a < b < c sits after the pair if b >= floor, before it if b < floor;
+    with floor > 0 the move is made together with its mirror at len(y) - 2 - i.
+    Each move removes (adds) an inversion, so the loop terminates.  A move at
+    i and its mirror only move values at positions >= min(i, mirror), so no
+    pair left of min(i, mirror) - 1 becomes movable and the scan resumes
+    there.  The inverse array `pos` is kept across the moves.
     """
     pos = [0] * (len(y) + 1)
     for t, v in enumerate(y):
@@ -233,7 +236,7 @@ def _project(y: list[int], floor: int) -> Word:
     last = len(y) - 1
     i = 0
     while i < last:
-        c, a = y[i], y[i + 1]
+        c, a = (y[i + 1], y[i]) if up else (y[i], y[i + 1])
         movable = c > a and (
             any(pos[b] <= i + 1 for b in range(a + 1, min(c, floor)))
             or any(pos[b] >= i + 1 for b in range(max(a + 1, floor), c))
@@ -249,32 +252,33 @@ def _project(y: list[int], floor: int) -> Word:
     return tuple(y)
 
 
-def project_tam_a(p: Word) -> Word:
-    """Minimum of p's congruence class in the weak order."""
-    return _project(list(check_permutation(p)), 0)
+def project_tam_a(p: Word, up: bool = False) -> Word:
+    """Minimum, or with `up` maximum, of p's congruence class in the weak order."""
+    return _project(list(check_permutation(p)), 0, up)
 
 
-def project_tam_b(x: Word) -> Word:
-    """Minimum of x's congruence class in the signed weak order."""
-    return _project(list(validate_signed(x)), len(x) // 2 + 1)
+def project_tam_b(x: Word, up: bool = False) -> Word:
+    """Minimum, or with `up` maximum, of x's class in the signed weak order."""
+    return _project(list(validate_signed(x)), len(x) // 2 + 1, up)
 
 
 # --- pop --------------------------------------------------------------------
 
 
-def pop_tam_a(p: Word) -> Word:
-    """Pop on the type-A carrier: project the run reversal."""
+def pop_tam_a(p: Word, up: bool = False) -> Word:
+    """Pop on the type-A carrier: project the run reversal, or `up` project
+    the ascending-run reversal of p's class maximum."""
     p = check_permutation(p)
     if not avoids_312(p):
         raise ValueError(f"{p} is not 312-avoiding")
-    return project_tam_a(reverse_runs(p))
+    return project_tam_a(pop_weak_up(project_tam_a(p, up)) if up else reverse_runs(p))
 
 
-def pop_tam_b(x: Word) -> Word:
+def pop_tam_b(x: Word, up: bool = False) -> Word:
     x = validate_signed(x)
     if not avoids_312_star(x):
         raise ValueError(f"{x} is not in the type-B carrier")
-    return project_tam_b(reverse_runs(x))
+    return project_tam_b(pop_weak_up(project_tam_b(x, up)) if up else reverse_runs(x))
 
 
 # --- image characterizations ---------------------------------------------------

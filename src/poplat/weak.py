@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .lattice import FiniteLattice, index_uppers, memoised_builder
-from .signed import signed_words, validate_signed
+from .signed import signed_words
 from .words import Word, ascending_runs, reverse_runs
 
 
@@ -55,16 +55,16 @@ def pop_weak_up(x: Word) -> Word:
 
 
 def image_run_condition(x: Word) -> bool:
-    """Necessary condition for membership in the signed pop image.
+    """Each ascending run of x starts below where the next one ends.
 
-    Each ascending run's first entry must be smaller than the next run's last
-    entry; necessity is exhaustively checked in the tests, sufficiency is not
-    claimed.
+    On S_n this is exactly the pop image: Asinowski, Banderier, Billey,
+    Hackl and Linusson, "Pop-stack sorting and its image: permutations with
+    overlapping runs", Acta Math. Univ. Comenianae 88 (2019).  On the signed
+    weak order it is necessary, which the tests check exhaustively;
+    sufficiency is not claimed.  The caller checks x.
     """
-    runs = ascending_runs(validate_signed(x))
-    return all(
-        runs[k][0] < runs[k + 1][-1] for k in range(len(runs) - 1)
-    )
+    runs = ascending_runs(x)
+    return all(runs[k][0] < runs[k + 1][-1] for k in range(len(runs) - 1))
 
 
 def image_census_by_first_entry(n: int) -> dict[int, int]:

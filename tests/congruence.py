@@ -6,8 +6,9 @@ descent (c, a) that has a witness b with a < b < c: in type A any b after
 the pair; in type B a large b (b >= n+1) at or after a's position, or a
 small one at or before it, and the move is made together with its mirror.
 Each rule is tested here as stated, sharing no predicate with the program's
-rewriting.  The class-minimum projections build the ambient weak order with
-the reference lattice, so they share no code with the kernel either.
+rewriting.  The class-minimum and class-maximum projections build the
+ambient weak order with the reference lattice, so they share no code with
+the kernel either.
 """
 from poplat.signed import large_blocks, validate_signed
 from poplat.tamari import hong_image_predicate, pop_tam_b
@@ -60,14 +61,16 @@ def tam_b_adjacent(x):
     return [_signed_double_swap(x, i) for i in range(len(x) - 1) if movable_b(x, i)]
 
 
-def project_tam_a_by_classes(n):
-    """Class-minimum oracle over the full weak order on S_{n+1}."""
-    return reference_build(*_weak_a_pairs(n + 1)).congruence_classes(tam_a_adjacent)
+def project_tam_a_by_classes(n, up=False):
+    """Class-minimum oracle over the full weak order on S_{n+1}; with `up`,
+    the class-maximum oracle."""
+    return reference_build(*_weak_a_pairs(n + 1)).congruence_classes(tam_a_adjacent, up)
 
 
-def project_tam_b_by_classes(n):
-    """Class-minimum oracle over the full signed weak order of rank n."""
-    return reference_build(*_weak_b_pairs(n)).congruence_classes(tam_b_adjacent)
+def project_tam_b_by_classes(n, up=False):
+    """Class-minimum oracle over the full signed weak order of rank n; with
+    `up`, the class-maximum oracle."""
+    return reference_build(*_weak_b_pairs(n)).congruence_classes(tam_b_adjacent, up)
 
 
 def tam_b_image_predicate_as_printed(x):

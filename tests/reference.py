@@ -157,7 +157,10 @@ class ReferenceLattice:
             coeffs[d] = coeffs.get(d, 0) + 1
         return QPoly(coeffs)
 
-    def congruence_classes(self, adjacency):
+    def congruence_classes(self, adjacency, up=False):
+        """Each element's class minimum, or with `up` its class maximum, for
+        the congruence generated by `adjacency`; every class must be an
+        interval."""
         n = len(self.elements)
         parent = list(range(n))
 
@@ -191,7 +194,7 @@ class ReferenceLattice:
                     f"class of {self.elements[lo]!r} is not an interval"
                 )
             for i in members:
-                projection[self.elements[i]] = self.elements[lo]
+                projection[self.elements[i]] = self.elements[hi if up else lo]
         return projection
 
 

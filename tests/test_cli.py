@@ -538,6 +538,8 @@ README_JSON = {
         (0, "c9235848ef2a87c2842450242fbe9d7d2c9078e99cea2a2e55fce62f6e7d0ff8"),
     "pop --lattice tam-b --x 7,1,10,11,9,8,5,4,2,3,12,6":
         (0, "c1174c3b756a5a3928f282d6599152f1435cdc8b9d11f841a79483fc41b3a857"),
+    "pop --lattice tam-b --x 1,7,2,4,3,5,8,10,9,11,6,12 --up":
+        (0, "b69e6e05520b68029350f8d87c3d679b4186a8fdb52840234ad70f6e154ae0f4"),
     "pop --lattice j-a --x rfrfrf --up":
         (0, "d2c172ad8bb4a6500d29ad5bb9d1fa308a36c767f914aea206043464c31fe06a"),
     "pop-poly --lattice tam-b --n 5":

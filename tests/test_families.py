@@ -7,8 +7,10 @@ necessity where the record says so), down/up census duality, and that every
 element reads back from its text.  Then every entry point is run at the
 first size past its bound (the memory budget, or the order bound for series
 and formulas) and at a huge one, with every builder, census, formula and
-series solver made to raise.
+series solver made to raise; the Tamari upward pops, read off words, still
+run there.
 """
+import json
 import tracemalloc
 
 import pytest
@@ -100,11 +102,6 @@ def refused_argvs():
     for label, past in (("first", lambda largest: largest + 1), ("huge", lambda largest: 10**9)):
         for i, argv in refused_runs(past):
             yield pytest.param(argv, id=f"{i}-{label}")
-    # pop --up on a Tamari word builds the lattice of the word's rank
-    tam_a = ",".join(map(str, range(1, ADMITTED["tam-a"] + 3)))
-    tam_b = ",".join(map(str, range(1, 2 * ADMITTED["tam-b"] + 3)))
-    yield pytest.param(["pop", "--lattice", "tam-a", "--up", "--x", tam_a], id="pop-up-tam-a")
-    yield pytest.param(["pop", "--lattice", "tam-b", "--up", "--x", tam_b], id="pop-up-tam-b")
 
 
 @pytest.mark.parametrize("argv", refused_argvs())
@@ -121,6 +118,32 @@ def test_past_the_budget_exits_2_before_any_work(capsys, monkeypatch, argv):
     assert captured.out == ""
     bound = "order bound" if argv[0] in ("series", "formula") else "MiB memory budget"
     assert captured.err.startswith("error: ") and bound in captured.err
+    assert peak < 1 << 20
+
+
+def _word(values):
+    return ",".join(map(str, values))
+
+
+@pytest.mark.parametrize("name, x", [
+    # the bottom words one size past the lattice budget, and the type-B top
+    pytest.param("tam-a", _word(range(1, ADMITTED["tam-a"] + 3)), id="pop-up-tam-a"),
+    pytest.param("tam-b", _word(range(1, 2 * ADMITTED["tam-b"] + 3)), id="pop-up-tam-b"),
+    pytest.param("tam-b", _word(range(2 * ADMITTED["tam-b"] + 2, 0, -1)), id="pop-up-tam-b-top"),
+])
+def test_tamari_pop_up_past_the_budget_builds_nothing(capsys, monkeypatch, name, x):
+    family = FAMILIES[name]
+    expected = family.format(family.pop_up(family.parse(x)))
+    refuse_all_work(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = main(["pop", "--lattice", name, "--up", "--x", x, "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["result"] == expected
     assert peak < 1 << 20
 
 

@@ -395,6 +395,40 @@ def test_project_tam_b_matches_class_minimum():
             assert project_tam_b(x) == target
 
 
+def test_upward_projections_match_class_maximum():
+    # S_1..S_7 and B_0..B_5
+    for n in range(7):
+        for p, target in project_tam_a_by_classes(n, up=True).items():
+            assert project_tam_a(p, up=True) == target, p
+    for n in range(6):
+        for x, target in project_tam_b_by_classes(n, up=True).items():
+            assert project_tam_b(x, up=True) == target, x
+
+
+def test_upper_cover_count_is_ascent_count():
+    # in type B, the ascents at positions 1..n, the central one included
+    for n in range(8):
+        lat = tam_a_lattice(n)
+        for y in lat.elements:
+            assert len(lat.upper_covers(y)) == len(y) - 1 - descent_count(y), y
+    for n in range(6):
+        lat = tam_b_lattice(n)
+        for y in lat.elements:
+            assert len(lat.upper_covers(y)) == sum(y[i] < y[i + 1] for i in range(n)), y
+
+
+@OPT_IN
+@pytest.mark.parametrize("name, n", [
+    *(("tam-a", n) for n in (8, 9)), *(("tam-b", n) for n in (6, 7, 8, 9))])
+def test_direct_pop_up_matches_the_lattice_up_to_the_budget(name, n):
+    # past the sizes that test_families checks in Tier-1; the lattice's
+    # pop_up is the oracle
+    family = FAMILIES[name]
+    lat = family.build(n)
+    for x in lat.elements:
+        assert family.pop_up(x) == lat.pop_up(x), x
+
+
 def test_projection_outputs_avoid_patterns():
     for n in (1, 2, 3, 4):
         for x, target in project_tam_b_by_classes(n).items():

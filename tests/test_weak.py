@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from poplat.families import FAMILIES
 from poplat.formulas import census_prediction, weak_b_coefficient
 from poplat.signed import enumerate_signed, signed_words, validate_signed
 from poplat.weak import (
@@ -109,6 +110,25 @@ def test_image_run_condition_examples():
     # runs 56|34|12: the first run starts above where the next one ends
     assert not image_run_condition((5, 6, 3, 4, 1, 2))
     assert image_run_condition(tuple(range(1, 9)))
+
+
+def test_run_condition_is_exactly_the_weak_a_image():
+    predicate = FAMILIES["weak-a"].predicate
+    sizes = []
+    for m in range(1, 8):
+        lat = weak_a_lattice(m)
+        image = lat.pop_image("down")
+        assert all(predicate(p) == (p in image) for p in lat.elements), m
+        sizes.append(len(image))
+    assert sizes == [1, 1, 3, 11, 49, 263, 1653]
+
+
+def test_each_weak_family_checks_its_own_input():
+    assert FAMILIES["weak-a"].predicate((2, 1, 3))
+    with pytest.raises(ValueError):
+        FAMILIES["weak-a"].predicate((2, 2, 3))
+    with pytest.raises(ValueError):
+        FAMILIES["weak-b"].predicate((2, 3, 1, 4))  # not centrally symmetric
 
 
 def test_image_run_condition_is_necessary():
