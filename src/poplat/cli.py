@@ -1,5 +1,36 @@
 """Batch command-line interface with machine-readable reports.
 
+What a user reads is `_EPILOG`, the tail of `poplat --help`: exit codes,
+names, knobs and size checks.
+
+Each subcommand's options are declared once, in `_SUBCOMMANDS`.  An argv in
+plain form is parsed straight from that table, without loading argparse.
+Plain form means: the first argument is exactly a command name; each later
+one is one of that command's option strings, spelled in full and given at
+most once; each option that takes a value is followed by one that does not
+start with `-` and passes the option's `int` conversion or choices; and
+every required option is present.  Any other argv (`--help`, an
+abbreviation, `--opt=value`, a repeat, a negative or malformed value, a bad
+choice, a missing option, a stray token, no command) goes to argparse,
+which `build_parser` builds from the same table and which prints the help
+texts and the usage errors.  Both read a plain argv alike.
+"""
+from __future__ import annotations
+
+import json
+import sys
+import time
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
+
+from .families import FAMILIES, FORMULAS, SERIES, THEOREMS
+from .lattice import FiniteLattice, QPoly
+
+if TYPE_CHECKING:
+    import argparse
+
+_EPILOG = """Batch command-line interface with machine-readable reports.
+
 Exit codes: 0 all verdicts match, 1 at least one mismatch, 2 usage, bad
 input, a refused size, a non-lattice or out of memory, 3 any other error;
 an error is one `error:` line on stderr.  JSON output is deterministic:
@@ -35,15 +66,6 @@ Before any work the registry checks each size: a lattice size and verify's
 formula --n against the order bound `families.MAX_ORDER`.  A refused size
 exits 2; README "Conventions and knobs" gives the largest ones admitted.
 """
-from __future__ import annotations
-
-import argparse
-import json
-import sys
-import time
-
-from .families import FAMILIES, FORMULAS, SERIES, THEOREMS
-from .lattice import FiniteLattice, QPoly
 
 
 def _size_param(args) -> int:
@@ -270,96 +292,82 @@ def _cmd_series(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _subcommand(subs, name: str, help: str, handler, lattice: bool = True,
-                sized: bool = True, validate: bool = False) -> argparse.ArgumentParser:
-    p = subs.add_parser(name, help=help)
-    if lattice:
-        p.add_argument("--lattice", required=True, choices=tuple(FAMILIES))
-    if lattice and sized:
-        p.add_argument("--n", type=int)
-        p.add_argument("--semilength", type=int, help="size parameter for " + ", ".join(
-            f.name for f in FAMILIES.values() if f.size_flag == "--semilength"))
-    p.add_argument("--json", action="store_true", help="deterministic JSON output")
-    if validate:
-        p.add_argument("--no-validate", action="store_true",
+class _Option(NamedTuple):
+    """One option of a subcommand, in argparse's terms.
+
+    `value` is what the option takes: `bool` for a switch (a store_true
+    action), `int` or `str` for a typed value, or a registry whose names are
+    the choices.
+    """
+
+    flag: str
+    value: object
+    required: bool = False
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        """The attribute argparse derives from the flag."""
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    options: tuple[_Option, ...]
+
+
+_LATTICE = _Option("--lattice", FAMILIES, required=True)
+_SIZES = (
+    _Option("--n", int),
+    _Option("--semilength", int, help="size parameter for " + ", ".join(
+        f.name for f in FAMILIES.values() if f.size_flag == "--semilength")),
+)
+_JSON = _Option("--json", bool, help="deterministic JSON output")
+_NO_VALIDATE = _Option("--no-validate", bool,
                        help="skip the lattice-property validation (one join test "
                        "per pair of upper covers of a common element)")
-    p.set_defaults(handler=handler)
-    return p
 
-
-def _add_enumerate(subs) -> None:
-    _subcommand(subs, "enumerate", "list the elements of a lattice", _cmd_enumerate,
-                validate=True)
-
-
-def _add_pop(subs) -> None:
-    p = _subcommand(subs, "pop", "apply the pop operator to one element", _cmd_pop,
-                    sized=False)
-    p.add_argument("--x", required=True, help="element (word or path)")
-    p.add_argument("--up", action="store_true", help="use the dual operator")
-
-
-def _add_pop_poly(subs) -> None:
-    _subcommand(subs, "pop-poly", "q-census of the pop image, both directions",
-                _cmd_pop_poly, validate=True)
-
-
-def _add_image(subs) -> None:
-    p = _subcommand(subs, "image", "brute-force pop image, optional predicate check",
-                    _cmd_image, validate=True)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--check-predicate", action="store_true")
-
-
-def _add_preimage(subs) -> None:
-    p = _subcommand(subs, "preimage", "construct a pop preimage of an image element",
-                    _cmd_preimage, sized=False)
-    p.add_argument("--x", required=True)
-
-
-def _add_census(subs) -> None:
-    _subcommand(subs, "census", "image census by first entry (weak-b)", _cmd_census)
-
-
-def _add_formula(subs) -> None:
-    p = _subcommand(subs, "formula", "evaluate a closed-form formula", _cmd_formula,
-                    lattice=False)
-    p.add_argument("--name", required=True, choices=tuple(FORMULAS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--as-printed", action="store_true",
-                   help="the closed form as the source prints it "
-                   f"({_offered_by('as_printed', FORMULAS)} only)")
-
-
-def _add_verify(subs) -> None:
-    p = _subcommand(subs, "verify", "closed form vs brute force, per n", _cmd_verify,
-                    lattice=False, validate=True)
-    p.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--as-printed", action="store_true",
-                   help="check the closed form as the source prints it "
-                   f"({_offered_by('as_printed', THEOREMS)} only)")
-
-
-def _add_series(subs) -> None:
-    p = _subcommand(subs, "series", "coefficient table and identity checks", _cmd_series,
-                    lattice=False)
-    p.add_argument("--check", required=True, choices=tuple(SERIES))
-    p.add_argument("--order", type=int, default=12)
-
-
-# Every subcommand in the order `--help` lists them.
+# Every subcommand in the order `--help` lists them, each with its options in
+# the order its help lists them.
 _SUBCOMMANDS = {
-    "enumerate": _add_enumerate,
-    "pop": _add_pop,
-    "pop-poly": _add_pop_poly,
-    "image": _add_image,
-    "preimage": _add_preimage,
-    "census": _add_census,
-    "formula": _add_formula,
-    "verify": _add_verify,
-    "series": _add_series,
+    "enumerate": _Command("list the elements of a lattice", _cmd_enumerate,
+                          (_LATTICE, *_SIZES, _JSON, _NO_VALIDATE)),
+    "pop": _Command("apply the pop operator to one element", _cmd_pop, (
+        _LATTICE, _JSON,
+        _Option("--x", str, required=True, help="element (word or path)"),
+        _Option("--up", bool, help="use the dual operator"),
+    )),
+    "pop-poly": _Command("q-census of the pop image, both directions", _cmd_pop_poly,
+                         (_LATTICE, *_SIZES, _JSON, _NO_VALIDATE)),
+    "image": _Command("brute-force pop image, optional predicate check", _cmd_image, (
+        _LATTICE, *_SIZES, _JSON, _NO_VALIDATE,
+        _Option("--list", bool), _Option("--check-predicate", bool),
+    )),
+    "preimage": _Command("construct a pop preimage of an image element", _cmd_preimage,
+                         (_LATTICE, _JSON, _Option("--x", str, required=True))),
+    "census": _Command("image census by first entry (weak-b)", _cmd_census,
+                       (_LATTICE, *_SIZES, _JSON)),
+    "formula": _Command("evaluate a closed-form formula", _cmd_formula, (
+        _JSON,
+        _Option("--name", FORMULAS, required=True),
+        _Option("--n", int, required=True),
+        _Option("--as-printed", bool, help="the closed form as the source prints it "
+                f"({_offered_by('as_printed', FORMULAS)} only)"),
+    )),
+    "verify": _Command("closed form vs brute force, per n", _cmd_verify, (
+        _JSON, _NO_VALIDATE,
+        _Option("--theorem", THEOREMS, required=True),
+        _Option("--max-n", int, required=True),
+        _Option("--as-printed", bool, help="check the closed form as the source prints "
+                f"it ({_offered_by('as_printed', THEOREMS)} only)"),
+    )),
+    "series": _Command("coefficient table and identity checks", _cmd_series, (
+        _JSON,
+        _Option("--check", SERIES, required=True),
+        _Option("--order", int, default=12),
+    )),
 }
 
 
@@ -372,39 +380,100 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     full parser does: the top level takes no option but `-h`, so everything
     after the command goes to the command's own parser, whose prog, usage
     and errors do not depend on its siblings.  The one exception, an
-    argument no parser recognises, is left to `main`.
+    argument no parser recognises, is left to `parse_args`.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="poplat",
         description="Pop-stack sorting on finite lattices: enumeration, "
         "image checks, closed-form and power-series verification.",
-        epilog=__doc__,
+        epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, add in _SUBCOMMANDS.items():
-        if command is None or command == name:
-            add(subs)
+    for name, spec in _SUBCOMMANDS.items():
+        if command is not None and command != name:
+            continue
+        p = subs.add_parser(name, help=spec.help)
+        for option in spec.options:
+            if option.value is bool:
+                p.add_argument(option.flag, action="store_true", help=option.help)
+            elif isinstance(option.value, dict):
+                p.add_argument(option.flag, choices=tuple(option.value),
+                               required=option.required, help=option.help)
+            else:
+                p.add_argument(option.flag, type=option.value, required=option.required,
+                               default=option.default, help=option.help)
+        p.set_defaults(handler=spec.handler)
     return parser
+
+
+def _plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of an argv in plain form (see the module docstring),
+    as argparse would give them; None for any other argv."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    spec = _SUBCOMMANDS[argv[0]]
+    by_flag = {option.flag: option for option in spec.options}
+    parsed = {option.dest: False if option.value is bool else option.default
+              for option in spec.options}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = by_flag.get(token)
+        if option is None or token in given:
+            return None
+        given.add(token)
+        if option.value is bool:
+            parsed[option.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if option.value is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif isinstance(option.value, dict) and value not in option.value:
+            return None
+        parsed[option.dest] = value
+    if any(option.required and option.flag not in given for option in spec.options):
+        return None
+    return SimpleNamespace(subcommand=argv[0], handler=spec.handler, **parsed)
+
+
+def parse_args(argv: list[str]):
+    """The arguments `main` runs `argv` with; a usage error exits 2.
+
+    A plain argv is read from the table alone.  Any other gets argparse:
+    when the first argument names a subcommand, only that subcommand's
+    parser is built; any other argv (none, `--help`, an unknown command, an
+    option before the command) gets the full parser.  Both parse every argv
+    alike.  An unrecognised argument is reported by the top-level parser,
+    whose usage line lists the commands, so that error is raised by the
+    full parser.
+    """
+    args = _plain(argv)
+    if args is None:
+        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+        args, unrecognised = build_parser(command).parse_known_args(argv)
+        if unrecognised:
+            build_parser().parse_args(argv)  # exits 2 with the full usage line
+    return args
 
 
 def main(argv=None) -> int:
     """Run one command; return its exit code (argparse exits 2 on bad usage).
 
-    When the first argument names a subcommand, only that subcommand's parser
-    is built; any other argv (none, `--help`, an unknown command, an option
-    before the command) gets the full parser.  Both parse every argv alike.
-    An unrecognised argument is reported by the top-level parser, whose
-    usage line lists the commands, so that error is raised by the full
-    parser.  The parser is built on every call rather than once at import,
-    which would move its cost into every import and freeze the registry's
-    names at import time.
+    `parse_args` reads a plain argv from the option table without loading
+    argparse, and hands any other argv to argparse.  The table is data: no
+    parser is built at import, and argparse's choices are read from the
+    registry's names when it builds one.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args, unrecognised = build_parser(command).parse_known_args(argv)
-    if unrecognised:
-        build_parser().parse_args(argv)  # exits 2 with the full usage line
+    args = parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError) as exc:

@@ -400,21 +400,11 @@ class FiniteLattice:
             image.add(got)
         return image
 
-    def pop_down(self, x):
-        """Meet of x with everything it covers."""
-        (got,) = self._image("down", (self._keys()[x],))
-        return self.elements[got]
-
-    def pop_up(self, x):
-        """Join of x with everything covering it."""
-        (got,) = self._image("up", (self._keys()[x],))
-        return self.elements[got]
-
     def pop_polynomial(self, direction: str = "down") -> QPoly:
         """q-census of the pop image.
 
-        "down": sum q^(#upper covers) over distinct pop_down images;
-        "up":   sum q^(#lower covers) over distinct pop_up images.
+        "down": sum q^(#upper covers) over the distinct downward pops;
+        "up":   sum q^(#lower covers) over the distinct upward pops.
         The two agree on every lattice (duality), which the tests exercise.
         """
         image = self._image(direction, range(len(self.elements)))

@@ -3,13 +3,15 @@
 A series is truncated in x at a fixed order; each x-coefficient is a finite
 polynomial in y.  A coefficient is an `int` when it is integral and a
 `Fraction` only where a real denominator appears (the 1/2 of a square root).
-The public constructors and `scale` raise `TypeError` on a float, and they
-and `shift_x` raise `ValueError` on a negative exponent; every internal
-result passes one gate, `BiSeries._of`, which drops zeros and empty rows and
-turns integral Fractions into ints.  In between, ints and Fractions are only
-added and multiplied (in place, one row per x-power), and `sqrt` halves an
-int exactly.  Square roots and reciprocals are computed order by order in x
-and require constant term 1.
+No series the command line checks makes one, so `fractions` is imported
+only where a Fraction is made or read.  The public constructors and `scale`
+raise `TypeError` on a float, and they and `shift_x` raise `ValueError` on a
+negative exponent; every internal result passes one gate, `BiSeries._of`,
+which drops zeros and empty rows and turns integral Fractions into ints.  In
+between, ints and Fractions are only added and multiplied (in place, one row
+per x-power), and `sqrt` and the radical block form halve ints exactly.
+Square roots and reciprocals are computed order by order in x and require
+constant term 1.
 
 G is solved by its triangular coefficient recurrence, since [x^n] of the
 right-hand side of its equation reads only G_0..G_{n-1}; I is linear in
@@ -18,24 +20,36 @@ back into its defining equation, and a mismatch raises `ArithmeticError`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, TypeAlias
 
 from .formulas import exact_div
 from .lattice import QPoly
 from .words import binomial
 
-Exact = int | Fraction
-YPoly = dict[int, Exact]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Exact: TypeAlias = "int | Fraction"
+YPoly: TypeAlias = dict[int, Exact]
 
 
 def _exact(v) -> Exact:
     """`v` as an `int` when integral, else as a `Fraction`; floats raise."""
     if isinstance(v, int):
         return int(v)
+    from fractions import Fraction
+
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
     raise TypeError(f"series coefficients must be int or Fraction, not {v!r}")
+
+
+def _half(v) -> Fraction:
+    """v / 2 for a v that is not an even int: a real denominator."""
+    from fractions import Fraction
+
+    return Fraction(v) / 2
 
 
 def _addmul(row: YPoly, a: YPoly, b: YPoly) -> None:
@@ -213,7 +227,7 @@ class BiSeries:
                 _addmul(cross, root[i], root[n - i])
             residual = dict(self.coeffs.get(n, {}))
             _addmul(residual, cross, {0: -1})
-            root[n] = {k: v >> 1 if type(v) is int and not v & 1 else Fraction(v) / 2
+            root[n] = {k: v >> 1 if type(v) is int and not v & 1 else _half(v)
                        for k, v in residual.items() if v}
         return BiSeries._of(self.order, root)
 
@@ -387,5 +401,7 @@ def radical_block_series(order: int) -> BiSeries:
     one, x, y = _xy(work)
     inner = one - x.scale(2) + x * x - (x * y).scale(4) * x * y
     numerator = one - x - inner.sqrt()
-    quotient = numerator.divide_monomial(2, 2).scale(Fraction(1, 2)).shift_x(1)
-    return BiSeries._of(order, quotient.coeffs)
+    quotient = numerator.divide_monomial(2, 2)
+    # times x/2: the numerator's coefficients are even, so halve them exactly
+    return BiSeries._of(order, {n + 1: {k: exact_div(v, 2) for k, v in p.items()}
+                                for n, p in quotient.coeffs.items()})

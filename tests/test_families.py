@@ -18,6 +18,7 @@ import pytest
 from poplat.cli import main
 from poplat.errors import GuardError
 from poplat.families import FAMILIES, FORMULAS, MAX_ORDER, SERIES, THEOREMS, cost
+from reference import pop_down, pop_up
 
 LARGEST = {"weak-a": 5, "weak-b": 4, "tam-a": 7, "tam-b": 5, "j-a": 9, "j-b": 5}
 
@@ -33,8 +34,8 @@ def test_family_record_matches_its_lattice(family, n):
     lat = family.build(n)
     assert len(lat) == family.size(n)
     for x in lat.elements:
-        assert family.pop_down(x) == lat.pop_down(x), x
-        assert family.pop_up(x) == lat.pop_up(x), x
+        assert family.pop_down(x) == pop_down(lat, x), x
+        assert family.pop_up(x) == pop_up(lat, x), x
         assert family.parse(family.format(x)) == x
     image = lat.pop_image(family.image_direction)
     if family.predicate_necessary_only:
