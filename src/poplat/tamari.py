@@ -26,9 +26,9 @@ The center pair holds one entry <= n and one >= n+1, so blocks left of the
 center end by position n-1 and never meet their mirrors.  That the result
 is the class minimum is checked against rewriting in the tests.
 
-The type-A carrier is read off a stack in lexicographic order.  The type-B
-carrier is the closure of the top word under lower covers, sorted: in a
-finite lattice every element lies on a chain of covers below the top.
+Both carriers are the closure of the top word under these lower covers,
+sorted: in a finite lattice every element lies on a chain of covers below
+the top.
 
 A projection to the carrier rewrites with the same floor: it makes the
 leftmost congruence move, a descent (c, a) with a witness a < b < c at or
@@ -60,57 +60,19 @@ from .words import (
 # --- carriers ---------------------------------------------------------------
 
 
-@last_size_cache
-def tam_a_elements(n: int) -> tuple[Word, ...]:
-    """312-avoiding permutations of {1, ..., n+1}, lexicographically sorted.
-
-    They are the outputs of a stack fed 1, 2, ..., n+1 in order (Knuth, TAOCP
-    vol. 1, 2.2.1): the next entry is either the top of the stack or some
-    value j >= the next input, after pushing everything below j.  The top is
-    smaller than every input left, so trying it first keeps lex order.
-    """
-    m = n + 1
-    out: list[Word] = []
-    word: list[int] = []
-    stack: list[int] = []
-
-    def grow(nxt: int) -> None:
-        if len(word) == m:
-            out.append(tuple(word))
-            return
-        if stack:
-            top = stack.pop()
-            word.append(top)
-            grow(nxt)
-            word.pop()
-            stack.append(top)
-        for j in range(nxt, m + 1):
-            word.append(j)
-            grow(j + 1)
-            word.pop()
-            stack.append(j)
-        del stack[len(stack) - (m + 1 - nxt):]
-
-    grow(1)
-    # The recursive closure refers to itself, a cycle that would keep `out`,
-    # and every element in it, until the next full collection.
-    del grow
-    return tuple(out)
-
-
-def _tam_b_closure(n: int) -> tuple[list[Word], Iterator[list[int]]]:
-    """The closure of the top word (2n, ..., 1) under `tam_b_lower_covers`,
+def _closure(m: int, floor: int) -> tuple[list[Word], Iterator[list[int]]]:
+    """The closure of the top word (m, ..., 1) under `_block_swaps(., floor)`,
     sorted, and lazily, in that order, each element's lower covers as
     positions in it.  The search keeps its records in flat arrays: a small
     object per element left among the kept words would hold memory that the
     validation table cannot reuse."""
-    from array import array  # loaded by type-B builds only, not by every CLI call
-    top = tuple(range(2 * n, 0, -1))
+    from array import array  # loaded by Tamari builds only, not by every CLI call
+    top = tuple(range(m, 0, -1))
     found = [top]
     position = {top: 0}
     covers, ends = array("l"), array("l", [0])
     for y in found:
-        for w in tam_b_lower_covers(y):
+        for w in _block_swaps(y, floor):
             i = position.get(w)
             if i is None:
                 i = position[w] = len(found)
@@ -126,11 +88,16 @@ def _tam_b_closure(n: int) -> tuple[list[Word], Iterator[list[int]]]:
 
 
 @last_size_cache
+def tam_a_elements(n: int) -> tuple[Word, ...]:
+    """312-avoiding permutations of {1, ..., n+1}, lexicographically sorted."""
+    return tuple(_closure(n + 1, 0)[0])
+
+
+@last_size_cache
 def tam_b_elements(n: int) -> tuple[Word, ...]:
     """Signed permutations of rank n avoiding the starred 312 pattern,
-    lexicographically sorted: the closure of the top word (2n, ..., 1) under
-    `tam_b_lower_covers`."""
-    return tuple(_tam_b_closure(n)[0])
+    lexicographically sorted."""
+    return tuple(_closure(2 * n, n + 1)[0])
 
 
 # --- covers -------------------------------------------------------------------
@@ -170,16 +137,6 @@ def _block_swaps(y: Word, floor: int) -> list[Word]:
     return out
 
 
-def tam_a_lower_covers(y: Word) -> list[Word]:
-    """Lower covers of a 312-avoiding y in the type-A Tamari lattice."""
-    return _block_swaps(y, 0)
-
-
-def tam_b_lower_covers(y: Word) -> list[Word]:
-    """Lower covers of y in the type-B Tamari lattice."""
-    return _block_swaps(y, len(y) // 2 + 1)
-
-
 def _quotient_lattice(elements: Sequence[Word],
                       lowers: Iterable[list[int]]) -> FiniteLattice:
     """Sublattice of the weak order on a carrier of congruence-class minima.
@@ -203,24 +160,20 @@ def _quotient_lattice(elements: Sequence[Word],
 
 @memoised_builder
 def tam_a_lattice(n: int) -> FiniteLattice:
-    elements = tam_a_elements(n)
-    index = {p: i for i, p in enumerate(elements)}
-    lowers = ([index[w] for w in tam_a_lower_covers(y)] for y in elements)
-    return _quotient_lattice(elements, lowers)
+    return _quotient_lattice(*_closure(n + 1, 0))
 
 
 @memoised_builder
 def tam_b_lattice(n: int) -> FiniteLattice:
-    """Indexes the closure's own cover records: no block swap is made twice."""
-    return _quotient_lattice(*_tam_b_closure(n))
+    return _quotient_lattice(*_closure(2 * n, n + 1))
 
 
 # --- projections --------------------------------------------------------------
 
 
-def _project(y: list[int], floor: int, up: bool = False) -> Word:
+def _project(y: Sequence[int], floor: int, up: bool = False) -> Word:
     """Minimum of y's congruence class, or its maximum `up`, by leftmost-move
-    rewriting in place.
+    rewriting on a copy of y.
 
     A descent (c, a) at i moves, or `up` an ascent (a, c), when a witness
     a < b < c sits after the pair if b >= floor, before it if b < floor;
@@ -230,6 +183,7 @@ def _project(y: list[int], floor: int, up: bool = False) -> Word:
     pair left of min(i, mirror) - 1 becomes movable and the scan resumes
     there.  The inverse array `pos` is kept across the moves.
     """
+    y = list(y)
     pos = [0] * (len(y) + 1)
     for t, v in enumerate(y):
         pos[v] = t
@@ -252,33 +206,28 @@ def _project(y: list[int], floor: int, up: bool = False) -> Word:
     return tuple(y)
 
 
-def project_tam_a(p: Word, up: bool = False) -> Word:
-    """Minimum, or with `up` maximum, of p's congruence class in the weak order."""
-    return _project(list(check_permutation(p)), 0, up)
-
-
-def project_tam_b(x: Word, up: bool = False) -> Word:
-    """Minimum, or with `up` maximum, of x's class in the signed weak order."""
-    return _project(list(validate_signed(x)), len(x) // 2 + 1, up)
-
-
 # --- pop --------------------------------------------------------------------
 
 
+def _pop(x: Word, floor: int, up: bool) -> Word:
+    """Pop on the carrier of `floor`: project the run reversal of x, or `up`
+    project the ascending-run reversal of x's class maximum."""
+    return _project(pop_weak_up(_project(x, floor, True)) if up else reverse_runs(x), floor)
+
+
 def pop_tam_a(p: Word, up: bool = False) -> Word:
-    """Pop on the type-A carrier: project the run reversal, or `up` project
-    the ascending-run reversal of p's class maximum."""
+    """Pop on the type-A carrier, or with `up` the dual pop."""
     p = check_permutation(p)
     if not avoids_312(p):
         raise ValueError(f"{p} is not 312-avoiding")
-    return project_tam_a(pop_weak_up(project_tam_a(p, up)) if up else reverse_runs(p))
+    return _pop(p, 0, up)
 
 
 def pop_tam_b(x: Word, up: bool = False) -> Word:
     x = validate_signed(x)
     if not avoids_312_star(x):
         raise ValueError(f"{x} is not in the type-B carrier")
-    return project_tam_b(pop_weak_up(project_tam_b(x, up)) if up else reverse_runs(x))
+    return _pop(x, len(x) // 2 + 1, up)
 
 
 # --- image characterizations ---------------------------------------------------

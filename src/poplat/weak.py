@@ -60,7 +60,7 @@ def image_run_condition(x: Word) -> bool:
     On S_n this is exactly the pop image: Asinowski, Banderier, Billey,
     Hackl and Linusson, "Pop-stack sorting and its image: permutations with
     overlapping runs", Acta Math. Univ. Comenianae 88 (2019).  On the signed
-    weak order it is necessary, which the tests check exhaustively;
+    weak order it is necessary, and the tests find it exact on B_1..B_6;
     sufficiency is not claimed.  The caller checks x.
     """
     runs = ascending_runs(x)

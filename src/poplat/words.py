@@ -66,32 +66,29 @@ def index_of(word: Word, value: int) -> int:
         raise ValueError(f"value {value} does not occur in {word}") from None
 
 
-def descending_runs(word: Sequence[int]) -> list[Word]:
-    """Maximal strictly decreasing factors, left to right."""
+def _runs(word: Sequence[int], cut_at_ascent: bool) -> list[Word]:
+    """`word` cut between each adjacent pair whose `a < b` equals
+    `cut_at_ascent`, left to right."""
     if not word:
         return []
     runs: list[Word] = []
     start = 0
     for i in range(1, len(word)):
-        if word[i] > word[i - 1]:
+        if (word[i - 1] < word[i]) == cut_at_ascent:
             runs.append(tuple(word[start:i]))
             start = i
     runs.append(tuple(word[start:]))
     return runs
+
+
+def descending_runs(word: Sequence[int]) -> list[Word]:
+    """Maximal strictly decreasing factors, left to right."""
+    return _runs(word, True)
 
 
 def ascending_runs(word: Sequence[int]) -> list[Word]:
     """Maximal strictly increasing factors, left to right."""
-    if not word:
-        return []
-    runs: list[Word] = []
-    start = 0
-    for i in range(1, len(word)):
-        if word[i] < word[i - 1]:
-            runs.append(tuple(word[start:i]))
-            start = i
-    runs.append(tuple(word[start:]))
-    return runs
+    return _runs(word, False)
 
 
 def reverse_runs(word: Sequence[int]) -> Word:

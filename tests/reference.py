@@ -221,6 +221,31 @@ def pop_up(lat, x):
     return lat.elements[got]
 
 
+# --- Tamari covers and projections by the program's rules ----------------------
+# The program reads them inside its builders and pops; the tests call them one
+# word at a time.
+
+
+def tam_a_lower_covers(y):
+    """Lower covers of a 312-avoiding y in the type-A Tamari lattice."""
+    return tamari._block_swaps(y, 0)
+
+
+def tam_b_lower_covers(y):
+    """Lower covers of y in the type-B Tamari lattice."""
+    return tamari._block_swaps(y, len(y) // 2 + 1)
+
+
+def project_tam_a(p, up=False):
+    """Minimum, or with `up` maximum, of p's congruence class in the weak order."""
+    return tamari._project(p, 0, up)
+
+
+def project_tam_b(x, up=False):
+    """Minimum, or with `up` maximum, of x's class in the signed weak order."""
+    return tamari._project(x, len(x) // 2 + 1, up)
+
+
 # --- key-pair oracle of the family builders ------------------------------------
 # Each family's elements and (lower, upper) cover pairs, spelled out as keys
 # from its own cover functions.  Through `reference_build` they give the
@@ -269,8 +294,8 @@ def _j_b_pairs(n):
 KEY_PAIRS = {
     weak_a_lattice: _weak_a_pairs,
     weak_b_lattice: _weak_b_pairs,
-    tam_a_lattice: lambda n: _tamari_pairs(tamari.tam_a_elements(n), tamari.tam_a_lower_covers),
-    tam_b_lattice: lambda n: _tamari_pairs(tamari.tam_b_elements(n), tamari.tam_b_lower_covers),
+    tam_a_lattice: lambda n: _tamari_pairs(tamari.tam_a_elements(n), tam_a_lower_covers),
+    tam_b_lattice: lambda n: _tamari_pairs(tamari.tam_b_elements(n), tam_b_lower_covers),
     j_a_lattice: _j_a_pairs,
     j_b_lattice: _j_b_pairs,
 }

