@@ -121,7 +121,7 @@ def _lattice(args) -> tuple[int, FiniteLattice]:
 
 def _cmd_enumerate(args) -> int:
     n, lat = _lattice(args)
-    names = [FAMILIES[args.lattice].format(x) for x in lat.elements]
+    names = [FAMILIES[args.lattice].format(x) for x in lat.kahn_elements()]
     payload = {"command": "enumerate", "lattice": args.lattice, "n": n,
                "count": len(names), "elements": names}
     _emit(payload, args.json, [f"{len(names)} elements"] + names)

@@ -1,10 +1,9 @@
 """Generic finite-lattice kernel built from an explicit cover relation.
 
-Construction computes a linear extension (Kahn's algorithm, in cover order),
-re-indexes the elements along it, and keeps the order as two halves, both
-indexed by element: each is the covers on one side of every element and a
-table of irreducible-width bitmasks (Python ints) with its `mask -> index`
-lookup.
+Construction keeps the builder's linear extension of the elements, and
+keeps the order as two halves, both indexed by element: each is the covers
+on one side of every element and a table of irreducible-width bitmasks
+(Python ints) with its `mask -> index` lookup.
 
 * the down half: `_lowers[i]` lists the lower covers of element i, every
   element with exactly one lower cover (a join-irreducible) owns one bit,
@@ -132,6 +131,24 @@ def _irreducible_closure(
     return masks, lookup
 
 
+def kahn_order(uppers: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's FIFO linear extension of index-space upper covers; it depends
+    on the order within each list.  Raises NotALatticeError on a cycle."""
+    indegree = [0] * len(uppers)
+    for ups in uppers:
+        for j in ups:
+            indegree[j] += 1
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:
+        for j in uppers[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) != len(uppers):
+        raise NotALatticeError("cycle detected in cover relation")
+    return order
+
+
 def index_uppers(
     elements: Sequence[Hashable], upper_covers: Callable[[Hashable], Iterable[Hashable]]
 ) -> list[list[int]]:
@@ -144,12 +161,13 @@ def index_uppers(
 class FiniteLattice:
     """A finite lattice given by elements and covers.
 
-    `elements` is stored in linear-extension order; all public methods accept
-    and return the original element keys.  The order is kept as two halves,
-    both indexed by element index: the down half (`_lowers`, `_down`,
-    `_down_lookup`) and the up half (`_uppers`, `_up`, `_up_lookup`), each
-    the covers on one side of every element in increasing order, a table of
-    irreducible-width masks and its `mask -> index` lookup.  The cover tuples
+    `elements` is stored in the builder's linear-extension order; all public
+    methods accept and return the original element keys.  The order is kept
+    as two halves, both indexed by element index: the down half (`_lowers`,
+    `_down`, `_down_lookup`) and the up half (`_uppers`, `_up`, `_up_lookup`),
+    each the covers on one side of every element (upper covers in the
+    builder's order), a table of irreducible-width masks and its
+    `mask -> index` lookup.  The cover tuples
     and both lookups share one int object per index, where an int per cover
     entry would cost 28 bytes each.  The `key -> index` map (`_index`) is
     built by the first query that takes a key, so a census or an image never
@@ -183,9 +201,11 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """Build from (lower, upper) cover pairs; optionally verify latticehood.
 
-        A key-pair adapter over `from_uppers`: a repeated pair counts once,
-        and each element's upper covers keep the order in which their pairs
-        first appear.  With `validate`, `_validate` runs on the result.
+        A key-pair adapter over `from_uppers` for pairs in any order; a
+        repeated pair counts once.  The keys are sorted by `kahn_order`, each
+        element's covers in the order their pairs first appear, and handed
+        over with sorted upper-cover lists.  With `validate`, `_validate`
+        runs on the result.
         """
         keys = list(elements)
         uppers: dict[Hashable, dict] = {k: {} for k in keys}
@@ -193,7 +213,8 @@ class FiniteLattice:
             raise ValueError("duplicate elements")
         for lo, hi in covers:
             uppers[lo][hi] = None
-        lat = cls.from_uppers(keys, index_uppers(keys, uppers.__getitem__))
+        keys = [keys[i] for i in kahn_order(index_uppers(keys, uppers.__getitem__))]
+        lat = cls.from_uppers(keys, [sorted(ups) for ups in index_uppers(keys, uppers.__getitem__)])
         if validate:
             lat._validate()
         return lat
@@ -205,15 +226,23 @@ class FiniteLattice:
         """Build from index lists, without verifying latticehood.
 
         `up_adj[i]` lists, without repeats, the indices in `elements` of the
-        upper covers of `elements[i]`; its order is the order in which Kahn's
-        algorithm meets them, so it fixes the stored element order.  The
-        build consumes `up_adj`: it empties the list in place before the
-        masks are allocated, which sets peak memory, so a caller that still
-        holds the list holds no cover.
+        upper covers of `elements[i]`, each above i: `elements` must be a
+        linear extension.  It and each list are stored as given.  A cover to
+        a lower or equal index raises NotALatticeError before any table is
+        built.
+        The family builders' orders are linear extensions:
 
-        The build checks only for a cycle and for a unique minimum and
-        maximum; the caller vouches that the poset is a lattice, or validates
-        it with `_validate`.  On a bounded non-lattice a query may raise
+        * weak orders: lexicographic, since a cover swaps an ascent;
+        * Tamari carriers: sorted sublattices of the weak orders;
+        * Dyck paths: sorted, since a valley flip raises the rank.
+
+        The build consumes `up_adj`: it empties the list in place before the
+        lower covers and the masks are allocated, which sets peak memory, so
+        a caller that still holds the list holds no cover.
+
+        The build checks only the order and for a unique minimum and maximum;
+        the caller vouches that the poset is a lattice, or validates it with
+        `_validate`.  On a bounded non-lattice a query may raise
         NotALatticeError or return a wrong element, since the
         irreducible-width tables cannot tell.
 
@@ -234,40 +263,26 @@ class FiniteLattice:
     def _from_uppers(cls, elements, up_adj):
         n = len(elements)
         ids = list(range(n))
-        indegree = [0] * n
-        for ups in up_adj:
-            for j in ups:
-                indegree[j] += 1
-
-        # Kahn's algorithm, with `topo` as its FIFO queue: linear extension
-        # and cycle detection.  The new index of each element it meets is
-        # appended to its upper covers' lower-cover lists, so every list
-        # fills in increasing order and is complete, its element ready, once
-        # its length reaches the in-degree.
-        below: list[list[int]] = [[] for _ in range(n)]
-        topo = [i for i, d in enumerate(indegree) if d == 0]
-        for new, i in zip(ids, topo):
-            for j in up_adj[i]:
-                covers = below[j]
-                covers.append(new)
-                if len(covers) == indegree[j]:
-                    topo.append(j)
+        for i, ups in zip(ids, up_adj):
+            if ups and min(ups) <= i:
+                j = next(j for j in ups if j <= i)
+                raise NotALatticeError(
+                    f"upper cover {elements[j]!r} of {elements[i]!r} "
+                    f"does not come after it"
+                )
+        # Shared kernel ints, so the builder's go with `up_adj` before the
+        # lower covers are scanned (in increasing order): that sets the peak.
+        shared = ids.__getitem__
+        uppers = tuple([tuple(map(shared, ups)) for ups in up_adj])
         up_adj.clear()
-        del indegree
-        if len(topo) != n:
-            raise NotALatticeError("cycle detected in cover relation")
-
-        # Scanning the lower-cover lists in index order fills each
-        # upper-cover list in increasing order too: no sort is needed.
-        lowers = tuple(map(tuple, map(below.__getitem__, topo)))
+        below: list[list[int]] = [[] for _ in ids]
+        for i, covers in zip(ids, uppers):
+            for j in covers:
+                below[j].append(i)
+        lowers = tuple(map(tuple, below))
         del below
-        uppers: list[list[int]] = [[] for _ in range(n)]
-        for j, covers in zip(ids, lowers):
-            for i in covers:
-                uppers[i].append(j)
-        uppers = tuple(map(tuple, uppers))
 
-        lat = cls(tuple(map(elements.__getitem__, topo)), uppers, lowers, ids)
+        lat = cls(tuple(elements), uppers, lowers, ids)
         if n:
             bottoms, tops = lowers.count(()), uppers.count(())
             if bottoms != 1 or tops != 1:
@@ -321,6 +336,11 @@ class FiniteLattice:
 
     def __contains__(self, key) -> bool:
         return key in self._keys()
+
+    def kahn_elements(self) -> list:
+        """The elements in `kahn_order` of the stored upper covers, as
+        `enumerate` prints them."""
+        return list(map(self.elements.__getitem__, kahn_order(self._uppers)))
 
     @property
     def bottom(self):

@@ -8,28 +8,33 @@ dual reverses ascending runs.
 from __future__ import annotations
 
 import itertools
+import math
 
-from .lattice import FiniteLattice, index_uppers, memoised_builder
+from .lattice import FiniteLattice, memoised_builder
 from .signed import signed_words
 from .words import Word, ascending_runs, reverse_runs
 
 
-def _swap(word: Word, i: int) -> Word:
-    w = list(word)
-    w[i], w[i + 1] = w[i + 1], w[i]
-    return tuple(w)
-
-
-def weak_a_covers(p: Word) -> list[Word]:
-    """Upper covers: swap one adjacent ascent."""
-    return [_swap(p, i) for i in range(len(p) - 1) if p[i] < p[i + 1]]
-
-
 @memoised_builder
 def weak_a_lattice(num_letters: int) -> FiniteLattice:
-    """Weak order on the permutations of {1, ..., num_letters}."""
-    elements = tuple(itertools.permutations(range(1, num_letters + 1)))
-    return FiniteLattice.from_uppers(elements, index_uppers(elements, weak_a_covers))
+    """Weak order on the permutations of {1, ..., num_letters}.
+
+    Lexicographic order lists the Lehmer codes c (c_i the later entries
+    below p_i) in rank order, rank = sum c_i f_i with f_i = (k-1-i)!.
+    Position i is an ascent iff c_i <= c_{i+1}; its swap gives
+    c'_i = c_{i+1} + 1 and c'_{i+1} = c_i.
+    """
+    k = num_letters
+    elements = tuple(itertools.permutations(range(1, k + 1)))
+    f = [math.factorial(k - 1 - i) for i in range(k)]
+    # one shared int per rank: an int per cover would fragment the heap
+    ranks = list(range(len(elements)))
+    uppers = [
+        [ranks[r + f[i] + (c[i + 1] - c[i]) * (f[i] - f[i + 1])]
+         for i in range(k - 1) if c[i] <= c[i + 1]]
+        for r, c in enumerate(itertools.product(*[range(k - i) for i in range(k)]))
+    ]
+    return FiniteLattice.from_uppers(elements, uppers)
 
 
 @memoised_builder

@@ -8,10 +8,10 @@ family's elements and cover pairs as keys from its own cover functions.
 import itertools
 from collections import deque
 
-from poplat import dyck, signed, tamari, weak
+from poplat import dyck, signed, tamari
 from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import NotALatticeError
-from poplat.lattice import QPoly
+from poplat.lattice import QPoly, kahn_order
 from poplat.tamari import tam_a_lattice, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
 from word_stats import flip_orbit, flip_valley, valleys, weak_b_covers
@@ -203,6 +203,22 @@ def reference_build(elements, covers):
     return ReferenceLattice(elements, covers)
 
 
+def kahn_view(lat):
+    """A `FiniteLattice` re-indexed along `kahn_order` of its stored upper
+    covers, in `reference_order`'s form: the element tuple, which is
+    `lat.kahn_elements()`, and each element's sorted lower and upper cover
+    indices in it; then `rank`, the Kahn position of each stored index."""
+    order = kahn_order(lat._uppers)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+
+    def relabel(covers):
+        return [tuple(sorted(map(rank.__getitem__, covers[i]))) for i in order]
+
+    return tuple(lat.kahn_elements()), relabel(lat._lowers), relabel(lat._uppers), rank
+
+
 # --- single-element pops of a `FiniteLattice` ----------------------------------
 # The program pops through the families' word and path functions and takes
 # whole images from `FiniteLattice.pop_image`; these read one element's pop
@@ -250,7 +266,8 @@ def project_tam_b(x, up=False):
 # Each family's elements and (lower, upper) cover pairs, spelled out as keys
 # from its own cover functions.  Through `reference_build` they give the
 # lattice that the family's index-space builder must reproduce, element order
-# and cover lists included.
+# and cover lists included, once it is re-indexed along its Kahn order
+# (`kahn_view`).
 
 
 def _inversions(p):
@@ -266,9 +283,20 @@ def _tamari_pairs(elements, lower_covers):
     return list(elements), sorted(pairs, key=lambda pair: (rank[pair[1]], rank[pair[0]]))
 
 
+def _swap(word, i):
+    w = list(word)
+    w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
+
+
+def weak_a_covers(p):
+    """Upper covers in the weak order on S_n: swap one adjacent ascent."""
+    return [_swap(p, i) for i in range(len(p) - 1) if p[i] < p[i + 1]]
+
+
 def _weak_a_pairs(n):
     elements = sorted(itertools.permutations(range(1, n + 1)))
-    return elements, [(p, q) for p in elements for q in weak.weak_a_covers(p)]
+    return elements, [(p, q) for p in elements for q in weak_a_covers(p)]
 
 
 def _weak_b_pairs(n):

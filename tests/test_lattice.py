@@ -22,6 +22,7 @@ from reference import (
     NonIntervalClassError,
     _weak_a_pairs,
     _weak_b_pairs,
+    kahn_view,
     pop_down,
     pop_up,
     reference_build,
@@ -270,7 +271,7 @@ def test_kernel_matches_reference_on_families(builder, n):
     lat = FiniteLattice.build(elements, covers, validate=False)
     ref = reference_build(elements, covers)
     assert_matches_reference(lat, ref)
-    assert builder(n, False).elements == ref.elements
+    assert builder(n, False).kahn_elements() == list(ref.elements)
 
 
 def test_from_uppers_consumes_its_cover_lists():
@@ -280,19 +281,38 @@ def test_from_uppers_consumes_its_cover_lists():
     assert lat.cover_pairs() == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
 
 
+def test_from_uppers_keeps_the_given_order_and_build_sorts_any():
+    """`from_uppers` stores the elements and each upper-cover list as given,
+    and `kahn_elements` follows those lists; `build` takes its keys and pairs
+    in any order and stores Kahn's order with increasing upper covers."""
+    lat = FiniteLattice.from_uppers("abcd", [[2, 1], [3], [3], []])
+    assert lat.elements == tuple("abcd")
+    assert lat.upper_covers("a") == ("c", "b")
+    assert lat.kahn_elements() == list("acbd")
+    pairs = [("c", "d"), ("a", "c"), ("b", "d"), ("a", "b")]
+    for keys in ("abcd", "dcba", "cdab"):
+        built = FiniteLattice.build(keys, pairs)
+        assert built.kahn_elements() == list(built.elements)
+        assert built.elements[0] == "a" and built.elements[3] == "d"
+        assert built.upper_covers("a") == built.elements[1:3]
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize(
     "up_adj,error",
     [
         (((1, 2), (3,), (3,), ()), None),
-        (((1,), (2,), (1,), ()), "cycle"),
+        (((1,), (2,), (1,), ()), "upper cover 'b' of 'c' does not come after it"),
         (((1, 2), (3,), (), ()), "2 maximal"),
+        (((1,), (3,), (1,), ()), "upper cover 'b' of 'c' does not come after it"),
+        (((1, 2), (1, 3), (3,), ()), "upper cover 'b' of 'b' does not come after it"),
     ],
-    ids=["lattice", "cycle", "two-maximal"],
+    ids=["lattice", "cycle", "two-maximal", "falling-cover", "self-cover"],
 )
 def test_from_uppers_restores_the_collector_state(up_adj, error, enabled):
     """The build pauses the cyclic collector and leaves it as it found it,
-    whether it returns or raises."""
+    whether it returns or raises.  A cover to a lower or equal index, which
+    every cycle has, is refused by name before any table is built."""
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -373,21 +393,29 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(FiniteLattice, "from_uppers", record)
         lat = builder.__wrapped__(n)
-    # The core trusts its input to hold no repeated cover.
+    # The core trusts its input to hold no repeated cover, and keeps each
+    # list in the builder's order.  Every builder hands over a linear
+    # extension, for the reasons in the `from_uppers` docstring.
     assert up_lists and all(len(set(ups)) == len(ups) for ups in up_lists)
+    assert all(j > i for i, ups in enumerate(up_lists) for j in ups)
+    assert lat._uppers == tuple(map(tuple, up_lists))
+    assert all(list(covers) == sorted(covers) for covers in lat._lowers)
     ref = reference_build(*KEY_PAIRS[builder](n))
-    last = len(ref.elements) - 1
-    assert lat.elements == ref.elements
-    assert lat._lowers == tuple(ref.lowers)
-    assert lat._uppers == tuple(ref.uppers)
+    elements, lowers, uppers, rank = kahn_view(lat)
+    assert elements == ref.elements
+    assert lowers == ref.lowers
+    assert uppers == ref.uppers
     # Each half's masks are the reference's downsets (upsets) restricted to
-    # its irreducibles, the k-th irreducible as bit k, the meet-irreducibles
-    # counted from the top, and no two elements share a mask.
-    everything = range(last + 1)
-    join_irreducibles = [j for j in everything if len(ref.lowers[j]) == 1]
-    meet_irreducibles = [j for j in reversed(everything) if len(ref.uppers[j]) == 1]
-    assert lat._down == restricted(ref.down, join_irreducibles)
-    assert lat._up == restricted(ref.up, meet_irreducibles)
+    # its irreducibles, the k-th irreducible in the kernel's order as bit k,
+    # the meet-irreducibles counted from the top, and no two elements share
+    # a mask.
+    everything = range(len(ref.elements))
+    join_irreducibles = [rank[i] for i in everything if len(ref.lowers[rank[i]]) == 1]
+    meet_irreducibles = [rank[i] for i in reversed(everything) if len(ref.uppers[rank[i]]) == 1]
+    down = restricted(ref.down, join_irreducibles)
+    up = restricted(ref.up, meet_irreducibles)
+    assert lat._down == [down[r] for r in rank]
+    assert lat._up == [up[r] for r in rank]
     for masks, lookup in ((lat._down, lat._down_lookup), (lat._up, lat._up_lookup)):
         assert lookup == {mask: k for k, mask in enumerate(masks)}
         assert len(lookup) == len(ref.elements)
@@ -416,7 +444,7 @@ def test_census_matches_reference_at_the_edge(builder, n):
     builder.cache_clear()
     lat = builder(n, False)
     ref = reference_build(*KEY_PAIRS[builder](n))
-    assert lat.elements == ref.elements
+    assert lat.kahn_elements() == list(ref.elements)
     for direction in ("down", "up"):
         assert lat.pop_image(direction) == ref.pop_image(direction)
         assert lat.pop_polynomial(direction) == ref.pop_polynomial(direction)
@@ -453,8 +481,7 @@ def test_tamari_order_matches_the_ranked_oracle_up_to_the_budget(builder, n):
     builder.cache_clear()
     lat = builder(n, False)
     elements, lowers, _ = reference_order(*KEY_PAIRS[builder](n))
-    assert lat.elements == elements
-    assert lat._lowers == tuple(lowers)
+    assert kahn_view(lat)[:2] == (elements, lowers)
     builder.cache_clear()
 
 
