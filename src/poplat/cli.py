@@ -9,11 +9,12 @@ Plain form means: the first argument is exactly a command name; each later
 one is one of that command's option strings, spelled in full and given at
 most once; each option that takes a value is followed by one that does not
 start with `-` and passes the option's `int` conversion or choices; and
-every required option is present.  Any other argv (`--help`, an
-abbreviation, `--opt=value`, a repeat, a negative or malformed value, a bad
-choice, a missing option, a stray token, no command) goes to argparse,
-which `build_parser` builds from the same table and which prints the help
-texts and the usage errors.  Both read a plain argv alike.
+every required option is present.  Argparse reads every other argv
+(`--help`, an abbreviation, `--opt=value`, a repeat, a negative or
+malformed value, a bad choice, a missing option, a stray token, no command)
+with the one full parser that `build_parser` builds from the same table,
+and prints the help texts and the usage errors.  Both read a plain argv
+alike.
 """
 from __future__ import annotations
 
@@ -68,35 +69,28 @@ exits 2; README "Conventions and knobs" gives the largest ones admitted.
 """
 
 
-def _size_param(args) -> int:
+def _size_param(args, least: int = 0) -> int:
     family = FAMILIES[args.lattice]
     given = {"--n": args.n, "--semilength": args.semilength}
     return family.admit(given[family.size_flag],
-                        [flag for flag, n in given.items() if n is not None])
+                        [flag for flag, n in given.items() if n is not None], least)
 
 
 def _predicate_for(name: str):
-    predicate = FAMILIES[name].predicate
-    if predicate is None:
-        raise ValueError(f"no image predicate for lattice {name!r}")
-    return predicate
+    return FAMILIES[name].predicate
 
 
-def _offered_by(field: str, records: dict = FAMILIES) -> str:
+def _offered_by(field: str, records: dict) -> str:
     """The names of the records that fill `field`, for a message."""
     return " and ".join(name for name, record in records.items() if getattr(record, field))
 
 
-def _closed_form(records: dict, name: str, as_printed: bool):
-    """The closed form of `records[name]`, or its as-printed variant, which
-    only some records have."""
-    if not as_printed:
-        return records[name].formula
-    if records[name].as_printed is None:
-        raise ValueError(
-            f"--as-printed is available for {_offered_by('as_printed', records)} only"
-        )
-    return records[name].as_printed
+def _offered(records: dict, name: str, field: str, knob: str):
+    """`field` of `records[name]`; a record that leaves it empty refuses `knob`."""
+    value = getattr(records[name], field)
+    if not value:
+        raise ValueError(f"{knob} is available for {_offered_by(field, records)} only")
+    return value
 
 
 def _as_json(value: QPoly | int):
@@ -183,22 +177,17 @@ def _cmd_image(args) -> int:
 def _cmd_preimage(args) -> int:
     family = FAMILIES[args.lattice]
     element = family.parse(args.x)
-    if family.preimage is None:
-        raise ValueError(f"preimage is available for {_offered_by('preimage')} only")
-    text = family.format(family.preimage(element))
+    preimage = _offered(FAMILIES, args.lattice, "preimage", "preimage")
+    text = family.format(preimage(element))
     _emit({"command": "preimage", "lattice": args.lattice, "x": args.x,
            "result": text}, args.json, [text])
     return 0
 
 
 def _cmd_census(args) -> int:
-    census = FAMILIES[args.lattice].first_entry_census
-    if census is None:
-        raise ValueError(
-            f"census is available for {_offered_by('first_entry_census')} only"
-        )
-    n = _size_param(args)
-    counted, predicted = census[0](n), census[1](n)
+    count, predict = _offered(FAMILIES, args.lattice, "first_entry_census", "census")
+    n = _size_param(args, least=1)
+    counted, predicted = count(n), predict(n)
     verdict = "match" if counted == predicted else "mismatch"
     payload = {
         "command": "census", "lattice": args.lattice, "n": n,
@@ -213,7 +202,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    formula = _closed_form(FORMULAS, args.name, args.as_printed)
+    formula = (_offered(FORMULAS, args.name, "as_printed", "--as-printed")
+               if args.as_printed else FORMULAS[args.name].formula)
     value = formula(FORMULAS[args.name].admit_formula(args.n))
     payload = {"command": "formula", "name": args.name, "n": args.n,
                "value": _as_json(value)}
@@ -230,11 +220,10 @@ def _verify_cases(theorem: str, max_n: int, closed_form, validate: bool):
 
 def _cmd_verify(args) -> int:
     theorem = THEOREMS[args.theorem]
-    closed_form = _closed_form(THEOREMS, args.theorem, args.as_printed)
-    if args.no_validate and not theorem.builds:
-        raise ValueError(
-            f"--no-validate is available for {_offered_by('builds', THEOREMS)} only"
-        )
+    closed_form = (_offered(THEOREMS, args.theorem, "as_printed", "--as-printed")
+                   if args.as_printed else theorem.formula)
+    if args.no_validate:
+        _offered(THEOREMS, args.theorem, "builds", "--no-validate")
     theorem.admit(args.max_n)
     records = []
     lines = []
@@ -371,16 +360,11 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `poplat` parser; with `command`, one that holds that subcommand only.
+def build_parser() -> argparse.ArgumentParser:
+    """The `poplat` argparse parser, with every subcommand of `_SUBCOMMANDS`.
 
-    With no argument every subcommand is registered, which `--help`, a usage
-    error naming the commands and `perfbench/layers.py` need.  A parser for
-    one command parses an argv that starts with that command exactly as the
-    full parser does: the top level takes no option but `-h`, so everything
-    after the command goes to the command's own parser, whose prog, usage
-    and errors do not depend on its siblings.  The one exception, an
-    argument no parser recognises, is left to `parse_args`.
+    It reads every argv that is not plain, prints the help texts and reports
+    the usage errors; `perfbench/layers.py` reads its jobs with it too.
     """
     import argparse
 
@@ -393,8 +377,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, spec in _SUBCOMMANDS.items():
-        if command is not None and command != name:
-            continue
         p = subs.add_parser(name, help=spec.help)
         for option in spec.options:
             if option.value is bool:
@@ -447,30 +429,19 @@ def _plain(argv: list[str]) -> SimpleNamespace | None:
 def parse_args(argv: list[str]):
     """The arguments `main` runs `argv` with; a usage error exits 2.
 
-    A plain argv is read from the table alone.  Any other gets argparse:
-    when the first argument names a subcommand, only that subcommand's
-    parser is built; any other argv (none, `--help`, an unknown command, an
-    option before the command) gets the full parser.  Both parse every argv
-    alike.  An unrecognised argument is reported by the top-level parser,
-    whose usage line lists the commands, so that error is raised by the
-    full parser.
+    A plain argv is read from the table alone; argparse reads every other
+    argv, with the full parser.
     """
-    args = _plain(argv)
-    if args is None:
-        command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-        args, unrecognised = build_parser(command).parse_known_args(argv)
-        if unrecognised:
-            build_parser().parse_args(argv)  # exits 2 with the full usage line
-    return args
+    return _plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command; return its exit code (argparse exits 2 on bad usage).
 
     `parse_args` reads a plain argv from the option table without loading
-    argparse, and hands any other argv to argparse.  The table is data: no
-    parser is built at import, and argparse's choices are read from the
-    registry's names when it builds one.
+    argparse, and hands every other argv to the full argparse parser.  The
+    table is data: no parser is built at import, and argparse's choices are
+    read from the registry's names when it builds one.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parse_args(argv)

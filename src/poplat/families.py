@@ -79,21 +79,21 @@ class Family(NamedTuple):
     pop_down: Callable[[Element], Element]
     pop_up: Callable[[Element], Element]
     image_direction: str  # "down" or "up": the pop whose image `predicate` tests
-    predicate: Callable[[Element], bool] | None = None
+    predicate: Callable[[Element], bool]
     predicate_necessary_only: bool = False  # holds on the image, may hold off it
     preimage: Callable[[Element], Element] | None = None
     # (counted, predicted): the image split by first entry, n -> {entry: count}
     first_entry_census: tuple[Callable[[int], dict], Callable[[int], dict]] | None = None
 
-    def admit(self, n: int | None, flags: Iterable[str] = ()) -> int:
-        """Check size n against the memory budget; return n.  `flags`, the size
-        flags a command line gave, must all be the family's own."""
+    def admit(self, n: int | None, flags: Iterable[str] = (), least: int = 0) -> int:
+        """Check size n, from `least` up, against the memory budget; return n.
+        `flags`, the size flags a command line gave, must all be the family's own."""
         for flag in flags:
             if flag != self.size_flag:
                 raise ValueError(f"{self.name} is sized by {self.size_flag}, not {flag}")
         if n is None:
             raise ValueError(f"{self.size_flag} is required for {self.name}")
-        return check_budget(self.name, self.size_flag, n, 0, self.size)
+        return check_budget(self.name, self.size_flag, n, least, self.size)
 
 
 class Theorem(NamedTuple):

@@ -326,7 +326,7 @@ def test_main_parses_like_the_full_parser(capsys, argv):
     assert outcome(capsys, main, argv) == outcome(capsys, full_parser_main, argv)
 
 
-def test_a_command_registers_only_its_own_parser(capsys, monkeypatch):
+def test_a_plain_argv_builds_no_parser(capsys, monkeypatch):
     names = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -338,10 +338,8 @@ def test_a_command_registers_only_its_own_parser(capsys, monkeypatch):
     plain = run(capsys, "series", "--check", "G", "--order", "4", "--json")
     assert plain[0] == 0
     assert names == []
+    # Any other argv is read by the one full parser, which registers every command.
     assert run(capsys, "series", "--check", "G", "--ord", "4", "--json") == plain
-    assert names == ["series"]
-    names.clear()
-    cli.build_parser()
     assert names == list(cli._SUBCOMMANDS)
 
 
@@ -423,6 +421,16 @@ def test_the_readme_examples_are_plain():
     for argv in readme_examples():
         for line in (argv, [*argv, "--json"]):
             assert cli._plain(line) is not None, line
+
+
+def test_the_benchmark_jobs_are_plain(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    jobs = [job for workload in workloads.WORKLOADS.values() for job in workload.jobs]
+    assert jobs
+    for job in jobs:
+        assert cli._plain(list(job)) is not None, job
 
 
 def python(*args):
@@ -513,6 +521,16 @@ def test_census_without_size_exits_2(capsys):
     assert err == "error: --n is required for weak-b\n"
 
 
+def test_census_below_its_first_case_exits_2_before_building(capsys, monkeypatch):
+    def build(n, validate=True):
+        raise AssertionError(f"built B_{n}")
+
+    monkeypatch.setattr(weak, "weak_b_lattice", build)
+    for n in ("0", "-1"):
+        assert run(capsys, "census", "--lattice", "weak-b", "--n", n, "--json") == (
+            2, "", f"error: --n must be at least 1, got {n}\n")
+
+
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_negative_size_exits_2_on_every_family(capsys, name):
     flag = FAMILIES[name].size_flag
@@ -579,6 +597,14 @@ def test_no_validate_only_where_a_lattice_is_built(capsys):
                 "--as-printed is available for jay-b only")
     for argv, message in knobs.items():
         assert run(capsys, *argv.split()[:-1], "--json")[0] == 0, argv
+        assert run(capsys, *argv.split(), "--json") == (2, "", f"error: {message}\n"), argv
+    # So are the commands a family has no use for; preimage reads its element first.
+    commands = {
+        "preimage --lattice weak-a --x 2,1": "preimage is available for tam-a and tam-b only",
+        "preimage --lattice weak-a --x 2,2": "word entries must be distinct: (2, 2)",
+        "census --lattice tam-a --n 2": "census is available for weak-b only",
+    }
+    for argv, message in commands.items():
         assert run(capsys, *argv.split(), "--json") == (2, "", f"error: {message}\n"), argv
     assert run(capsys, "formula", "--name", "jay-b", "--n", "2", "--as-printed")[0] == 0
 
