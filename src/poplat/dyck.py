@@ -151,7 +151,9 @@ def _tail_shifts(closed: bool, a: int, h: int, tails: list[str], shift) -> tuple
     return plain, [[shift[a][h]] + s if t.startswith(RISE) else s for t, s in zip(tails, plain)]
 
 
-def _prefixes(length: int, closed: bool, uppers: list | None = None) -> list[str]:
+def _prefixes(
+    length: int, closed: bool, uppers: list | None = None, ranks: list | None = None
+) -> list[str]:
     """Closed: the paths of `length` steps.  Open: the symmetric paths of
     2 * `length` steps, each a first half that never dips below the axis
     followed by its mirror.  Both in lexicographic order ('f' < 'r').
@@ -159,19 +161,22 @@ def _prefixes(length: int, closed: bool, uppers: list | None = None) -> list[str
     Each path (first half) joins a head of a steps (see `_halves`) to a tail
     from the head's end height h.  All heads have one length, so the heads
     in order, each followed by its tails in order, list the paths in order;
-    mirroring keeps it.  Given `uppers`, each path's valley-flip ranks are
-    appended, left to right: a flip at x, height v, adds `shift[x][v]` to
-    the path's rank.  The valleys are the head's, the junction at a (height
-    h) when the head ends in 'f' and the tail starts with 'r', then the
-    tail's, so each head's and tail's shifts are found once.  A first half
-    that ends in 'f' also has the central valley, at `length`.
+    mirroring keeps it.  Given lists `uppers` and `ranks`, `ranks` is filled
+    with one int object per path rank, and each path's valley-flip ranks,
+    drawn from it, are appended to `uppers`, left to right: a flip at x,
+    height v, adds `shift[x][v]` to the path's rank.  The valleys are the
+    head's, the junction at a (height h) when the head ends in 'f' and the
+    tail starts with 'r', then the tail's, so each head's and tail's shifts
+    are found once.  A first half that ends in 'f' also has the central
+    valley, at `length`.
     """
     a, heads, tails = _halves(length, closed)
     if uppers is not None:
         shift = _flip_shifts(a) if closed else _open_shifts(length)
         tail_shifts = {h: _tail_shifts(closed, a, h, group, shift) for h, group in tails.items()}
         # one shared int per rank: an int per cover would fragment the heap
-        ranks, rank = list(range(sum(len(tails[h]) for _, h in heads))), 0
+        ranks.extend(range(sum(len(tails[h]) for _, h in heads)))
+        rank = 0
         for head, h in heads:
             hs = _valley_shifts(head, 0, 0, shift)
             for ts in tail_shifts[h][head.endswith(FALL)]:
@@ -245,8 +250,9 @@ def _open_shifts(length: int) -> list[list[int]]:
 def j_a_lattice(m: int) -> FiniteLattice:
     """Ideal lattice on all paths of semi-length m; covers flip one valley."""
     uppers: list[list[int]] = []
-    elements = _prefixes(2 * m, True, uppers=uppers)
-    return FiniteLattice.from_uppers(elements, uppers)
+    ranks: list[int] = []
+    elements = _prefixes(2 * m, True, uppers, ranks)
+    return FiniteLattice.from_uppers(elements, uppers, ranks)
 
 
 @memoised_builder
@@ -259,8 +265,9 @@ def j_b_lattice(n: int) -> FiniteLattice:
     half's, so the covers are ranked from the first halves.
     """
     uppers: list[list[int]] = []
-    elements = _prefixes(2 * n, False, uppers)
-    return FiniteLattice.from_uppers(elements, uppers)
+    ranks: list[int] = []
+    elements = _prefixes(2 * n, False, uppers, ranks)
+    return FiniteLattice.from_uppers(elements, uppers, ranks)
 
 
 # --- image characterization and direct statistics -----------------------------

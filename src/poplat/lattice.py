@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import gc
 from functools import wraps
+from itertools import combinations
+from operator import ne
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import NotALatticeError
@@ -109,11 +111,12 @@ def _irreducible_closure(
     """Irreducible-width masks of a half, indexed by element, and the lookup
     from a mask to the element it belongs to.
 
-    `entries` gives each element's shared index int with its covers on the
-    half's lower side, every element after its covers.  An entry with
-    exactly one cover is irreducible and owns the next bit; every mask is the
-    union of its covers' masks, plus the entry's own bit.  A mask shared by
-    two entries looks up None.
+    `entries` gives each element's index int with its covers on the half's
+    lower side, every element after its covers.  An entry with exactly one
+    cover is irreducible and owns the next bit; every mask is the union of
+    its covers' masks, plus the entry's own bit.  A mask shared by two
+    entries looks up None: each index is one int object, so `setdefault`
+    hands back another object exactly when the mask is taken.
     """
     masks = [0] * n
     lookup: dict[int, int | None] = {}
@@ -126,7 +129,8 @@ def _irreducible_closure(
             mask = 0
             for j in covers:
                 mask |= masks[j]
-        lookup[mask] = None if mask in lookup else i
+        if lookup.setdefault(mask, i) is not i:
+            lookup[mask] = None
         masks[i] = mask
     return masks, lookup
 
@@ -152,8 +156,8 @@ def kahn_order(uppers: Sequence[Sequence[int]]) -> list[int]:
 def index_uppers(
     elements: Sequence[Hashable], upper_covers: Callable[[Hashable], Iterable[Hashable]]
 ) -> list[list[int]]:
-    """`FiniteLattice.from_uppers` input: `upper_covers(x)`, which must not
-    repeat a key, as indices in `elements`."""
+    """`upper_covers(x)`, which must not repeat a key, as indices in
+    `elements`."""
     index = {x: i for i, x in enumerate(elements)}
     return [[index[y] for y in upper_covers(x)] for x in elements]
 
@@ -167,11 +171,11 @@ class FiniteLattice:
     `_down`, `_down_lookup`) and the up half (`_uppers`, `_up`, `_up_lookup`),
     each the covers on one side of every element (upper covers in the
     builder's order), a table of irreducible-width masks and its
-    `mask -> index` lookup.  The cover tuples
-    and both lookups share one int object per index, where an int per cover
-    entry would cost 28 bytes each.  The `key -> index` map (`_index`) is
-    built by the first query that takes a key, so a census or an image never
-    builds it; two threads that race to build it build equal maps.
+    `mask -> index` lookup.  The cover tuples and both lookups share one int
+    object per index, the builder's (see `from_uppers`), where an int per
+    cover entry would cost 28 bytes each.  The `key -> index` map (`_index`)
+    is built by the first query that takes a key, so a census or an image
+    never builds it; two threads that race to build it build equal maps.
     """
 
     __slots__ = (
@@ -204,8 +208,8 @@ class FiniteLattice:
         A key-pair adapter over `from_uppers` for pairs in any order; a
         repeated pair counts once.  The keys are sorted by `kahn_order`, each
         element's covers in the order their pairs first appear, and handed
-        over with sorted upper-cover lists.  With `validate`, `_validate`
-        runs on the result.
+        over with sorted upper-cover lists drawn from its own index ints.
+        With `validate`, `_validate` runs on the result.
         """
         keys = list(elements)
         uppers: dict[Hashable, dict] = {k: {} for k in keys}
@@ -214,14 +218,16 @@ class FiniteLattice:
         for lo, hi in covers:
             uppers[lo][hi] = None
         keys = [keys[i] for i in kahn_order(index_uppers(keys, uppers.__getitem__))]
-        lat = cls.from_uppers(keys, [sorted(ups) for ups in index_uppers(keys, uppers.__getitem__)])
+        ids = list(range(len(keys)))
+        index = dict(zip(keys, ids)).__getitem__
+        lat = cls.from_uppers(keys, [sorted(map(index, uppers[k])) for k in keys], ids)
         if validate:
             lat._validate()
         return lat
 
     @classmethod
     def from_uppers(
-        cls, elements: Sequence[Hashable], up_adj: list[list[int]]
+        cls, elements: Sequence[Hashable], up_adj: list[list[int]], ids: list[int]
     ) -> "FiniteLattice":
         """Build from index lists, without verifying latticehood.
 
@@ -235,6 +241,13 @@ class FiniteLattice:
         * weak orders: lexicographic, since a cover swaps an ascent;
         * Tamari carriers: sorted sublattices of the weak orders;
         * Dyck paths: sorted, since a valley flip raises the rank.
+
+        `ids` is the list of int objects that `up_adj` draws its indices
+        from, `ids[i] == i` for every element.  The builder owns these ints
+        and the kernel keeps them, one object per index, in its cover tuples
+        and both lookups: it does not re-map the covers into ints of its own.
+        An `ids` of another length than `elements`, or with a value out of
+        place, raises ValueError before anything else is checked or built.
 
         The build consumes `up_adj`: it empties the list in place before the
         lower covers and the masks are allocated, which sets peak memory, so
@@ -254,15 +267,16 @@ class FiniteLattice:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return cls._from_uppers(elements, up_adj)
+            return cls._from_uppers(elements, up_adj, ids)
         finally:
             if enabled:
                 gc.enable()
 
     @classmethod
-    def _from_uppers(cls, elements, up_adj):
+    def _from_uppers(cls, elements, up_adj, ids):
         n = len(elements)
-        ids = list(range(n))
+        if len(ids) != n or any(map(ne, ids, range(n))):
+            raise ValueError(f"ids must be the ints 0..{n - 1} in order")
         for i, ups in zip(ids, up_adj):
             if ups and min(ups) <= i:
                 j = next(j for j in ups if j <= i)
@@ -270,10 +284,9 @@ class FiniteLattice:
                     f"upper cover {elements[j]!r} of {elements[i]!r} "
                     f"does not come after it"
                 )
-        # Shared kernel ints, so the builder's go with `up_adj` before the
-        # lower covers are scanned (in increasing order): that sets the peak.
-        shared = ids.__getitem__
-        uppers = tuple([tuple(map(shared, ups)) for ups in up_adj])
+        # The builder's lists go with `up_adj` before the lower covers are
+        # scanned (in increasing order): that sets the peak.
+        uppers = tuple(map(tuple, up_adj))
         up_adj.clear()
         below: list[list[int]] = [[] for _ in ids]
         for i, covers in zip(ids, uppers):
@@ -297,7 +310,8 @@ class FiniteLattice:
         A finite poset with a unique minimum and maximum (checked by
         `from_uppers`) is a lattice iff every two upper covers of a common
         element have a join (Freese, Jezek and Nation, Free Lattices,
-        ch. 11): sum over z of C(#upper covers of z, 2) bitmask tests.
+        ch. 11): sum over z of C(#upper covers of z, 2) bitmask tests, so
+        only the elements with two or more upper covers are visited.
         Elements and pairs are scanned in linear-extension order, against a
         full-width upset table built for this call, its bits numbered from
         the top (see the module docstring): `up[i]` has bit last - j for
@@ -313,15 +327,16 @@ class FiniteLattice:
                 mask |= up[j]
             up[i] = mask
         for z, covers in enumerate(uppers):
-            for p, a in enumerate(covers):
-                for b in covers[p + 1:]:
-                    mask = up[a] & up[b]
-                    if up[last + 1 - mask.bit_length()] != mask:
-                        raise NotALatticeError(
-                            f"no join for {self.elements[a]!r}, "
-                            f"{self.elements[b]!r}, "
-                            f"upper covers of {self.elements[z]!r}"
-                        )
+            if len(covers) < 2:
+                continue
+            for a, b in combinations(covers, 2):
+                mask = up[a] & up[b]
+                if up[last + 1 - mask.bit_length()] != mask:
+                    raise NotALatticeError(
+                        f"no join for {self.elements[a]!r}, "
+                        f"{self.elements[b]!r}, "
+                        f"upper covers of {self.elements[z]!r}"
+                    )
 
     # -- queries ---------------------------------------------------------
 

@@ -30,16 +30,18 @@ def validate_signed(word) -> Word:
     return x
 
 
-def signed_words(n: int, uppers: list | None = None) -> list[Word]:
+def signed_words(n: int, uppers: list | None = None, ranks: list | None = None) -> list[Word]:
     """All rank-n elements in lexicographic order: at each position of the
     first half, every value whose complementary pair is still free, smallest
     first.  The tests cross-check this against filtering the symmetric group.
 
-    Given a list `uppers`, also append each element's signed weak-order
-    upper-cover ranks, by swapped position.  A first half x_0..x_{n-1} has
-    rank sum c_k (n-1-k)! 2^(n-1-k), c_k the free values below x_k.  Swapping
-    an ascent a = x_k < b = x_{k+1} gives c'_k = c_{k+1} + 1 + [2n+1-a < b]
-    and c'_{k+1} = c_k - [2n+1-b < a]; the central swap (x_{n-1} <= n) adds 1.
+    Given lists `uppers` and `ranks`, also fill `ranks` with the ints
+    0..2^n n!-1, one object per rank, and append to `uppers` each element's
+    signed weak-order upper-cover ranks, drawn from `ranks`, by swapped
+    position.  A first half x_0..x_{n-1} has rank sum c_k (n-1-k)! 2^(n-1-k),
+    c_k the free values below x_k.  Swapping an ascent a = x_k < b = x_{k+1}
+    gives c'_k = c_{k+1} + 1 + [2n+1-a < b] and c'_{k+1} = c_k - [2n+1-b < a];
+    the central swap (x_{n-1} <= n) adds 1.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
@@ -49,7 +51,8 @@ def signed_words(n: int, uppers: list | None = None) -> list[Word]:
     out: list[Word] = []
     shifts: list[int] = []  # rank shifts of the ascents placed so far
     # one shared int per rank: an int per cover would fragment the heap
-    ranks = list(range(math.factorial(n) << n)) if uppers is not None else None
+    if uppers is not None:
+        ranks.extend(range(math.factorial(n) << n))
 
     def place(k: int, a: int, c: int) -> None:  # a = x_{k-1}, c = c_{k-1}
         if k == n:

@@ -143,19 +143,21 @@ def _quotient_lattice(elements: Sequence[Word],
 
     `lowers` lists, element by element in carrier order, the carrier
     positions of its lower covers.  The upper-cover lists are filled in
-    carrier order and handed to `FiniteLattice.from_uppers`, which consumes
-    them; Kahn's linear extension there follows them, which fixes the
-    element order that every report prints.
+    carrier order, from one int object per position, and handed with those
+    ints to `FiniteLattice.from_uppers`, which consumes them; Kahn's linear
+    extension there follows them, which fixes the element order that every
+    report prints.
 
     No list repeats an entry: two weak lower covers w1, w2 of a class minimum
     y project to distinct elements, since w1 = w2 modulo the congruence would
     give y = w1 v w2 = w1 modulo it, below y in y's own class.
     """
-    up_adj: list[list[int]] = [[] for _ in elements]
-    for j, covers in enumerate(lowers):
+    ids = list(range(len(elements)))
+    up_adj: list[list[int]] = [[] for _ in ids]
+    for j, covers in zip(ids, lowers):
         for i in covers:
             up_adj[i].append(j)
-    return FiniteLattice.from_uppers(elements, up_adj)
+    return FiniteLattice.from_uppers(elements, up_adj, ids)
 
 
 @memoised_builder

@@ -34,15 +34,16 @@ def weak_a_lattice(num_letters: int) -> FiniteLattice:
          for i in range(k - 1) if c[i] <= c[i + 1]]
         for r, c in enumerate(itertools.product(*[range(k - i) for i in range(k)]))
     ]
-    return FiniteLattice.from_uppers(elements, uppers)
+    return FiniteLattice.from_uppers(elements, uppers, ranks)
 
 
 @memoised_builder
 def weak_b_lattice(n: int) -> FiniteLattice:
     """Weak order on the rank-n signed permutations."""
     uppers: list[list[int]] = []
-    elements = signed_words(n, uppers)
-    return FiniteLattice.from_uppers(elements, uppers)
+    ranks: list[int] = []
+    elements = signed_words(n, uppers, ranks)
+    return FiniteLattice.from_uppers(elements, uppers, ranks)
 
 
 def pop_weak(x: Word) -> Word:

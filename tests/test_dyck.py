@@ -122,20 +122,24 @@ def test_ranked_paths_match_the_string_scan_reference():
     """The enumerator's valley-flip ranks equal the find/count scan's, list
     by list and in the same order, at every admitted semi-length."""
     for m in range(11):
-        uppers = []
-        paths = _prefixes(2 * m, True, uppers=uppers)
+        uppers, ranks = [], []
+        paths = _prefixes(2 * m, True, uppers, ranks)
         assert tuple(paths) == all_paths(m)
         assert uppers == j_a_uppers(all_paths(m), m), m
+        assert ranks == list(range(len(paths)))
+        assert all(ranks[j] is j for ups in uppers for j in ups)
 
 
 def test_j_b_ranks_match_the_spelled_out_covers():
     """The first halves' valley-flip ranks equal the ranks of the flipped
     orbits, spelled out and looked up, list by list and in the same order."""
     for n in range(7):
-        uppers = []
-        paths = _prefixes(2 * n, False, uppers)
+        uppers, ranks = [], []
+        paths = _prefixes(2 * n, False, uppers, ranks)
         assert tuple(paths) == symmetric_paths(n)
         assert uppers == index_uppers(paths, j_b_upper_covers), n
+        assert ranks == list(range(len(paths)))
+        assert all(ranks[j] is j for ups in uppers for j in ups)
 
 
 def test_j_b_lattice_small():

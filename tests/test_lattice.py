@@ -276,7 +276,7 @@ def test_kernel_matches_reference_on_families(builder, n):
 
 def test_from_uppers_consumes_its_cover_lists():
     up_adj = [[1, 2], [3], [3], []]
-    lat = FiniteLattice.from_uppers("abcd", up_adj)
+    lat = FiniteLattice.from_uppers("abcd", up_adj, list(range(4)))
     assert up_adj == []
     assert lat.cover_pairs() == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
 
@@ -285,7 +285,7 @@ def test_from_uppers_keeps_the_given_order_and_build_sorts_any():
     """`from_uppers` stores the elements and each upper-cover list as given,
     and `kahn_elements` follows those lists; `build` takes its keys and pairs
     in any order and stores Kahn's order with increasing upper covers."""
-    lat = FiniteLattice.from_uppers("abcd", [[2, 1], [3], [3], []])
+    lat = FiniteLattice.from_uppers("abcd", [[2, 1], [3], [3], []], list(range(4)))
     assert lat.elements == tuple("abcd")
     assert lat.upper_covers("a") == ("c", "b")
     assert lat.kahn_elements() == list("acbd")
@@ -295,6 +295,20 @@ def test_from_uppers_keeps_the_given_order_and_build_sorts_any():
         assert built.kahn_elements() == list(built.elements)
         assert built.elements[0] == "a" and built.elements[3] == "d"
         assert built.upper_covers("a") == built.elements[1:3]
+
+
+@pytest.mark.parametrize(
+    "ids", [[0, 1, 2], [0, 1, 2, 3, 4], [0, 2, 1, 3], [1, 2, 3, 4]],
+    ids=["short", "long", "swapped", "shifted"],
+)
+def test_from_uppers_refuses_ids_that_are_not_the_indices(ids):
+    """An `ids` of the wrong length, or with a value out of place, is refused
+    before anything is built: the cover lists stay unconsumed, and a falling
+    cover in them is not reached."""
+    up_adj = [[1, 2], [3], [1], []]
+    with pytest.raises(ValueError, match=r"^ids must be the ints 0\.\.3 in order$"):
+        FiniteLattice.from_uppers("abcd", up_adj, ids)
+    assert up_adj == [[1, 2], [3], [1], []]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -318,10 +332,10 @@ def test_from_uppers_restores_the_collector_state(up_adj, error, enabled):
     try:
         up_adj = [list(ups) for ups in up_adj]
         if error is None:
-            FiniteLattice.from_uppers("abcd", up_adj)
+            FiniteLattice.from_uppers("abcd", up_adj, list(range(4)))
         else:
             with pytest.raises(NotALatticeError, match=error):
-                FiniteLattice.from_uppers("abcd", up_adj)
+                FiniteLattice.from_uppers("abcd", up_adj, list(range(4)))
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
@@ -339,8 +353,16 @@ def test_a_build_leaves_no_cyclic_garbage(builder, n):
     assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("builder,n", [(j_a_lattice, 8), (weak_b_lattice, 4)],
-                         ids=["j-a-8", "weak-b-4"])
+# Every size above 256 elements, so that no index is a cached small int.
+SHARED_INTS = [
+    (weak_a_lattice, 6), (weak_b_lattice, 4), (tam_a_lattice, 6),
+    (tam_b_lattice, 6), (j_a_lattice, 8), (j_b_lattice, 6),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,n", SHARED_INTS, ids=["weak-a-6", "weak-b-4", "tam-a-6", "tam-b-6", "j-a-8", "j-b-6"]
+)
 def test_kernel_tables_share_one_int_per_index(builder, n):
     """The cover tuples of both halves and both mask lookups hold one int
     object per index, not one per cover entry."""
@@ -348,13 +370,13 @@ def test_kernel_tables_share_one_int_per_index(builder, n):
     ints = {id(i) for covers in (lat._uppers, lat._lowers) for row in covers for i in row}
     for lookup in (lat._down_lookup, lat._up_lookup):
         ints.update(id(i) for i in lookup.values() if i is not None)
-    assert len(ints) <= len(lat)
+    assert len(lat) > 256 and len(ints) == len(lat)
 
 
 def test_key_index_is_built_by_the_first_key_query():
-    uppers = []
-    paths = dyck._prefixes(12, True, uppers)
-    lat = FiniteLattice.from_uppers(paths, uppers)
+    uppers, ranks = [], []
+    paths = dyck._prefixes(12, True, uppers, ranks)
+    lat = FiniteLattice.from_uppers(paths, uppers, ranks)
     for direction in ("down", "up"):
         lat.pop_polynomial(direction)
         lat.pop_image(direction)
@@ -383,12 +405,13 @@ CROSS_CHECK = [(b, n) for b, top in CROSS_CHECK_TOP.items() for n in range(top +
     "builder,n", CROSS_CHECK, ids=[f"{b.__name__}-{n}" for b, n in CROSS_CHECK]
 )
 def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch):
-    up_lists = []
+    up_lists, kept = [], []
     real = FiniteLattice.from_uppers
 
-    def record(elements, up_adj):
+    def record(elements, up_adj, ids):
         up_lists.extend(up_adj)
-        return real(elements, up_adj)
+        kept.extend(ids)
+        return real(elements, up_adj, ids)
 
     with monkeypatch.context() as patch:
         patch.setattr(FiniteLattice, "from_uppers", record)
@@ -399,6 +422,8 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     assert up_lists and all(len(set(ups)) == len(ups) for ups in up_lists)
     assert all(j > i for i, ups in enumerate(up_lists) for j in ups)
     assert lat._uppers == tuple(map(tuple, up_lists))
+    # The kernel keeps the builder's int objects; it does not re-map them.
+    assert all(a is b for ups, covers in zip(up_lists, lat._uppers) for a, b in zip(ups, covers))
     assert all(list(covers) == sorted(covers) for covers in lat._lowers)
     ref = reference_build(*KEY_PAIRS[builder](n))
     elements, lowers, uppers, rank = kahn_view(lat)
@@ -418,6 +443,7 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     assert lat._up == [up[r] for r in rank]
     for masks, lookup in ((lat._down, lat._down_lookup), (lat._up, lat._up_lookup)):
         assert lookup == {mask: k for k, mask in enumerate(masks)}
+        assert all(lookup[mask] is i for i, mask in zip(kept, masks))
         assert len(lookup) == len(ref.elements)
 
 
@@ -624,6 +650,89 @@ def test_validation_rejects_the_poset_the_lookup_passes():
     )
 
 
+# Bounded, not a lattice (c1 and c2 have two minimal upper bounds, x and y),
+# yet it passes three cheap tests that read only the irreducible-width
+# tables; together they agree with the lattice oracle on every bounded poset
+# of 10 elements or fewer.  A lattice test built from those tables alone
+# must reject this poset.
+WIDTH_BLIND_ELEMENTS = "0 c1 c2 x y g h f d1 d2 1".split()
+WIDTH_BLIND_COVERS = [
+    ("0", "c1"), ("0", "c2"),
+    ("c1", "x"), ("c1", "y"), ("c1", "g"), ("c2", "x"), ("c2", "y"), ("c2", "h"),
+    ("x", "d1"), ("x", "d2"), ("x", "f"), ("y", "d1"), ("y", "d2"),
+    ("d1", "1"), ("d2", "1"), ("f", "1"), ("g", "1"), ("h", "1"),
+]
+
+
+def test_validation_rejects_the_poset_the_width_checks_pass():
+    lat = FiniteLattice.build(WIDTH_BLIND_ELEMENTS, WIDTH_BLIND_COVERS, validate=False)
+    down, up, lookup = lat._down, lat._up, lat._up_lookup
+    # the up lookup is injective
+    assert len(set(up)) == len(lat) and None not in lookup.values()
+    # every element with two or more upper covers is their meet
+    for x, covers in enumerate(lat._uppers):
+        if len(covers) > 1:
+            meet = -1
+            for c in covers:
+                meet &= down[c]
+            assert down[x] == meet
+    # every two upper covers of an element have a join in the lookup
+    for covers in lat._uppers:
+        for a, b in itertools.combinations(covers, 2):
+            assert up[a] & up[b] in lookup
+    assert not pairwise_is_lattice(lat)
+    with pytest.raises(NotALatticeError) as exc:
+        lat._validate()
+    assert str(exc.value) == "no join for 'c1', 'c2', upper covers of '0'"
+
+
+def natural_posets(k, below=()):
+    """Every naturally labelled poset on 0..k-1 (i below j only if i < j),
+    as strict down-set masks: 1, 1, 2, 7, 40, 357, 4824, 96428 posets for
+    k = 0..7.  Element j's down-set is an order ideal of the poset on
+    0..j-1, and distinct ideals give distinct posets."""
+    j = len(below)
+    if j == k:
+        yield below
+        return
+    for ideal in range(1 << j):
+        if all(below[i] | ideal == ideal for i in range(j) if ideal >> i & 1):
+            yield from natural_posets(k, below + (ideal,))
+
+
+def bounded(below):
+    """(elements, covers) of a poset given by `natural_posets`, shifted up
+    by one, with a new bottom 0 and top k+1."""
+    k = len(below)
+    inner = [(i + 1, j + 1) for j, mask in enumerate(below) for i in range(j)
+             if mask >> i & 1 and not any(below[m] >> i & 1 for m in range(j) if mask >> m & 1)]
+    has_lower = {j for _, j in inner}
+    has_upper = {i for i, _ in inner}
+    ends = [(0, j) for j in range(1, k + 1) if j not in has_lower]
+    ends += [(i, k + 1) for i in range(1, k + 1) if i not in has_upper]
+    return list(range(k + 2)), inner + (ends or [(0, 1)])
+
+
+def assert_validation_matches_pairwise(k):
+    count = 0
+    for below in natural_posets(k):
+        lat = FiniteLattice.build(*bounded(below), validate=False)
+        assert cover_local_is_lattice(lat) == pairwise_is_lattice(lat), below
+        count += 1
+    return count
+
+
+def test_cover_local_validation_matches_pairwise_on_every_small_bounded_poset():
+    """Every bounded poset of 8 elements or fewer, as the naturally labelled
+    posets on up to 6 inner elements with a 0 and a 1 added."""
+    assert sum(map(assert_validation_matches_pairwise, range(7))) == 5232
+
+
+@pytest.mark.skipif(not os.environ.get("POPLAT_OPT_IN"), reason="set POPLAT_OPT_IN=1")
+def test_cover_local_validation_matches_pairwise_on_every_9_element_bounded_poset():
+    assert assert_validation_matches_pairwise(7) == 96428
+
+
 def order_pairs(elements, covers):
     """Every (a, b) with a <= b, by search along the covers."""
     above = {x: [] for x in elements}
@@ -686,7 +795,7 @@ def test_validation_error_names_witness_pair_and_lower_cover():
 
 def test_from_uppers_never_validates():
     up_adj = [[1, 2], [3, 4], [3, 4], [5], [5], []]  # NON_LATTICE_COVERS by index
-    lat = FiniteLattice.from_uppers(NON_LATTICE_ELEMENTS, up_adj)
+    lat = FiniteLattice.from_uppers(NON_LATTICE_ELEMENTS, up_adj, list(range(6)))
     assert lat.cover_pairs() == non_lattice().cover_pairs()
     with pytest.raises(NotALatticeError, match="no join for 'x', 'y'"):
         lat._validate()

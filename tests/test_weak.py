@@ -72,13 +72,15 @@ def test_ranked_signed_words_match_the_tuple_swap_reference():
     mirrored swaps, list by list and in the same order, at every admitted
     rank; its words are 2^n n! distinct signed permutations in lex order."""
     for n in range(7):
-        uppers = []
-        words = signed_words(n, uppers)
+        uppers, ranks = [], []
+        words = signed_words(n, uppers, ranks)
         assert words == sorted(set(map(validate_signed, words)))
         assert len(words) == 2**n * math.factorial(n)
         assert tuple(words) == enumerate_signed(n)
         index = {x: i for i, x in enumerate(words)}
         assert uppers == [[index[y] for y in weak_b_covers(x)] for x in words], n
+        assert ranks == list(range(len(words)))
+        assert all(ranks[j] is j for ups in uppers for j in ups)
 
 
 def test_weak_a_cover_counts_are_ascents():
