@@ -1,16 +1,17 @@
 """Generic finite-lattice kernel built from an explicit cover relation.
 
-Construction keeps the builder's linear extension of the elements, and
-keeps the order as two halves, both indexed by element: each is the covers
-on one side of every element and a table of irreducible-width bitmasks
-(Python ints) with its `mask -> index` lookup.
+Construction keeps the builder's linear extension of the elements and the
+covers on both sides of every element.  The order is read in two halves,
+both indexed by element: the covers on one side and a table of
+irreducible-width bitmasks (Python ints) with its `mask -> index` lookup,
+which the first query that reads the half builds.
 
 * the down half: `_lowers[i]` lists the lower covers of element i, every
   element with exactly one lower cover (a join-irreducible) owns one bit,
-  and `_down[i]` holds the bits of the join-irreducibles j <= i;
+  and its mask i holds the bits of the join-irreducibles j <= i;
 * the up half: `_uppers[i]` lists the upper covers of element i, every
   element with exactly one upper cover (a meet-irreducible) owns one bit,
-  the highest of them bit 0, and `_up[i]` holds the bits of the
+  the highest of them bit 0, and its mask i holds the bits of the
   meet-irreducibles j >= i.  It is the down half of the dual lattice.
 
 In a finite lattice x -> J(x), the set of join-irreducibles below x, is
@@ -23,15 +24,12 @@ None, so looking it up raises NotALatticeError.  A mask has one bit per
 irreducible of its half (45 at j-a 10, 722 at weak-b 6), where a full
 downset has one bit per element.
 
-The lookup does not prove that a poset is a lattice: validation, the only
-caller that builds a full-width table, builds its upset table for the
-duration of the check and frees it.  That table alone numbers its bits from
-the top, element i as bit n-1-i: a Python int is as wide as its highest bit,
-and every upset holds the top, so with a bit per element index each mask
-would be n bits wide (N²/8 bytes in all), where from the top element i's
-mask is n-i bits wide (N²/16).  All queries are pure; instances are immutable
-after build, but for the key index that the first key query fills in, and
-safe to share.
+The lookup does not prove that a poset is a lattice: `_validate`, the only
+caller that builds a full-width table, holds its upset table (N²/16 bytes)
+for the length of the check.  It reads only the covers, so it runs before
+either mask table exists.  Queries are pure, and instances safe to share:
+immutable after build but for the key index and the mask tables, each
+assigned whole by the first query that reads it.
 """
 from __future__ import annotations
 
@@ -167,32 +165,26 @@ class FiniteLattice:
 
     `elements` is stored in the builder's linear-extension order; all public
     methods accept and return the original element keys.  The order is kept
-    as two halves, both indexed by element index: the down half (`_lowers`,
-    `_down`, `_down_lookup`) and the up half (`_uppers`, `_up`, `_up_lookup`),
-    each the covers on one side of every element (upper covers in the
-    builder's order), a table of irreducible-width masks and its
-    `mask -> index` lookup.  The cover tuples and both lookups share one int
-    object per index, the builder's (see `from_uppers`), where an int per
-    cover entry would cost 28 bytes each.  The `key -> index` map (`_index`)
-    is built by the first query that takes a key, so a census or an image
-    never builds it; two threads that race to build it build equal maps.
+    as two halves indexed by element: the down half (`_lowers`, `_down`)
+    and the up half (`_uppers`, `_up`), each the covers on one side of every
+    element (upper covers in the builder's order) and a slot that `_half`
+    fills on first read with its (masks, `mask -> index` lookup) pair.  The
+    cover tuples and both lookups share the builder's int object per index
+    (`ids`, see `from_uppers`), where an int per cover entry would cost 28
+    bytes each.  The `key -> index` map (`_index`) is built by the first
+    query that takes a key, so a census or an image never builds it.
+    Threads that race to build a table build equal ones, each assigned in
+    one step.
     """
 
-    __slots__ = (
-        "elements", "_index", "_uppers", "_lowers",
-        "_down", "_down_lookup", "_up", "_up_lookup",
-    )
+    __slots__ = ("elements", "_index", "_uppers", "_lowers", "_ids", "_down", "_up")
 
     def __init__(self, elements, uppers, lowers, ids):
         self.elements = elements
-        self._index = None
         self._uppers = uppers
         self._lowers = lowers
-        n = len(ids)
-        self._down, self._down_lookup = _irreducible_closure(n, zip(ids, lowers))
-        self._up, self._up_lookup = _irreducible_closure(
-            n, zip(reversed(ids), reversed(uppers))
-        )
+        self._ids = ids
+        self._index = self._down = self._up = None
 
     # -- construction --------------------------------------------------
 
@@ -244,14 +236,14 @@ class FiniteLattice:
 
         `ids` is the list of int objects that `up_adj` draws its indices
         from, `ids[i] == i` for every element.  The builder owns these ints
-        and the kernel keeps them, one object per index, in its cover tuples
-        and both lookups: it does not re-map the covers into ints of its own.
+        and the kernel keeps them, one object per index, in its cover tuples,
+        and `ids` for the lookups: it does not re-map the covers.
         An `ids` of another length than `elements`, or with a value out of
         place, raises ValueError before anything else is checked or built.
 
         The build consumes `up_adj`: it empties the list in place before the
-        lower covers and the masks are allocated, which sets peak memory, so
-        a caller that still holds the list holds no cover.
+        lower covers are allocated, which sets the build's peak (it allocates
+        no mask), so a caller that still holds the list holds no cover.
 
         The build checks only the order and for a unique minimum and maximum;
         the caller vouches that the poset is a lattice, or validates it with
@@ -259,10 +251,9 @@ class FiniteLattice:
         NotALatticeError or return a wrong element, since the
         irreducible-width tables cannot tell.
 
-        The build makes one list or tuple per element and half, none of which
-        can be part of a cycle, so the cyclic garbage collector is paused
-        while it runs: its passes would only scan them.  Its previous state
-        is restored on return or raise.
+        Nothing the build makes can be part of a cycle, so the cyclic
+        garbage collector, whose passes would only scan it, is paused for
+        the build; its previous state is restored on return or raise.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -284,8 +275,6 @@ class FiniteLattice:
                     f"upper cover {elements[j]!r} of {elements[i]!r} "
                     f"does not come after it"
                 )
-        # The builder's lists go with `up_adj` before the lower covers are
-        # scanned (in increasing order): that sets the peak.
         uppers = tuple(map(tuple, up_adj))
         up_adj.clear()
         below: list[list[int]] = [[] for _ in ids]
@@ -314,10 +303,11 @@ class FiniteLattice:
         only the elements with two or more upper covers are visited.
         Elements and pairs are scanned in linear-extension order, against a
         full-width upset table built for this call, its bits numbered from
-        the top (see the module docstring): `up[i]` has bit last - j for
-        every element j >= i, so the highest bit of an AND of upsets is its
-        least element in linear-extension order, and the AND is principal,
-        a join, exactly when it is that element's own upset.
+        the top: `up[i]` has bit last - j for every element j >= i (an int
+        is as wide as its highest bit and every upset holds the top, so
+        `up[i]` is n-i bits wide, not n); the highest bit of an AND of upsets
+        is its least element in linear-extension order, and the AND is
+        principal, a join, exactly when it is that element's own upset.
         """
         uppers, last = self._uppers, len(self.elements) - 1
         up = [0] * (last + 1)
@@ -366,15 +356,9 @@ class FiniteLattice:
         return self.elements[len(self.elements) - 1] if self.elements else None
 
     def leq(self, x, y) -> bool:
-        index = self._keys()
-        below = self._down[index[x]]
-        return (below & self._down[index[y]]) == below
-
-    def upper_covers(self, x) -> tuple:
-        return tuple(self.elements[j] for j in self._uppers[self._keys()[x]])
-
-    def lower_covers(self, x) -> tuple:
-        return tuple(self.elements[j] for j in self._lowers[self._keys()[x]])
+        index, down = self._keys(), self._half("down")[0]
+        below = down[index[x]]
+        return (below & down[index[y]]) == below
 
     def cover_pairs(self) -> list[tuple]:
         return [
@@ -384,12 +368,22 @@ class FiniteLattice:
         ]
 
     def _half(self, direction: str):
-        """(masks, lookup, covers below) of the half that pops `direction`."""
+        """(masks, lookup, covers below) of the half that pops `direction`;
+        the first call builds its (masks, lookup) pair into one slot."""
+        ids = self._ids
         if direction == "down":
-            return self._down, self._down_lookup, self._lowers
-        if direction == "up":
-            return self._up, self._up_lookup, self._uppers
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+            half, below = self._down, self._lowers
+            if half is None:
+                half = self._down = _irreducible_closure(len(ids), zip(ids, below))
+        elif direction == "up":
+            half, below = self._up, self._uppers
+            if half is None:
+                half = self._up = _irreducible_closure(
+                    len(ids), zip(reversed(ids), reversed(below))
+                )
+        else:
+            raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+        return (*half, below)
 
     def _bound(self, direction: str, xs: tuple):
         """Meet ("down") or join ("up") of the keys xs, as a key."""
@@ -450,8 +444,13 @@ class FiniteLattice:
             coeffs[d] = coeffs.get(d, 0) + 1
         return QPoly(coeffs)
 
-    def pop_image(self, direction: str = "down") -> set:
+    def pop_image(self, direction: str = "down", covers: int | None = None) -> set:
+        """With `covers`, only the pops with that many covers as counted by
+        `pop_polynomial`."""
         image = self._image(direction, range(len(self.elements)))
+        if covers is not None:
+            counted = self._uppers if direction == "down" else self._lowers
+            image = [i for i in image if len(counted[i]) == covers]
         return {self.elements[i] for i in image}
 
 

@@ -15,7 +15,7 @@ constant term 1.
 
 G is solved by its triangular coefficient recurrence, since [x^n] of the
 right-hand side of its equation reads only G_0..G_{n-1}; I is linear in
-itself and solved by one series inversion.  Each solution is substituted
+itself, I = A + B I with B(0) = 0, and solved by the same kind of recurrence.  Each solution is substituted
 back into its defining equation, and a mismatch raises `ArithmeticError`.
 """
 from __future__ import annotations
@@ -306,11 +306,18 @@ def _solve_i(order: int) -> BiSeries:
     g2 = _solve_g((order + 1) // 2).substitute_x_squared(order)
     gm1 = g2 - one
     # Linear in I: I = A + B I with A = 1 - x + xy + x^3 y (G(x^2)-1),
-    # B = x^2 y + x + x^4 y (G(x^2)-1).  Solve I = A / (1 - B), then
-    # substitute the result back into the defining equation.
+    # B = x^2 y + x + x^4 y (G(x^2)-1).  B(0) = 0, so I_n = A_n +
+    # sum_{j>=1} B_j I_{n-j}; the result is substituted back into the equation.
     a = one - x + x * y + x.shift_x(2) * y * gm1
-    b = x.shift_x(1) * y + x + x.shift_x(3) * y * gm1
-    i = a * (one - b).inverse()
+    terms = sorted((x.shift_x(1) * y + x + x.shift_x(3) * y * gm1).coeffs.items())
+    rows: dict[int, YPoly] = {}
+    for n in range(order + 1):
+        rows[n] = dict(a.coeffs.get(n, {}))
+        for j, p in terms:
+            if j > n:
+                break
+            _addmul(rows[n], p, rows[n - j])
+    i = BiSeries._of(order, rows)
     rhs = (
         one
         + x.shift_x(1) * y * i

@@ -76,11 +76,9 @@ def image_run_condition(x: Word) -> bool:
 def image_census_by_first_entry(n: int) -> dict[int, int]:
     """Split the pop-image elements having n-1 upward covers by first entry.
 
-    Brute force over the full signed weak order.
+    Brute force over the full signed weak order, counted in index space.
     """
-    lat = weak_b_lattice(n)
     counts = {i: 0 for i in range(1, 2 * n + 1)}
-    for z in lat.pop_image("down"):
-        if len(lat.upper_covers(z)) == n - 1:
-            counts[z[0]] += 1
+    for z in weak_b_lattice(n).pop_image("down", n - 1):
+        counts[z[0]] += 1
     return counts

@@ -219,10 +219,21 @@ def kahn_view(lat):
     return tuple(lat.kahn_elements()), relabel(lat._lowers), relabel(lat._uppers), rank
 
 
-# --- single-element pops of a `FiniteLattice` ----------------------------------
+# --- single-element queries of a `FiniteLattice` -------------------------------
 # The program pops through the families' word and path functions and takes
-# whole images from `FiniteLattice.pop_image`; these read one element's pop
-# off the same kernel pass, as the oracle of the direct pops.
+# whole images, and their cover counts, from `FiniteLattice.pop_image`; these
+# read one element's covers off the kernel's cover tuples, and its pop off the
+# same kernel pass, as the oracle of the direct pops and cover counts.
+
+
+def upper_covers(lat, x):
+    """The upper covers of x in the `FiniteLattice` lat, in stored order."""
+    return tuple(lat.elements[j] for j in lat._uppers[lat._keys()[x]])
+
+
+def lower_covers(lat, x):
+    """The lower covers of x in the `FiniteLattice` lat, increasing."""
+    return tuple(lat.elements[j] for j in lat._lowers[lat._keys()[x]])
 
 
 def pop_down(lat, x):

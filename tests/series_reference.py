@@ -2,11 +2,13 @@
 
 Every operation here builds a new y-polynomial per pair of terms and sends
 each result through the public `BiSeries` constructor, so every coefficient
-passes `_exact`.  `copying_arithmetic` swaps these operations and the first
-G recurrence into `BiSeries` and `series` for the length of a `with` block,
-so the series functions can be run once on each kernel and compared.
+passes `_exact`.  `copying_arithmetic` swaps these operations, the first
+G recurrence and the first solve of I (by inversion) into `BiSeries` and
+`series` for the length of a `with` block, so the series functions can be
+run once on each kernel and compared.
 """
 from contextlib import contextmanager
+from functools import lru_cache
 from fractions import Fraction
 
 from poplat import series
@@ -121,6 +123,16 @@ def g_coefficients(order: int) -> dict[int, YPoly]:
     return g
 
 
+@lru_cache(maxsize=None)
+def solve_i(order: int) -> BiSeries:
+    """The first solve of I = A + B I: A / (1 - B), by one series inversion."""
+    one, x, y = series._xy(order)
+    gm1 = series._solve_g((order + 1) // 2).substitute_x_squared(order) - one
+    a = one - x + x * y + x.shift_x(2) * y * gm1
+    b = x.shift_x(1) * y + x + x.shift_x(3) * y * gm1
+    return a * (one - b).inverse()
+
+
 def clear_caches() -> None:
     series._solve_g.cache_clear()
     series._solve_i.cache_clear()
@@ -135,6 +147,7 @@ def copying_arithmetic(monkeypatch):
                          ("__mul__", mul), ("inverse", inverse), ("sqrt", sqrt)):
             patch.setattr(BiSeries, name, fn)
         patch.setattr(series, "_g_coefficients", g_coefficients)
+        patch.setattr(series, "_solve_i", solve_i)
         try:
             yield
         finally:

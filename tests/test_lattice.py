@@ -13,7 +13,7 @@ from poplat import dyck, signed, tamari
 from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import GuardError, NotALatticeError
 from poplat.families import FAMILIES
-from poplat.lattice import FiniteLattice, QPoly, memoised_builder
+from poplat.lattice import FiniteLattice, QPoly, _irreducible_closure, memoised_builder
 from poplat.tamari import tam_a_lattice, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
 from congruence import tam_a_adjacent, tam_b_adjacent
@@ -23,10 +23,12 @@ from reference import (
     _weak_a_pairs,
     _weak_b_pairs,
     kahn_view,
+    lower_covers,
     pop_down,
     pop_up,
     reference_build,
     reference_order,
+    upper_covers,
 )
 
 
@@ -80,8 +82,8 @@ def assert_structure_matches_reference(lat, ref):
     assert els == ref.elements
     assert lat.cover_pairs() == ref.cover_pairs()
     for x in els:
-        assert lat.upper_covers(x) == ref.upper_covers(x)
-        assert lat.lower_covers(x) == ref.lower_covers(x)
+        assert upper_covers(lat, x) == ref.upper_covers(x)
+        assert lower_covers(lat, x) == ref.lower_covers(x)
 
 
 def assert_matches_reference(lat, ref, pairs=500, seed=0):
@@ -221,7 +223,7 @@ def test_octagon_build_and_meet():
     assert lat.bottom == (1, 2, 3, 4)
     assert lat.top == (4, 3, 2, 1)
     assert pop_down(lat, (4, 3, 2, 1)) == (1, 2, 3, 4)
-    assert set(lat.lower_covers((4, 3, 2, 1))) == {(3, 4, 1, 2), (4, 2, 3, 1)}
+    assert set(lower_covers(lat, (4, 3, 2, 1))) == {(3, 4, 1, 2), (4, 2, 3, 1)}
     assert lat.pop_polynomial("down") == QPoly({2: 1, 1: 4})
     assert lat.pop_polynomial("up") == QPoly({2: 1, 1: 4})
     assert lat.pop_image("down") == {
@@ -287,14 +289,14 @@ def test_from_uppers_keeps_the_given_order_and_build_sorts_any():
     in any order and stores Kahn's order with increasing upper covers."""
     lat = FiniteLattice.from_uppers("abcd", [[2, 1], [3], [3], []], list(range(4)))
     assert lat.elements == tuple("abcd")
-    assert lat.upper_covers("a") == ("c", "b")
+    assert upper_covers(lat, "a") == ("c", "b")
     assert lat.kahn_elements() == list("acbd")
     pairs = [("c", "d"), ("a", "c"), ("b", "d"), ("a", "b")]
     for keys in ("abcd", "dcba", "cdab"):
         built = FiniteLattice.build(keys, pairs)
         assert built.kahn_elements() == list(built.elements)
         assert built.elements[0] == "a" and built.elements[3] == "d"
-        assert built.upper_covers("a") == built.elements[1:3]
+        assert upper_covers(built, "a") == built.elements[1:3]
 
 
 @pytest.mark.parametrize(
@@ -368,8 +370,8 @@ def test_kernel_tables_share_one_int_per_index(builder, n):
     object per index, not one per cover entry."""
     lat = builder(n, False)
     ints = {id(i) for covers in (lat._uppers, lat._lowers) for row in covers for i in row}
-    for lookup in (lat._down_lookup, lat._up_lookup):
-        ints.update(id(i) for i in lookup.values() if i is not None)
+    for direction in ("down", "up"):
+        ints.update(id(i) for i in lat._half(direction)[1].values() if i is not None)
     assert len(lat) > 256 and len(ints) == len(lat)
 
 
@@ -388,10 +390,29 @@ def test_key_index_is_built_by_the_first_key_query():
     assert index == {k: i for i, k in enumerate(lat.elements)}
     for query in (lat.leq, lat.meet, lat.join):
         query(x, y)
-    for query in (lat.upper_covers, lat.lower_covers):
-        query(x)
+    upper_covers(lat, x), lower_covers(lat, x)
     pop_down(lat, x), pop_up(lat, x)
     assert lat._index is index
+
+
+@pytest.mark.parametrize(
+    "builder,n", SHARED_INTS, ids=["weak-a-6", "weak-b-4", "tam-a-6", "tam-b-6", "j-a-8", "j-b-6"]
+)
+def test_validation_runs_before_either_half_is_built(builder, n, monkeypatch):
+    """Validation reads only the covers, so at its peak, its own table, no
+    mask table exists yet, in a family build or a key-pair build."""
+    seen = []
+    real = FiniteLattice._validate
+
+    def record(lat):
+        seen.append((lat._down, lat._up))
+        real(lat)
+
+    monkeypatch.setattr(FiniteLattice, "_validate", record)
+    builder.cache_clear()
+    builder(n)
+    FiniteLattice.build("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    assert seen == [(None, None)] * 2
 
 
 CROSS_CHECK_TOP = {
@@ -399,6 +420,26 @@ CROSS_CHECK_TOP = {
     tam_b_lattice: 6, j_a_lattice: 9, j_b_lattice: 6,
 }
 CROSS_CHECK = [(b, n) for b, top in CROSS_CHECK_TOP.items() for n in range(top + 1)]
+
+
+@pytest.mark.parametrize(
+    "builder,n", CROSS_CHECK, ids=[f"{b.__name__}-{n}" for b, n in CROSS_CHECK]
+)
+def test_a_half_is_built_once_by_its_first_read(builder, n):
+    """No half exists after the build; the first read of each builds the
+    irreducible closure of its covers (the up half from the top) and later
+    reads share it."""
+    lat = builder.__wrapped__(n)
+    assert lat._down is None and lat._up is None
+    ids = list(range(len(lat)))
+    expected = {
+        "down": _irreducible_closure(len(ids), zip(ids, lat._lowers)),
+        "up": _irreducible_closure(len(ids), zip(reversed(ids), reversed(lat._uppers))),
+    }
+    for direction, below in (("down", lat._lowers), ("up", lat._uppers)):
+        masks, lookup, covers = lat._half(direction)
+        assert (masks, lookup) == expected[direction] and covers is below
+        assert lat._half(direction)[0] is masks
 
 
 @pytest.mark.parametrize(
@@ -439,9 +480,10 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     meet_irreducibles = [rank[i] for i in reversed(everything) if len(ref.uppers[rank[i]]) == 1]
     down = restricted(ref.down, join_irreducibles)
     up = restricted(ref.up, meet_irreducibles)
-    assert lat._down == [down[r] for r in rank]
-    assert lat._up == [up[r] for r in rank]
-    for masks, lookup in ((lat._down, lat._down_lookup), (lat._up, lat._up_lookup)):
+    (down_masks, down_lookup, _), (up_masks, up_lookup, _) = lat._half("down"), lat._half("up")
+    assert down_masks == [down[r] for r in rank]
+    assert up_masks == [up[r] for r in rank]
+    for masks, lookup in ((down_masks, down_lookup), (up_masks, up_lookup)):
         assert lookup == {mask: k for k, mask in enumerate(masks)}
         assert all(lookup[mask] is i for i, mask in zip(kept, masks))
         assert len(lookup) == len(ref.elements)
@@ -640,7 +682,7 @@ def test_validation_rejects_the_poset_the_lookup_passes():
         FiniteLattice.build(LOOKUP_BLIND_ELEMENTS, LOOKUP_BLIND_COVERS)
     assert str(exc.value) == message
     lat = FiniteLattice.build(LOOKUP_BLIND_ELEMENTS, LOOKUP_BLIND_COVERS, validate=False)
-    assert len(set(lat._down)) == len(lat)
+    assert len(set(lat._half("down")[0])) == len(lat)
     with pytest.raises(NotALatticeError) as exc:
         lat._validate()
     assert str(exc.value) == message
@@ -666,7 +708,7 @@ WIDTH_BLIND_COVERS = [
 
 def test_validation_rejects_the_poset_the_width_checks_pass():
     lat = FiniteLattice.build(WIDTH_BLIND_ELEMENTS, WIDTH_BLIND_COVERS, validate=False)
-    down, up, lookup = lat._down, lat._up, lat._up_lookup
+    down, (up, lookup, _) = lat._half("down")[0], lat._half("up")
     # the up lookup is injective
     assert len(set(up)) == len(lat) and None not in lookup.values()
     # every element with two or more upper covers is their meet

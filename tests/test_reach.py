@@ -20,7 +20,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     "lattice.FiniteLattice.leq": "the kernel's order query, held to the reference oracle",
     "lattice.FiniteLattice.meet": "dual of `join`, held to the reference oracle",
-    "lattice.FiniteLattice.lower_covers": "dual of `upper_covers`, held to the reference oracle",
 }
 
 
