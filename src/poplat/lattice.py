@@ -1,28 +1,24 @@
 """Generic finite-lattice kernel built from an explicit cover relation.
 
-Construction keeps the builder's linear extension of the elements and the
-covers on both sides of every element.  The order is read in two halves,
-both indexed by element: the covers on one side and a table of
-irreducible-width bitmasks (Python ints) with its `mask -> index` lookup,
-which the first query that reads the half builds.
+Construction keeps the builder's linear extension of the elements, each
+element's upper covers and its count of lower covers.  The order is read in
+two halves, each irreducible-width bitmasks (Python ints) indexed by element
+and a `mask -> index` lookup, built by the first query that reads the half:
 
-* the down half: `_lowers[i]` lists the lower covers of element i, every
-  element with exactly one lower cover (a join-irreducible) owns one bit,
-  and its mask i holds the bits of the join-irreducibles j <= i;
-* the up half: `_uppers[i]` lists the upper covers of element i, every
-  element with exactly one upper cover (a meet-irreducible) owns one bit,
-  the highest of them bit 0, and its mask i holds the bits of the
-  meet-irreducibles j >= i.  It is the down half of the dual lattice.
+* down: every element with exactly one lower cover (a join-irreducible)
+  owns one bit, and mask i holds the bits of the join-irreducibles j <= i;
+* up: every element with exactly one upper cover (a meet-irreducible) owns
+  one bit, the highest of them bit 0, and mask i holds the bits of the
+  meet-irreducibles j >= i: the down half of the dual lattice.
 
 In a finite lattice x -> J(x), the set of join-irreducibles below x, is
 injective and J(x meet y) = J(x) & J(y) (Birkhoff's representation theorem;
 Davey and Priestley, Introduction to Lattices and Order, ch. 2).  So `leq`
 is a subset test, and a meet is one AND of masks read back through the
-half's `mask -> index` lookup; a join is the same in the up half.  The pops
-and the census use this one rule.  A mask that two elements share maps to
+lookup; a join is the same in the up half, and so are the pops, which the
+pass that builds a half resolves.  A mask that two elements share maps to
 None, so looking it up raises NotALatticeError.  A mask has one bit per
-irreducible of its half (45 at j-a 10, 722 at weak-b 6), where a full
-downset has one bit per element.
+irreducible (45 at j-a 10, 722 at weak-b 6), not one per element.
 
 The lookup does not prove that a poset is a lattice: `_validate`, the only
 caller that builds a full-width table, holds its upset table (N²/16 bytes)
@@ -34,8 +30,9 @@ assigned whole by the first query that reads it.
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from functools import wraps
-from itertools import combinations
+from itertools import combinations, compress
 from operator import ne
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -103,36 +100,6 @@ class QPoly:
         return f"QPoly({self.coeffs!r})"
 
 
-def _irreducible_closure(
-    n: int, entries: Iterable[tuple[int, tuple[int, ...]]]
-) -> tuple[list[int], dict[int, int | None]]:
-    """Irreducible-width masks of a half, indexed by element, and the lookup
-    from a mask to the element it belongs to.
-
-    `entries` gives each element's index int with its covers on the half's
-    lower side, every element after its covers.  An entry with exactly one
-    cover is irreducible and owns the next bit; every mask is the union of
-    its covers' masks, plus the entry's own bit.  A mask shared by two
-    entries looks up None: each index is one int object, so `setdefault`
-    hands back another object exactly when the mask is taken.
-    """
-    masks = [0] * n
-    lookup: dict[int, int | None] = {}
-    bit = 1
-    for i, covers in entries:
-        if len(covers) == 1:
-            mask = masks[covers[0]] | bit
-            bit <<= 1
-        else:
-            mask = 0
-            for j in covers:
-                mask |= masks[j]
-        if lookup.setdefault(mask, i) is not i:
-            lookup[mask] = None
-        masks[i] = mask
-    return masks, lookup
-
-
 def kahn_order(uppers: Sequence[Sequence[int]]) -> list[int]:
     """Kahn's FIFO linear extension of index-space upper covers; it depends
     on the order within each list.  Raises NotALatticeError on a cycle."""
@@ -160,29 +127,92 @@ def index_uppers(
     return [[index[y] for y in upper_covers(x)] for x in elements]
 
 
+# A half's pass reads each element after its covers on the half's lower
+# side, enters its mask in the lookup, where a mask two elements share
+# looks up None (each index is one int object, so `setdefault` hands back
+# another exactly when the mask is taken), then looks up its pop: the AND
+# of those covers' masks, an element's no later in the pass.  A half is
+# (masks, lookup, image as index ints, first element in stored order whose
+# pop is missing, or None).
+
+
+def _down_half(ids, uppers, lower_counts):
+    """Pushes each mask to the upper covers in stored order.  A second push
+    starts the element's AND accumulator, dropped when it is read.  Only the
+    bottom's mask is 0, and what covers it covers nothing else, so a 0 in
+    `masks` means no push yet."""
+    masks, meets, lookup, seen = [0] * len(ids), {}, {}, bytearray(len(ids))
+    meet = meets.get
+    bit = 1
+    missing = None
+    for i, covers, count in zip(ids, uppers, lower_counts):
+        mask = masks[i]
+        if count == 1:
+            pop, mask = mask, mask | bit
+            masks[i], bit = mask, bit << 1
+        else:
+            pop = meets.pop(i, mask)
+        if lookup.setdefault(mask, i) is not i:
+            lookup[mask] = None
+        got = lookup.get(pop)
+        if got is not None:
+            seen[got] = 1
+        elif missing is None:
+            missing = i
+        for j in covers:
+            m = masks[j]
+            if m:
+                masks[j] = m | mask
+                meets[j] = meet(j, m) & mask
+            else:
+                masks[j] = mask
+    return masks, lookup, list(compress(ids, seen)), missing
+
+
+def _up_half(ids, uppers):
+    """Pulls each mask from its upper covers, from the top down."""
+    masks, lookup, seen = [0] * len(ids), {}, bytearray(len(ids))
+    bit = 1
+    missing = None
+    for i, covers in zip(reversed(ids), reversed(uppers)):
+        if len(covers) == 1:
+            pop = masks[covers[0]]
+            mask, bit = pop | bit, bit << 1
+        else:
+            mask, pop = 0, -1 if covers else 0
+            for j in covers:
+                mask |= masks[j]
+                pop &= masks[j]
+        masks[i] = mask
+        if lookup.setdefault(mask, i) is not i:
+            lookup[mask] = None
+        got = lookup.get(pop)
+        if got is not None:
+            seen[got] = 1
+        else:
+            missing = i
+    return masks, lookup, list(compress(ids, seen)), missing
+
+
 class FiniteLattice:
     """A finite lattice given by elements and covers.
 
     `elements` is stored in the builder's linear-extension order; all public
     methods accept and return the original element keys.  The order is kept
-    as two halves indexed by element: the down half (`_lowers`, `_down`)
-    and the up half (`_uppers`, `_up`), each the covers on one side of every
-    element (upper covers in the builder's order) and a slot that `_half`
-    fills on first read with its (masks, `mask -> index` lookup) pair.  The
-    cover tuples and both lookups share the builder's int object per index
-    (`ids`, see `from_uppers`), where an int per cover entry would cost 28
-    bytes each.  The `key -> index` map (`_index`) is built by the first
-    query that takes a key, so a census or an image never builds it.
-    Threads that race to build a table build equal ones, each assigned in
-    one step.
+    as each element's upper covers (`_uppers`, in the builder's order) and
+    lower-cover count (`_lower_counts`), and two slots, `_down` and `_up`,
+    that `_half` fills on first read.  Cover tuples, lookups and images
+    share the builder's int object per index (`ids`, see `from_uppers`).
+    The `key -> index` map (`_index`) is built by the first query that
+    takes a key.
     """
 
-    __slots__ = ("elements", "_index", "_uppers", "_lowers", "_ids", "_down", "_up")
+    __slots__ = ("elements", "_index", "_uppers", "_lower_counts", "_ids", "_down", "_up")
 
-    def __init__(self, elements, uppers, lowers, ids):
+    def __init__(self, elements, uppers, lower_counts, ids):
         self.elements = elements
         self._uppers = uppers
-        self._lowers = lowers
+        self._lower_counts = lower_counts
         self._ids = ids
         self._index = self._down = self._up = None
 
@@ -237,13 +267,13 @@ class FiniteLattice:
         `ids` is the list of int objects that `up_adj` draws its indices
         from, `ids[i] == i` for every element.  The builder owns these ints
         and the kernel keeps them, one object per index, in its cover tuples,
-        and `ids` for the lookups: it does not re-map the covers.
+        and `ids` for the lookups and images: it does not re-map the covers.
         An `ids` of another length than `elements`, or with a value out of
         place, raises ValueError before anything else is checked or built.
 
-        The build consumes `up_adj`: it empties the list in place before the
-        lower covers are allocated, which sets the build's peak (it allocates
-        no mask), so a caller that still holds the list holds no cover.
+        The build consumes `up_adj`: it empties the list in place once the
+        cover tuples are made, which sets the build's peak (it allocates no
+        mask), so a caller that still holds the list holds no cover.
 
         The build checks only the order and for a unique minimum and maximum;
         the caller vouches that the poset is a lattice, or validates it with
@@ -277,16 +307,14 @@ class FiniteLattice:
                 )
         uppers = tuple(map(tuple, up_adj))
         up_adj.clear()
-        below: list[list[int]] = [[] for _ in ids]
-        for i, covers in zip(ids, uppers):
+        counts = [0] * n
+        for covers in uppers:
             for j in covers:
-                below[j].append(i)
-        lowers = tuple(map(tuple, below))
-        del below
+                counts[j] += 1
 
-        lat = cls(tuple(elements), uppers, lowers, ids)
+        lat = cls(tuple(elements), uppers, counts, ids)
         if n:
-            bottoms, tops = lowers.count(()), uppers.count(())
+            bottoms, tops = counts.count(0), uppers.count(())
             if bottoms != 1 or tops != 1:
                 raise NotALatticeError(
                     f"{bottoms} minimal and {tops} maximal elements"
@@ -368,26 +396,22 @@ class FiniteLattice:
         ]
 
     def _half(self, direction: str):
-        """(masks, lookup, covers below) of the half that pops `direction`;
-        the first call builds its (masks, lookup) pair into one slot."""
-        ids = self._ids
+        """The half that pops `direction`, built into its slot on first call."""
         if direction == "down":
-            half, below = self._down, self._lowers
+            half = self._down
             if half is None:
-                half = self._down = _irreducible_closure(len(ids), zip(ids, below))
+                half = self._down = _down_half(self._ids, self._uppers, self._lower_counts)
         elif direction == "up":
-            half, below = self._up, self._uppers
+            half = self._up
             if half is None:
-                half = self._up = _irreducible_closure(
-                    len(ids), zip(reversed(ids), reversed(below))
-                )
+                half = self._up = _up_half(self._ids, self._uppers)
         else:
             raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-        return (*half, below)
+        return half
 
     def _bound(self, direction: str, xs: tuple):
         """Meet ("down") or join ("up") of the keys xs, as a key."""
-        masks, lookup, _ = self._half(direction)
+        masks, lookup = self._half(direction)[:2]
         index, mask = self._keys(), -1
         for x in xs:
             mask &= masks[index[x]]
@@ -406,28 +430,18 @@ class FiniteLattice:
 
     # -- pop operators -----------------------------------------------------
 
-    def _image(self, direction: str, indices: Iterable[int]) -> set[int]:
-        """Element indices of the pops of the elements at `indices`.
-
-        "down" meets an element with its lower covers; "up" joins it with
-        its upper covers, which is the same meet taken in the up half.  A
-        non-lattice names the first element, in the order given, whose pop
-        does not exist.
-        """
-        masks, lookup, below = self._half(direction)
-        image = set()
-        for i in indices:
-            mask = masks[i]
-            for j in below[i]:
-                mask &= masks[j]
-            got = lookup.get(mask)
-            if got is None:
-                word, side = ("meet", "lower") if direction == "down" else ("join", "upper")
-                raise NotALatticeError(
-                    f"no {word} of the {side} covers of {self.elements[i]!r}"
-                )
-            image.add(got)
-        return image
+    def _image(self, direction: str):
+        """Indices of the pops and their counted covers; a non-lattice names
+        the first element whose pop does not exist."""
+        image, missing = self._half(direction)[2:]
+        if missing is not None:
+            word, side = ("meet", "lower") if direction == "down" else ("join", "upper")
+            raise NotALatticeError(
+                f"no {word} of the {side} covers of {self.elements[missing]!r}"
+            )
+        if direction == "up":
+            return image, self._lower_counts.__getitem__
+        return image, lambda i: len(self._uppers[i])
 
     def pop_polynomial(self, direction: str = "down") -> QPoly:
         """q-census of the pop image.
@@ -436,21 +450,15 @@ class FiniteLattice:
         "up":   sum q^(#lower covers) over the distinct upward pops.
         The two agree on every lattice (duality), which the tests exercise.
         """
-        image = self._image(direction, range(len(self.elements)))
-        covers = self._uppers if direction == "down" else self._lowers
-        coeffs: dict[int, int] = {}
-        for i in image:
-            d = len(covers[i])
-            coeffs[d] = coeffs.get(d, 0) + 1
-        return QPoly(coeffs)
+        image, counted = self._image(direction)
+        return QPoly(Counter(map(counted, image)))
 
     def pop_image(self, direction: str = "down", covers: int | None = None) -> set:
         """With `covers`, only the pops with that many covers as counted by
         `pop_polynomial`."""
-        image = self._image(direction, range(len(self.elements)))
+        image, counted = self._image(direction)
         if covers is not None:
-            counted = self._uppers if direction == "down" else self._lowers
-            image = [i for i in image if len(counted[i]) == covers]
+            image = [i for i in image if counted(i) == covers]
         return {self.elements[i] for i in image}
 
 

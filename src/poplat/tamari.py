@@ -144,9 +144,9 @@ def _quotient_lattice(elements: Sequence[Word],
     `lowers` lists, element by element in carrier order, the carrier
     positions of its lower covers.  The upper-cover lists are filled in
     carrier order, from one int object per position, and handed with those
-    ints to `FiniteLattice.from_uppers`, which consumes them; Kahn's linear
-    extension there follows them, which fixes the element order that every
-    report prints.
+    ints to `FiniteLattice.from_uppers`, which consumes them and keeps the
+    carrier order; `kahn_elements()`, the order `enumerate` prints, follows
+    the order of the upper-cover lists.
 
     No list repeats an entry: two weak lower covers w1, w2 of a class minimum
     y project to distinct elements, since w1 = w2 modulo the congruence would

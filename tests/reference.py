@@ -216,14 +216,104 @@ def kahn_view(lat):
     def relabel(covers):
         return [tuple(sorted(map(rank.__getitem__, covers[i]))) for i in order]
 
-    return tuple(lat.kahn_elements()), relabel(lat._lowers), relabel(lat._uppers), rank
+    return (tuple(lat.kahn_elements()), relabel(lower_cover_table(lat)),
+            relabel(lat._uppers), rank)
+
+
+# --- the kernel's halves by the pull-style closure ------------------------------
+# The kernel stores only upper covers and lower-cover counts; it closes its
+# down half by pushing masks upward.  The oracle derives each element's lower
+# covers from the upper ones, closes both halves by pulling each mask from
+# the covers on the half's lower side (the kernel's first closure), and
+# resolves every pop afterwards against the finished masks.
+
+
+_held_lowers = []  # [(uppers, lowers)] of the last lattice asked about
+
+
+def lower_cover_table(lat):
+    """Each element's lower covers in the `FiniteLattice` lat, as increasing
+    index tuples, derived from its upper covers.  The table of the last
+    lattice asked about is kept, keyed by its (kept) upper-cover tuple, so a
+    loop over the elements derives it once."""
+    if not _held_lowers or _held_lowers[0][0] is not lat._uppers:
+        below = [[] for _ in lat._uppers]
+        for i, covers in enumerate(lat._uppers):
+            for j in covers:
+                below[j].append(i)
+        _held_lowers[:] = [(lat._uppers, tuple(map(tuple, below)))]
+    return _held_lowers[0][1]
+
+
+def _irreducible_closure(n, entries):
+    """Irreducible-width masks of a half, indexed by element, and the lookup
+    from a mask to the element it belongs to.
+
+    `entries` gives each element's index int with its covers on the half's
+    lower side, every element after its covers.  An entry with exactly one
+    cover is irreducible and owns the next bit; every mask is the union of
+    its covers' masks, plus the entry's own bit.  A mask shared by two
+    entries looks up None: each index is one int object, so `setdefault`
+    hands back another object exactly when the mask is taken.
+    """
+    masks = [0] * n
+    lookup = {}
+    bit = 1
+    for i, covers in entries:
+        if len(covers) == 1:
+            mask = masks[covers[0]] | bit
+            bit <<= 1
+        else:
+            mask = 0
+            for j in covers:
+                mask |= masks[j]
+        if lookup.setdefault(mask, i) is not i:
+            lookup[mask] = None
+        masks[i] = mask
+    return masks, lookup
+
+
+def half_oracle(lat, direction):
+    """The kernel's half of the `FiniteLattice` lat that pops `direction`,
+    as (masks, lookup, image, missing).
+
+    A pop is the AND of an element's mask with its covers' on the half's
+    lower side, read back as the one element with that mask among those the
+    pass has read by then, the element itself included (the kernel resolves
+    each pop in its pass).  `image` lists the pops' indices increasing;
+    `missing` is the least index whose pop is not found, or None.
+    """
+    n = len(lat)
+    if direction == "down":
+        order, below = range(n), lower_cover_table(lat)
+    else:
+        order, below = range(n - 1, -1, -1), lat._uppers
+    ids = list(range(n))
+    masks, lookup = _irreducible_closure(n, ((ids[i], below[i]) for i in order))
+    read = [0] * n  # read[i]: how many elements the pass reads before i
+    holders = {}
+    for position, i in enumerate(order):
+        read[i] = position
+        holders.setdefault(masks[i], []).append(i)
+    image, missing = set(), []
+    for i in order:
+        mask = masks[i]
+        for j in below[i]:
+            mask &= masks[j]
+        found = [h for h in holders.get(mask, ()) if read[h] <= read[i]]
+        if len(found) == 1:
+            image.add(found[0])
+        else:
+            missing.append(i)
+    return masks, lookup, sorted(image), min(missing, default=None)
 
 
 # --- single-element queries of a `FiniteLattice` -------------------------------
 # The program pops through the families' word and path functions and takes
 # whole images, and their cover counts, from `FiniteLattice.pop_image`; these
-# read one element's covers off the kernel's cover tuples, and its pop off the
-# same kernel pass, as the oracle of the direct pops and cover counts.
+# read one element's covers off the kernel's upper covers, and its pop off
+# the kernel's masks and lookup, as the oracle of the direct pops and cover
+# counts.
 
 
 def upper_covers(lat, x):
@@ -233,19 +323,32 @@ def upper_covers(lat, x):
 
 def lower_covers(lat, x):
     """The lower covers of x in the `FiniteLattice` lat, increasing."""
-    return tuple(lat.elements[j] for j in lat._lowers[lat._keys()[x]])
+    return tuple(lat.elements[j] for j in lower_cover_table(lat)[lat._keys()[x]])
+
+
+def _pop(lat, direction, x, covers):
+    """The AND of x's mask with its `covers`' in the half that pops
+    `direction`, read back through that half's lookup."""
+    masks, lookup = lat._half(direction)[:2]
+    i = lat._keys()[x]
+    mask = masks[i]
+    for j in covers(i):
+        mask &= masks[j]
+    got = lookup.get(mask)
+    if got is None:
+        word, side = ("meet", "lower") if direction == "down" else ("join", "upper")
+        raise NotALatticeError(f"no {word} of the {side} covers of {lat.elements[i]!r}")
+    return lat.elements[got]
 
 
 def pop_down(lat, x):
     """Meet of x with everything it covers in the `FiniteLattice` lat."""
-    (got,) = lat._image("down", (lat._keys()[x],))
-    return lat.elements[got]
+    return _pop(lat, "down", x, lower_cover_table(lat).__getitem__)
 
 
 def pop_up(lat, x):
     """Join of x with everything covering it in the `FiniteLattice` lat."""
-    (got,) = lat._image("up", (lat._keys()[x],))
-    return lat.elements[got]
+    return _pop(lat, "up", x, lat._uppers.__getitem__)
 
 
 # --- Tamari covers and projections by the program's rules ----------------------

@@ -13,7 +13,7 @@ from poplat import dyck, signed, tamari
 from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import GuardError, NotALatticeError
 from poplat.families import FAMILIES
-from poplat.lattice import FiniteLattice, QPoly, _irreducible_closure, memoised_builder
+from poplat.lattice import FiniteLattice, QPoly, memoised_builder
 from poplat.tamari import tam_a_lattice, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
 from congruence import tam_a_adjacent, tam_b_adjacent
@@ -22,7 +22,9 @@ from reference import (
     NonIntervalClassError,
     _weak_a_pairs,
     _weak_b_pairs,
+    half_oracle,
     kahn_view,
+    lower_cover_table,
     lower_covers,
     pop_down,
     pop_up,
@@ -366,13 +368,49 @@ SHARED_INTS = [
     "builder,n", SHARED_INTS, ids=["weak-a-6", "weak-b-4", "tam-a-6", "tam-b-6", "j-a-8", "j-b-6"]
 )
 def test_kernel_tables_share_one_int_per_index(builder, n):
-    """The cover tuples of both halves and both mask lookups hold one int
+    """The cover tuples and both halves' lookups and images hold one int
     object per index, not one per cover entry."""
     lat = builder(n, False)
-    ints = {id(i) for covers in (lat._uppers, lat._lowers) for row in covers for i in row}
+    ints = {id(i) for row in lat._uppers for i in row}
     for direction in ("down", "up"):
-        ints.update(id(i) for i in lat._half(direction)[1].values() if i is not None)
+        _, lookup, image, _ = lat._half(direction)
+        ints.update(id(i) for i in lookup.values() if i is not None)
+        ints.update(map(id, image))
     assert len(lat) > 256 and len(ints) == len(lat)
+
+
+def reachable(*roots):
+    """Every object reachable from `roots` through `gc.get_referents`, by id."""
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+@pytest.mark.parametrize(
+    "builder,n", SHARED_INTS, ids=["weak-a-6", "weak-b-4", "tam-a-6", "tam-b-6", "j-a-8", "j-b-6"]
+)
+def test_the_kernel_stores_one_cover_tuple_per_element(builder, n):
+    """After the build the slots, keys aside, reach the upper-cover table and
+    one cover tuple per element; each built half holds its masks, lookup,
+    image and missing pop, and no other table as long as the lattice, so
+    neither the lower-cover tuples nor a table of pop masks is kept."""
+    lat = builder.__wrapped__(n)
+    slots = [getattr(lat, name) for name in FiniteLattice.__slots__ if name != "elements"]
+    tuples = [obj for obj in reachable(*slots) if type(obj) is tuple]
+    assert len(tuples) == 1 + len(lat) and lat._uppers in tuples
+    ids = lat._ids
+    for direction in ("down", "up"):
+        half = lat._half(direction)
+        masks, lookup, image, missing = half
+        assert type(half) is tuple and missing is None
+        assert all(i is ids[i] for i in image)
+        tables = [obj for obj in reachable(half) if hasattr(obj, "__len__")
+                  and len(obj) >= len(lat)]
+        assert sorted(map(id, tables)) == sorted(map(id, (masks, lookup)))
 
 
 def test_key_index_is_built_by_the_first_key_query():
@@ -431,15 +469,10 @@ def test_a_half_is_built_once_by_its_first_read(builder, n):
     reads share it."""
     lat = builder.__wrapped__(n)
     assert lat._down is None and lat._up is None
-    ids = list(range(len(lat)))
-    expected = {
-        "down": _irreducible_closure(len(ids), zip(ids, lat._lowers)),
-        "up": _irreducible_closure(len(ids), zip(reversed(ids), reversed(lat._uppers))),
-    }
-    for direction, below in (("down", lat._lowers), ("up", lat._uppers)):
-        masks, lookup, covers = lat._half(direction)
-        assert (masks, lookup) == expected[direction] and covers is below
-        assert lat._half(direction)[0] is masks
+    for direction in ("down", "up"):
+        half = lat._half(direction)
+        assert half == half_oracle(lat, direction)
+        assert lat._half(direction) is half
 
 
 @pytest.mark.parametrize(
@@ -465,12 +498,12 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     assert lat._uppers == tuple(map(tuple, up_lists))
     # The kernel keeps the builder's int objects; it does not re-map them.
     assert all(a is b for ups, covers in zip(up_lists, lat._uppers) for a, b in zip(ups, covers))
-    assert all(list(covers) == sorted(covers) for covers in lat._lowers)
     ref = reference_build(*KEY_PAIRS[builder](n))
     elements, lowers, uppers, rank = kahn_view(lat)
     assert elements == ref.elements
     assert lowers == ref.lowers
     assert uppers == ref.uppers
+    assert lat._lower_counts == [len(ref.lowers[r]) for r in rank]
     # Each half's masks are the reference's downsets (upsets) restricted to
     # its irreducibles, the k-th irreducible in the kernel's order as bit k,
     # the meet-irreducibles counted from the top, and no two elements share
@@ -480,7 +513,7 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     meet_irreducibles = [rank[i] for i in reversed(everything) if len(ref.uppers[rank[i]]) == 1]
     down = restricted(ref.down, join_irreducibles)
     up = restricted(ref.up, meet_irreducibles)
-    (down_masks, down_lookup, _), (up_masks, up_lookup, _) = lat._half("down"), lat._half("up")
+    (down_masks, down_lookup), (up_masks, up_lookup) = lat._half("down")[:2], lat._half("up")[:2]
     assert down_masks == [down[r] for r in rank]
     assert up_masks == [up[r] for r in rank]
     for masks, lookup in ((down_masks, down_lookup), (up_masks, up_lookup)):
@@ -550,6 +583,32 @@ def test_tamari_order_matches_the_ranked_oracle_up_to_the_budget(builder, n):
     lat = builder(n, False)
     elements, lowers, _ = reference_order(*KEY_PAIRS[builder](n))
     assert kahn_view(lat)[:2] == (elements, lowers)
+    builder.cache_clear()
+
+
+# Every size above the Tier-1 cross-check of each family up to the budget:
+# both halves against the pull-style oracle.
+BUDGET_NAMES = {
+    weak_a_lattice: "weak-a", weak_b_lattice: "weak-b", tam_a_lattice: "tam-a",
+    tam_b_lattice: "tam-b", j_a_lattice: "j-a", j_b_lattice: "j-b",
+}
+BUDGET_CASES = [
+    (builder, n)
+    for builder, name in BUDGET_NAMES.items()
+    for n in range(CROSS_CHECK_TOP[builder] + 1, largest_admitted(name) + 1)
+]
+
+
+@pytest.mark.skipif(not os.environ.get("POPLAT_OPT_IN"), reason="set POPLAT_OPT_IN=1")
+@pytest.mark.parametrize(
+    "builder,n", BUDGET_CASES, ids=[f"{b.__name__}-{n}" for b, n in BUDGET_CASES]
+)
+def test_halves_match_the_pull_closure_oracle_up_to_the_budget(builder, n):
+    builder.cache_clear()
+    lat = builder(n, False)
+    assert lat._lower_counts == [len(covers) for covers in lower_cover_table(lat)]
+    for direction in ("down", "up"):
+        assert lat._half(direction) == half_oracle(lat, direction), direction
     builder.cache_clear()
 
 
@@ -708,7 +767,7 @@ WIDTH_BLIND_COVERS = [
 
 def test_validation_rejects_the_poset_the_width_checks_pass():
     lat = FiniteLattice.build(WIDTH_BLIND_ELEMENTS, WIDTH_BLIND_COVERS, validate=False)
-    down, (up, lookup, _) = lat._half("down")[0], lat._half("up")
+    down, (up, lookup) = lat._half("down")[0], lat._half("up")[:2]
     # the up lookup is injective
     assert len(set(up)) == len(lat) and None not in lookup.values()
     # every element with two or more upper covers is their meet
@@ -726,6 +785,98 @@ def test_validation_rejects_the_poset_the_width_checks_pass():
     with pytest.raises(NotALatticeError) as exc:
         lat._validate()
     assert str(exc.value) == "no join for 'c1', 'c2', upper covers of '0'"
+
+
+# Bounded, not a lattice: j's lower covers c1 and c2 have no meet, yet the
+# AND of their masks (the bits of p and q) is the mask of k, which comes
+# after j in the stored order and is not below it.  A half's pass reads only
+# the elements before j, so j's pop is missing, and the top's pop is k.
+LATER_MASK_ELEMENTS = "0 p q r s c1 c2 j k 1".split()
+LATER_MASK_UPPERS = [[1, 2, 3, 4], [5, 6, 8], [5, 6, 8], [5], [6], [7], [7], [9], [9], []]
+
+# Two copies of NON_LATTICE stacked, the top of one the bottom of the other:
+# the pops of m, and everything below it, have no join, and those of m and
+# everything above it no meet.
+STACKED_ELEMENTS = "bot x y u v m x2 y2 u2 v2 top".split()
+STACKED_COVERS = NON_LATTICE_COVERS[:6] + [("u", "m"), ("v", "m")] + [
+    ("m", "x2"), ("m", "y2"), ("x2", "u2"), ("x2", "v2"), ("y2", "u2"), ("y2", "v2"),
+    ("u2", "top"), ("v2", "top"),
+]
+
+
+def later_mask():
+    ids = list(range(len(LATER_MASK_ELEMENTS)))
+    uppers = [list(ups) for ups in LATER_MASK_UPPERS]
+    return FiniteLattice.from_uppers(LATER_MASK_ELEMENTS, uppers, ids)
+
+
+NAMED_POSETS = {
+    "non-lattice": non_lattice,
+    "lookup-blind": lambda: FiniteLattice.build(
+        LOOKUP_BLIND_ELEMENTS, LOOKUP_BLIND_COVERS, validate=False),
+    "width-blind": lambda: FiniteLattice.build(
+        WIDTH_BLIND_ELEMENTS, WIDTH_BLIND_COVERS, validate=False),
+    "later-mask": later_mask,
+    "stacked": lambda: FiniteLattice.build(STACKED_ELEMENTS, STACKED_COVERS, validate=False),
+}
+
+
+def assert_halves_match_the_oracle(lat, ref=None):
+    """Both halves equal the pull-style oracle's, and the stored lower-cover
+    counts are the lengths of the derived lower covers and, given the
+    key-pair reference `ref`, of its lower covers."""
+    counts = [len(covers) for covers in lower_cover_table(lat)]
+    assert lat._lower_counts == counts
+    if ref is not None:
+        assert counts == [len(ref.lower_covers(x)) for x in lat.elements]
+    for direction in ("down", "up"):
+        assert lat._half(direction) == half_oracle(lat, direction), direction
+
+
+@pytest.mark.parametrize("name", NAMED_POSETS)
+def test_halves_match_the_pull_closure_oracle_on_non_lattices(name):
+    """Building a half never raises for a missing pop; the half records it."""
+    lat = NAMED_POSETS[name]()
+    assert not pairwise_is_lattice(lat)
+    assert_halves_match_the_oracle(lat, reference_build(lat.elements, lat.cover_pairs()))
+
+
+def test_a_pop_is_read_among_the_elements_before_it():
+    lat = later_mask()
+    assert lat._half("down")[3] == LATER_MASK_ELEMENTS.index("j")
+    assert lat._half("down")[1][0b11] == LATER_MASK_ELEMENTS.index("k")
+    assert pop_down(lat, "1") == "k"
+    with pytest.raises(NotALatticeError) as exc:
+        lat.pop_polynomial("down")
+    assert str(exc.value) == "no meet of the lower covers of 'j'"
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_posets())
+def test_halves_match_the_pull_closure_oracle_on_random_posets(poset):
+    lat = FiniteLattice.build(*poset, validate=False)
+    assert_halves_match_the_oracle(lat, reference_build(*poset))
+
+
+@pytest.mark.parametrize(
+    "make,down,up",
+    [(non_lattice, "top", "bot"),
+     (NAMED_POSETS["stacked"], "m", "bot")],
+    ids=["non-lattice", "stacked"],
+)
+def test_a_census_names_the_first_element_in_stored_order_without_a_pop(make, down, up):
+    """The up pass reads the elements from the top, yet names the first in
+    stored order, as the down pass does."""
+    lat = make()
+    messages = {
+        "down": f"no meet of the lower covers of {down!r}",
+        "up": f"no join of the upper covers of {up!r}",
+    }
+    for direction, message in messages.items():
+        for census in (lat.pop_polynomial, lat.pop_image):
+            with pytest.raises(NotALatticeError) as exc:
+                census(direction)
+            assert str(exc.value) == message
 
 
 def natural_posets(k, below=()):
