@@ -1,17 +1,16 @@
 """Exact truncated bivariate power series and the functional-equation checks.
 
 A series is truncated in x at a fixed order; each x-coefficient is a finite
-polynomial in y.  A coefficient is an `int` when it is integral and a
-`Fraction` only where a real denominator appears (the 1/2 of a square root).
-No series the command line checks makes one, so `fractions` is imported
-only where a Fraction is made or read.  The public constructors and `scale`
-raise `TypeError` on a float, and they and `shift_x` raise `ValueError` on a
-negative exponent; every internal result passes one gate, `BiSeries._of`,
-which drops zeros and empty rows and turns integral Fractions into ints.  In
-between, ints and Fractions are only added and multiplied (in place, one row
-per x-power), and `sqrt` and the radical block form halve ints exactly.
-Square roots and reciprocals are computed order by order in x and require
-constant term 1.
+polynomial in y, and every coefficient is an `int`.  The public constructors
+and `scale` raise `TypeError` on anything else (a float or a Fraction), and
+they and `shift_x` raise `ValueError` on a negative exponent; every internal
+result passes one gate, `BiSeries._of`, which drops rows past the order,
+zeros and empty rows.  In between, ints are only added and multiplied (in
+place, one row per x-power).  Square roots and reciprocals are computed
+order by order in x and require constant term 1; a square root halves each
+residual with `formulas.exact_div`, the raising integer division that every
+closed form uses, so a root that is not integral raises `ArithmeticError` at
+the first row that would need a 1/2.
 
 G is solved by its triangular coefficient recurrence, since [x^n] of the
 right-hand side of its equation reads only G_0..G_{n-1}; I is linear in
@@ -21,35 +20,13 @@ back into its defining equation, and a mismatch raises `ArithmeticError`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, TypeAlias
+from typing import TypeAlias
 
 from .formulas import exact_div
 from .lattice import QPoly
 from .words import binomial
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Exact: TypeAlias = "int | Fraction"
-YPoly: TypeAlias = dict[int, Exact]
-
-
-def _exact(v) -> Exact:
-    """`v` as an `int` when integral, else as a `Fraction`; floats raise."""
-    if isinstance(v, int):
-        return int(v)
-    from fractions import Fraction
-
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else v
-    raise TypeError(f"series coefficients must be int or Fraction, not {v!r}")
-
-
-def _half(v) -> Fraction:
-    """v / 2 for a v that is not an even int: a real denominator."""
-    from fractions import Fraction
-
-    return Fraction(v) / 2
+YPoly: TypeAlias = dict[int, int]
 
 
 def _addmul(row: YPoly, a: YPoly, b: YPoly) -> None:
@@ -69,14 +46,15 @@ class BiSeries:
     def __init__(self, order: int, coeffs: dict[int, YPoly] | None = None):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        self.order = order
-        self.coeffs: dict[int, YPoly] = {}
-        for n, poly in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for n, poly in coeffs.items():
             if n < 0 or min(poly, default=0) < 0:
                 raise ValueError("exponents must be nonnegative")
-            cleaned = {k: e for k, v in poly.items() if (e := _exact(v))}
-            if cleaned and n <= order:
-                self.coeffs[n] = cleaned
+            for v in poly.values():
+                if type(v) is not int:
+                    raise TypeError(f"series coefficients must be int, not {v!r}")
+        self.order = order
+        self.coeffs: dict[int, YPoly] = BiSeries._of(order, coeffs).coeffs
 
     @classmethod
     def _of(cls, order: int, coeffs: dict[int, YPoly]) -> "BiSeries":
@@ -86,8 +64,7 @@ class BiSeries:
         s.coeffs = {}
         for n, poly in coeffs.items():
             if n <= order:
-                row = {k: v.numerator if v.denominator == 1 else v
-                       for k, v in poly.items() if v}
+                row = {k: v for k, v in poly.items() if v}
                 if row:
                     s.coeffs[n] = row
         return s
@@ -95,15 +72,15 @@ class BiSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, order: int, value) -> "BiSeries":
+    def constant(cls, order: int, value: int) -> "BiSeries":
         return cls(order, {0: {0: value}})
 
     @classmethod
-    def monomial(cls, order: int, n: int, k: int, value=1) -> "BiSeries":
+    def monomial(cls, order: int, n: int, k: int, value: int = 1) -> "BiSeries":
         return cls(order, {n: {k: value}})
 
     @classmethod
-    def from_terms(cls, order: int, terms: dict[tuple[int, int], Exact]) -> "BiSeries":
+    def from_terms(cls, order: int, terms: dict[tuple[int, int], int]) -> "BiSeries":
         coeffs: dict[int, YPoly] = {}
         for (n, k), v in terms.items():
             coeffs.setdefault(n, {})[k] = v
@@ -120,14 +97,8 @@ class BiSeries:
         return poly.get(k, 0)
 
     def y_polynomial(self, n: int) -> QPoly:
-        """The x^n coefficient as an integer polynomial in q (integrality checked)."""
-        poly = self.coefficient(n)
-        out: dict[int, int] = {}
-        for k, v in poly.items():
-            if not isinstance(v, int):
-                raise ArithmeticError(f"non-integer coefficient at x^{n} y^{k}: {v}")
-            out[k] = v
-        return QPoly(out)
+        """The x^n coefficient as a polynomial in q."""
+        return QPoly(self.coefficient(n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -159,8 +130,8 @@ class BiSeries:
             _addmul(out.setdefault(n, {}), p, {0: sign})
         return BiSeries._of(min(self.order, other.order), out)
 
-    def scale(self, c) -> "BiSeries":
-        return self * BiSeries.constant(self.order, _exact(c))
+    def scale(self, c: int) -> "BiSeries":
+        return self * BiSeries.constant(self.order, c)
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         """A single-term operand (x, y, x^2 y) costs one `_addmul` per row of
@@ -227,12 +198,8 @@ class BiSeries:
                 _addmul(cross, root[i], root[n - i])
             residual = dict(self.coeffs.get(n, {}))
             _addmul(residual, cross, {0: -1})
-            root[n] = {k: v >> 1 if type(v) is int and not v & 1 else _half(v)
-                       for k, v in residual.items() if v}
+            root[n] = {k: exact_div(v, 2) for k, v in residual.items() if v}
         return BiSeries._of(self.order, root)
-
-    def inv_sqrt(self) -> "BiSeries":
-        return self.sqrt().inverse()
 
     def divide_monomial(self, n: int, k: int) -> "BiSeries":
         """Exact division by x^n y^k; every term must carry at least that much.
@@ -391,7 +358,7 @@ def radical_symmetric_series(order: int) -> BiSeries:
     geom = (one - x).inverse()  # 1/(1-x)
     z = x * y * geom.scale(-1)
     w = x * y + one
-    return (w * w + z.scale(4)).inv_sqrt()
+    return (w * w + z.scale(4)).sqrt().inverse()
 
 
 def radical_check_symmetric(order: int) -> bool:

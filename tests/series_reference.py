@@ -2,17 +2,16 @@
 
 Every operation here builds a new y-polynomial per pair of terms and sends
 each result through the public `BiSeries` constructor, so every coefficient
-passes `_exact`.  `copying_arithmetic` swaps these operations, the first
+passes its int check.  `copying_arithmetic` swaps these operations, the first
 G recurrence and the first solve of I (by inversion) into `BiSeries` and
 `series` for the length of a `with` block, so the series functions can be
 run once on each kernel and compared.
 """
 from contextlib import contextmanager
 from functools import lru_cache
-from fractions import Fraction
 
 from poplat import series
-from poplat.series import BiSeries, YPoly, _exact
+from poplat.series import BiSeries, YPoly
 
 
 def yp_add(a: YPoly, b: YPoly) -> YPoly:
@@ -29,7 +28,7 @@ def yp_add(a: YPoly, b: YPoly) -> YPoly:
 def yp_scale(a: YPoly, c) -> YPoly:
     if not c:
         return {}
-    return {k: _exact(v * c) for k, v in a.items()}
+    return {k: v * c for k, v in a.items()}
 
 
 def yp_mul(a: YPoly, b: YPoly) -> YPoly:
@@ -60,7 +59,6 @@ def sub(self, other):
 
 
 def scale(self, c):
-    c = _exact(c)
     return BiSeries(self.order, {n: yp_scale(p, c) for n, p in self.coeffs.items()})
 
 
@@ -93,6 +91,14 @@ def inverse(self):
     return BiSeries(self.order, inv)
 
 
+def halve(v: int) -> int:
+    """v / 2, raising on an odd v: the root is not integral."""
+    q, r = divmod(v, 2)
+    if r:
+        raise ArithmeticError(f"{v} is odd: the square root is not integral")
+    return q
+
+
 def sqrt(self):
     self._unit_constant()
     root = {0: {0: 1}}
@@ -101,9 +107,8 @@ def sqrt(self):
         for i in range(1, n):
             cross = yp_add(cross, yp_mul(root.get(i, {}), root.get(n - i, {})))
         residual = yp_add(self.coeffs.get(n, {}), yp_scale(cross, -1))
-        half = yp_scale(residual, Fraction(1, 2))
-        if half:
-            root[n] = half
+        if residual:
+            root[n] = {k: halve(v) for k, v in residual.items()}
     return BiSeries(self.order, root)
 
 

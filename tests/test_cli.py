@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poplat import cli, dyck, tamari, weak
+from poplat import cli, dyck, series, tamari, weak
 from poplat.cli import main
 from poplat.families import FAMILIES, FORMULAS, MAX_ORDER, SERIES, THEOREMS
 from poplat.lattice import FiniteLattice
@@ -273,6 +273,32 @@ def test_series_command_text(capsys):
     ]
 
 
+# sha256 over every series report at orders 0..16, plain and --json
+SERIES_REPORTS_SHA256 = "de21e92b33aaa682dc34009b1feba8974869f8b70b05ffdc6157c1bf6207fd19"
+
+
+def test_every_series_report_is_pinned(capsys):
+    """Each report's exit code and stdout, in a fixed order, hash to the pin:
+    a moved coefficient, check or verdict fails here."""
+    digest = hashlib.sha256()
+    for name in "GFHIJMNK":
+        for order in range(17):
+            for extra in ([], ["--json"]):
+                code, out, _ = run(capsys, "series", "--check", name, "--order", str(order), *extra)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == SERIES_REPORTS_SHA256
+
+
+def test_a_root_that_is_not_integral_exits_2(capsys, monkeypatch):
+    def sqrt_one_plus_x(order):  # 1 + x/2 - ...: the first residual is odd
+        return (series.BiSeries.constant(order, 1) + series.BiSeries.monomial(order, 1, 0)).sqrt()
+
+    monkeypatch.setitem(SERIES, "J", SERIES["J"]._replace(solve=sqrt_one_plus_x))
+    code, out, err = run(capsys, "series", "--check", "J", "--order", "3", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: 1 is not divisible by 2\n"
+
+
 def test_guard_errors_exit_2(capsys):
     code, _, err = run(capsys, "enumerate", "--lattice", "weak-b", "--n", "9")
     assert code == 2
@@ -471,6 +497,7 @@ def test_importing_the_cli_loads_no_dataclasses_machinery():
 
 
 @pytest.mark.parametrize("argv", ["series --check M --order 16 --json",
+                                  "series --check J --order 16 --json",
                                   "pop-poly --lattice j-b --n 2 --json"])
 def test_a_plain_command_line_loads_no_argparse_or_fractions(argv):
     probe = python("-c", "import sys; from poplat.cli import main; code = main(sys.argv[1:]); "

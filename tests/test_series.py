@@ -44,8 +44,8 @@ def test_arithmetic_basics():
     s = one - BiSeries.monomial(10, 1, 0).scale(4)  # 1 - 4x
     root = s.sqrt()
     assert root * root == s
-    assert root.coefficient(1, 0) == Fraction(-2)
-    assert s.inv_sqrt() * root == one
+    assert root.coefficient(1, 0) == -2
+    assert s.sqrt().inverse() * root == one
     inv = (one - BiSeries.monomial(10, 1, 0)).inverse()
     assert all(inv.coefficient(n, 0) == 1 for n in range(11))
 
@@ -274,15 +274,12 @@ def test_integral_coefficients_are_int():
         *bundle.values(),
     ):
         assert all(type(v) is int for v in all_coefficients(s))
-    assert type(BiSeries.constant(3, Fraction(4, 2)).coefficient(0, 0)) is int
 
+
+def test_a_root_that_is_not_integral_raises():
     one = BiSeries.constant(3, 1)
-    root = (one + BiSeries.monomial(3, 1, 0)).sqrt()  # sqrt(1 + x)
-    assert root.coefficient(1, 0) == Fraction(1, 2)
-    assert type(root.coefficient(1, 0)) is Fraction
-    with pytest.raises(ArithmeticError, match="non-integer"):
-        root.y_polynomial(1)
-    assert type((root * root).coefficient(1, 0)) is int
+    with pytest.raises(ArithmeticError, match="not divisible by 2"):
+        (one + BiSeries.monomial(3, 1, 0)).sqrt()  # sqrt(1 + x) = 1 + x/2 - ...
 
 
 def test_float_coefficients_raise():
@@ -294,17 +291,20 @@ def test_float_coefficients_raise():
         BiSeries.from_terms(3, {(1, 0): 1.5})
     with pytest.raises(TypeError):
         BiSeries.constant(3, 1).scale(0.5)
+    with pytest.raises(TypeError):
+        BiSeries.constant(3, Fraction(4, 2))
+    with pytest.raises(TypeError):
+        BiSeries.from_terms(3, {(1, 0): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        BiSeries.constant(3, 1).scale(Fraction(1))
 
 
-exact_numbers = st.one_of(
-    st.integers(-6, 6),
-    st.fractions(min_value=-6, max_value=6, max_denominator=6),
-)
+exact_numbers = st.integers(-6, 6)
 
 
 @st.composite
 def unit_series(draw, order):
-    """A series with constant term 1 and mixed int/Fraction coefficients."""
+    """A series with constant term 1 and integer coefficients."""
     terms = draw(st.dictionaries(
         st.tuples(st.integers(1, 8), st.integers(0, 3)), exact_numbers, max_size=10
     ))
@@ -313,26 +313,18 @@ def unit_series(draw, order):
 
 
 def to_ring(s: BiSeries, ring):
-    from sympy.polys.domains import QQ
-
-    return ring.from_dict({
-        (n, k): QQ(v.numerator, v.denominator)
-        for n, poly in s.coeffs.items() for k, v in poly.items()
-    })
+    return ring.from_dict({(n, k): v for n, poly in s.coeffs.items() for k, v in poly.items()})
 
 
 def from_ring(p, order: int) -> BiSeries:
-    return BiSeries.from_terms(order, {
-        nk: Fraction(int(c.numerator), int(c.denominator)) for nk, c in p.items()
-    })
+    return BiSeries.from_terms(order, {nk: int(c) for nk, c in p.items()})
 
 
 def is_normalised(s: BiSeries) -> bool:
     """No zero, no empty row, no row past the order, and every coefficient an
-    int or a Fraction with a real denominator (so never a float)."""
+    int (so never a float or a Fraction)."""
     return all(0 <= n <= s.order and poly for n, poly in s.coeffs.items()) and all(
-        type(v) is int and v != 0 or (type(v) is Fraction and v.denominator != 1)
-        for v in all_coefficients(s)
+        type(v) is int and v != 0 for v in all_coefficients(s)
     )
 
 
@@ -369,17 +361,16 @@ def single_term(draw, order: int) -> BiSeries:
 @given(st.data())
 def test_arithmetic_matches_sympy_ring_series(data):
     ring_series = pytest.importorskip("sympy.polys.ring_series")
-    from sympy.polys.domains import QQ
+    from sympy.polys.domains import ZZ
     from sympy.polys.rings import ring
 
-    ring_xy, x, _ = ring("x,y", QQ)
+    ring_xy, x, _ = ring("x,y", ZZ)
     draw = data.draw
     order = draw(st.integers(0, 8))
     a = draw(unit_series(order))
     b = draw(unit_series(draw(st.integers(0, 8))))
     t = single_term(draw, draw(st.integers(0, 8)))
-    k = draw(st.integers(-6, 6))
-    f = draw(st.fractions(min_value=-6, max_value=6, max_denominator=6))
+    k = draw(exact_numbers)
     pa, pb, pt = (to_ring(s, ring_xy) for s in (a, b, t))
     low, with_t = min(order, b.order), min(order, t.order)
 
@@ -389,11 +380,12 @@ def test_arithmetic_matches_sympy_ring_series(data):
         "a - b": (a - b, pa - pb, low),
         "t * a": (t * a, pt * pa, with_t),
         "a * t": (a * t, pa * pt, with_t),
-        "scale int": (a.scale(k), pa * k, order),
-        "scale Fraction": (a.scale(f), pa * QQ(f.numerator, f.denominator), order),
+        "scale": (a.scale(k), pa * k, order),
         "inverse": (a.inverse(), ring_series.rs_series_inversion(pa, x, order + 1), order),
-        "sqrt": (a.sqrt(), ring_series.rs_nth_root(pa, 2, x, order + 1), order),
     }
     for label, (got, want, want_order) in expected.items():
         assert got == from_ring(want, want_order), label
         assert is_normalised(got), label
+    root = (a * a).sqrt()
+    assert root == a
+    assert is_normalised(root)
