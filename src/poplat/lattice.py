@@ -1,9 +1,11 @@
 """Generic finite-lattice kernel built from an explicit cover relation.
 
-Construction keeps the builder's linear extension of the elements, each
-element's upper covers and its count of lower covers.  The order is read in
-two halves, each irreducible-width bitmasks (Python ints) indexed by element
-and a `mask -> index` lookup, built by the first query that reads the half:
+The kernel works in index space: it keeps the builder's linear extension of
+the elements, each element's upper covers as indices and its count of lower
+covers, and answers only for the whole lattice (the pop census and image,
+the cover pairs), never for one key.  The order is read in two halves, each
+irreducible-width bitmasks (Python ints) indexed by element and a
+`mask -> index` lookup, built by the first census that reads the half:
 
 * down: every element with exactly one lower cover (a join-irreducible)
   owns one bit, and mask i holds the bits of the join-irreducibles j <= i;
@@ -13,19 +15,19 @@ and a `mask -> index` lookup, built by the first query that reads the half:
 
 In a finite lattice x -> J(x), the set of join-irreducibles below x, is
 injective and J(x meet y) = J(x) & J(y) (Birkhoff's representation theorem;
-Davey and Priestley, Introduction to Lattices and Order, ch. 2).  So `leq`
-is a subset test, and a meet is one AND of masks read back through the
-lookup; a join is the same in the up half, and so are the pops, which the
-pass that builds a half resolves.  A mask that two elements share maps to
-None, so looking it up raises NotALatticeError.  A mask has one bit per
-irreducible (45 at j-a 10, 722 at weak-b 6), not one per element.
+Davey and Priestley, Introduction to Lattices and Order, ch. 2).  So a pop,
+the meet of an element with its lower covers, is one AND of masks read back
+through the lookup, and so is the upward pop in the up half; the pass that
+builds a half resolves every pop.  A mask that two elements share maps to
+None, so looking it up finds no pop.  A mask has one bit per irreducible
+(45 at j-a 10, 722 at weak-b 6), not one per element.
 
 The lookup does not prove that a poset is a lattice: `_validate`, the only
 caller that builds a full-width table, holds its upset table (N²/16 bytes)
 for the length of the check.  It reads only the covers, so it runs before
 either mask table exists.  Queries are pure, and instances safe to share:
-immutable after build but for the key index and the mask tables, each
-assigned whole by the first query that reads it.
+immutable after build but for the two halves, each assigned whole by the
+first census that reads it.
 """
 from __future__ import annotations
 
@@ -197,24 +199,23 @@ def _up_half(ids, uppers):
 class FiniteLattice:
     """A finite lattice given by elements and covers.
 
-    `elements` is stored in the builder's linear-extension order; all public
-    methods accept and return the original element keys.  The order is kept
-    as each element's upper covers (`_uppers`, in the builder's order) and
-    lower-cover count (`_lower_counts`), and two slots, `_down` and `_up`,
-    that `_half` fills on first read.  Cover tuples, lookups and images
-    share the builder's int object per index (`ids`, see `from_uppers`).
-    The `key -> index` map (`_index`) is built by the first query that
-    takes a key.
+    `elements` is stored in the builder's linear-extension order; the
+    censuses and `cover_pairs` return element keys, and take none.  The
+    order is kept as each element's upper covers (`_uppers`, in the
+    builder's order) and lower-cover count (`_lower_counts`), and two
+    slots, `_down` and `_up`, that `_half` fills on first read.  Cover
+    tuples, lookups and images share the builder's int object per index
+    (`ids`, see `from_uppers`).
     """
 
-    __slots__ = ("elements", "_index", "_uppers", "_lower_counts", "_ids", "_down", "_up")
+    __slots__ = ("elements", "_uppers", "_lower_counts", "_ids", "_down", "_up")
 
     def __init__(self, elements, uppers, lower_counts, ids):
         self.elements = elements
         self._uppers = uppers
         self._lower_counts = lower_counts
         self._ids = ids
-        self._index = self._down = self._up = None
+        self._down = self._up = None
 
     # -- construction --------------------------------------------------
 
@@ -277,8 +278,8 @@ class FiniteLattice:
 
         The build checks only the order and for a unique minimum and maximum;
         the caller vouches that the poset is a lattice, or validates it with
-        `_validate`.  On a bounded non-lattice a query may raise
-        NotALatticeError or return a wrong element, since the
+        `_validate`.  On a bounded non-lattice a census may raise
+        NotALatticeError or return a wrong image, since the
         irreducible-width tables cannot tell.
 
         Nothing the build makes can be part of a cycle, so the cyclic
@@ -361,32 +362,10 @@ class FiniteLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _keys(self) -> dict:
-        """The `key -> index` map, built on the first call."""
-        if self._index is None:
-            self._index = {k: i for i, k in enumerate(self.elements)}
-        return self._index
-
-    def __contains__(self, key) -> bool:
-        return key in self._keys()
-
     def kahn_elements(self) -> list:
         """The elements in `kahn_order` of the stored upper covers, as
         `enumerate` prints them."""
         return list(map(self.elements.__getitem__, kahn_order(self._uppers)))
-
-    @property
-    def bottom(self):
-        return self.elements[0]
-
-    @property
-    def top(self):
-        return self.elements[len(self.elements) - 1] if self.elements else None
-
-    def leq(self, x, y) -> bool:
-        index, down = self._keys(), self._half("down")[0]
-        below = down[index[x]]
-        return (below & down[index[y]]) == below
 
     def cover_pairs(self) -> list[tuple]:
         return [
@@ -408,25 +387,6 @@ class FiniteLattice:
         else:
             raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
         return half
-
-    def _bound(self, direction: str, xs: tuple):
-        """Meet ("down") or join ("up") of the keys xs, as a key."""
-        masks, lookup = self._half(direction)[:2]
-        index, mask = self._keys(), -1
-        for x in xs:
-            mask &= masks[index[x]]
-        got = lookup.get(mask)
-        if got is None:
-            raise NotALatticeError(
-                f"no {'meet' if direction == 'down' else 'join'} of {xs!r}"
-            )
-        return self.elements[got]
-
-    def meet(self, *xs):
-        return self._bound("down", xs) if xs else self.top
-
-    def join(self, *xs):
-        return self._bound("up", xs) if xs else self.bottom
 
     # -- pop operators -----------------------------------------------------
 

@@ -276,9 +276,9 @@ def _relabel(pattern: Word, values: list[int]) -> Word:
 def preimage_ending_in_one(x: Word) -> Word:
     """A pop preimage of a type-A image element whose last entry is 1.
 
-    Recursive split at the position of 1: both sides are again image elements
-    after reduction, and the assembled word (left+1) . (right+k) . 1 pops back
-    to x.  The postcondition is asserted.
+    Split at the position k of 1: both sides are again image elements after
+    reduction, and the assembled word (left+1) . (right+k) . 1, each side
+    split the same way, pops back to x.  The postcondition is asserted.
     """
     x = check_permutation(x)
     if not hong_image_predicate(x):
@@ -289,13 +289,23 @@ def preimage_ending_in_one(x: Word) -> Word:
 
 
 def _preimage_end_one(x: Word) -> Word:
-    m = len(x)
-    if m <= 1:
-        return x
-    k = index_of(x, 1)
-    left = _relabel(_preimage_end_one(reduction(x[: k - 1])), [v + 1 for v in range(1, k)]) if k > 1 else ()
-    right = _relabel(_preimage_end_one(reduction(x[k:])), list(range(k + 1, m + 1))) if k < m else ()
-    return left + right + (1,)
+    """The word of `preimage_ending_in_one`, without recursion.
+
+    A segment of x that takes the values from `least` up has the preimage
+    (left)(right)`least`: left and right are the preimages of the segments
+    before and after its least entry, left on the values just above `least`
+    and right on those above left's.  The segments wait on a stack, right
+    above left, and the word is written back to front.
+    """
+    backwards, stack = [], [(tuple(x), 1)]
+    while stack:
+        segment, least = stack.pop()
+        if segment:
+            k = segment.index(min(segment))
+            backwards.append(least)
+            stack.append((segment[:k], least + 1))
+            stack.append((segment[k + 1 :], least + 1 + k))
+    return tuple(reversed(backwards))
 
 
 def preimage_tam_b(x: Word) -> Word:

@@ -228,21 +228,35 @@ def kahn_view(lat):
 # resolves every pop afterwards against the finished masks.
 
 
-_held_lowers = []  # [(uppers, lowers)] of the last lattice asked about
+_held = {}  # table name -> (upper-cover tuple, table) of the last lattice asked about
+
+
+def _held_table(lat, name, make):
+    """`make(lat)`, kept for the last `FiniteLattice` asked about, keyed by its
+    (kept) upper-cover tuple, so a loop over the elements makes it once."""
+    held = _held.get(name)
+    if held is None or held[0] is not lat._uppers:
+        held = _held[name] = (lat._uppers, make(lat))
+    return held[1]
+
+
+def _lowers(lat):
+    below = [[] for _ in lat._uppers]
+    for i, covers in enumerate(lat._uppers):
+        for j in covers:
+            below[j].append(i)
+    return tuple(map(tuple, below))
 
 
 def lower_cover_table(lat):
     """Each element's lower covers in the `FiniteLattice` lat, as increasing
-    index tuples, derived from its upper covers.  The table of the last
-    lattice asked about is kept, keyed by its (kept) upper-cover tuple, so a
-    loop over the elements derives it once."""
-    if not _held_lowers or _held_lowers[0][0] is not lat._uppers:
-        below = [[] for _ in lat._uppers]
-        for i, covers in enumerate(lat._uppers):
-            for j in covers:
-                below[j].append(i)
-        _held_lowers[:] = [(lat._uppers, tuple(map(tuple, below)))]
-    return _held_lowers[0][1]
+    index tuples, derived from its upper covers."""
+    return _held_table(lat, "lowers", _lowers)
+
+
+def key_index(lat):
+    """The `key -> index` map of the `FiniteLattice` lat."""
+    return _held_table(lat, "index", lambda lat: {k: i for i, k in enumerate(lat.elements)})
 
 
 def _irreducible_closure(n, entries):
@@ -311,26 +325,33 @@ def half_oracle(lat, direction):
 # --- single-element queries of a `FiniteLattice` -------------------------------
 # The program pops through the families' word and path functions and takes
 # whole images, and their cover counts, from `FiniteLattice.pop_image`; these
-# read one element's covers off the kernel's upper covers, and its pop off
-# the kernel's masks and lookup, as the oracle of the direct pops and cover
-# counts.
+# look an element up in `key_index` and read its covers off the kernel's
+# upper covers, its order and its pop off the kernel's masks and lookup, as
+# the oracle of the direct pops, the cover counts and the order.
 
 
 def upper_covers(lat, x):
     """The upper covers of x in the `FiniteLattice` lat, in stored order."""
-    return tuple(lat.elements[j] for j in lat._uppers[lat._keys()[x]])
+    return tuple(lat.elements[j] for j in lat._uppers[key_index(lat)[x]])
 
 
 def lower_covers(lat, x):
     """The lower covers of x in the `FiniteLattice` lat, increasing."""
-    return tuple(lat.elements[j] for j in lower_cover_table(lat)[lat._keys()[x]])
+    return tuple(lat.elements[j] for j in lower_cover_table(lat)[key_index(lat)[x]])
+
+
+def leq(lat, x, y):
+    """x <= y in the `FiniteLattice` lat: x's down mask is a subset of y's."""
+    index, down = key_index(lat), lat._half("down")[0]
+    below = down[index[x]]
+    return below & down[index[y]] == below
 
 
 def _pop(lat, direction, x, covers):
     """The AND of x's mask with its `covers`' in the half that pops
     `direction`, read back through that half's lookup."""
     masks, lookup = lat._half(direction)[:2]
-    i = lat._keys()[x]
+    i = key_index(lat)[x]
     mask = masks[i]
     for j in covers(i):
         mask &= masks[j]

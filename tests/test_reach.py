@@ -5,7 +5,8 @@ A definition counts as reached when its name is loaded somewhere in
 and classes are checked, and the methods of those classes other than
 dunders.  A function or class is loaded by a Load-context `Name`, an
 `Attribute` or an import alias; a method only by an `Attribute` (`.name`),
-since no bare name can call it.  Names are matched without their module or
+since no bare name can call it, and not by one on a `str` or `bytes`
+literal (`", ".join`), which names a method of that type.  Names are matched without their module or
 class, so a same-named load elsewhere also counts: the test catches a
 definition whose name nothing in the program loads, not every unreached
 one.  Code that only the tests call belongs in `tests/`.
@@ -14,14 +15,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# Definitions kept without a caller in the program, each with its reason; an
-# entry that gains a caller must leave the list.
-ALLOWED = {
-    "lattice.FiniteLattice.leq": "the kernel's order query, held to the reference oracle",
-    "lattice.FiniteLattice.meet": "dual of `join`, held to the reference oracle",
-}
-
 
 def definitions(tree):
     """(qualified name, node) of each module-level function and class, and of
@@ -38,7 +31,8 @@ def definitions(tree):
 def record_loads(tree, loads):
     """Add each load in `tree` to `loads`, keyed by ("name" | "attribute",
     loaded name), as the tuple of function and class nodes enclosing it.
-    A bare name or import alias is a "name" load, `.name` an "attribute"."""
+    A bare name or import alias is a "name" load, `.name` an "attribute",
+    unless it is read off a `str` or `bytes` literal."""
     stack = [(tree, ())]
     while stack:
         node, enclosing = stack.pop()
@@ -47,7 +41,9 @@ def record_loads(tree, loads):
         key = None
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             key = "name", node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and not (isinstance(node.value, ast.Constant)
+                       and isinstance(node.value.value, (str, bytes)))):
             key = "attribute", node.attr
         elif isinstance(node, ast.alias):
             key = "name", node.name.rsplit(".", 1)[-1]
@@ -82,4 +78,10 @@ def unreached(root):
 
 
 def test_every_definition_in_src_is_reached_by_the_program():
-    assert sorted(unreached(ROOT)) == sorted(ALLOWED)
+    assert unreached(ROOT) == []
+
+
+def test_a_method_of_a_string_literal_loads_no_definition():
+    loads = {}
+    record_loads(ast.parse('", ".join(parts)\nb"".join(parts)\nsep.join(parts)'), loads)
+    assert len(loads[("attribute", "join")]) == 1

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 from functools import lru_cache
 
 import pytest
@@ -305,9 +304,6 @@ def test_carrier_sizes():
         assert len(tam_b_elements(n)) == math.comb(2 * n, n)
 
 
-OPT_IN = pytest.mark.skipif(not os.environ.get("POPLAT_OPT_IN"), reason="set POPLAT_OPT_IN=1")
-
-
 def test_closure_tam_b_carrier_matches_generators():
     # ORACLE_CASES hold both closures to the filter oracle up to tam-a 7 and
     # tam-b 6; that oracle takes about 36 s at tam-b 7, so it is opt-in there
@@ -319,7 +315,7 @@ def test_closure_tam_b_carrier_matches_generators():
         assert closure == gap_scan_tam_b_elements(n) == mirror_checked_tam_b_elements(n), n
 
 
-@OPT_IN
+@pytest.mark.opt_in
 def test_closure_tam_b_carrier_matches_generators_at_the_budget():
     assert tam_b_elements(7) == filtered_tam_b_elements(7)
     for n in (8, 9):
@@ -328,7 +324,7 @@ def test_closure_tam_b_carrier_matches_generators_at_the_budget():
 
 
 @pytest.mark.parametrize(
-    "n", [*range(8), *(pytest.param(n, marks=OPT_IN) for n in (8, 9))]
+    "n", [*range(8), *(pytest.param(n, marks=pytest.mark.opt_in) for n in (8, 9))]
 )
 def test_block_swap_covers_match_rewritten_weak_covers(n):
     for y in tam_b_elements(n):
@@ -461,7 +457,7 @@ def test_upper_cover_count_is_ascent_count():
             assert len(upper_covers(lat, y)) == sum(y[i] < y[i + 1] for i in range(n)), y
 
 
-@OPT_IN
+@pytest.mark.opt_in
 @pytest.mark.parametrize("name, n", [
     *(("tam-a", n) for n in (8, 9)), *(("tam-b", n) for n in (6, 7, 8, 9))])
 def test_direct_pop_up_matches_the_lattice_up_to_the_budget(name, n):
