@@ -5,7 +5,7 @@ the elements, each element's upper covers as indices and its count of lower
 covers, and answers only for the whole lattice (the pop census and image,
 the cover pairs), never for one key.  The order is read in two halves, each
 irreducible-width bitmasks (Python ints) indexed by element and a
-`mask -> index` lookup, built by the first census that reads the half:
+`mask -> index` lookup, built and freed by each census that reads the half:
 
 * down: every element with exactly one lower cover (a join-irreducible)
   owns one bit, and mask i holds the bits of the join-irreducibles j <= i;
@@ -25,9 +25,8 @@ None, so looking it up finds no pop.  A mask has one bit per irreducible
 The lookup does not prove that a poset is a lattice: `_validate`, the only
 caller that builds a full-width table, holds its upset table (N²/16 bytes)
 for the length of the check.  It reads only the covers, so it runs before
-either mask table exists.  Queries are pure, and instances safe to share:
-immutable after build but for the two halves, each assigned whole by the
-first census that reads it.
+any mask table exists.  Queries are pure, and instances immutable after
+the build and safe to share.
 """
 from __future__ import annotations
 
@@ -202,20 +201,19 @@ class FiniteLattice:
     `elements` is stored in the builder's linear-extension order; the
     censuses and `cover_pairs` return element keys, and take none.  The
     order is kept as each element's upper covers (`_uppers`, in the
-    builder's order) and lower-cover count (`_lower_counts`), and two
-    slots, `_down` and `_up`, that `_half` fills on first read.  Cover
-    tuples, lookups and images share the builder's int object per index
-    (`ids`, see `from_uppers`).
+    builder's order) and lower-cover count (`_lower_counts`); a census runs
+    its half's pass over them and keeps only the image.  Cover tuples,
+    lookups and images share the builder's int object per index (`ids`,
+    see `from_uppers`).
     """
 
-    __slots__ = ("elements", "_uppers", "_lower_counts", "_ids", "_down", "_up")
+    __slots__ = ("elements", "_uppers", "_lower_counts", "_ids")
 
     def __init__(self, elements, uppers, lower_counts, ids):
         self.elements = elements
         self._uppers = uppers
         self._lower_counts = lower_counts
         self._ids = ids
-        self._down = self._up = None
 
     # -- construction --------------------------------------------------
 
@@ -374,26 +372,17 @@ class FiniteLattice:
             for j in covers
         ]
 
-    def _half(self, direction: str):
-        """The half that pops `direction`, built into its slot on first call."""
-        if direction == "down":
-            half = self._down
-            if half is None:
-                half = self._down = _down_half(self._ids, self._uppers, self._lower_counts)
-        elif direction == "up":
-            half = self._up
-            if half is None:
-                half = self._up = _up_half(self._ids, self._uppers)
-        else:
-            raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
-        return half
-
     # -- pop operators -----------------------------------------------------
 
     def _image(self, direction: str):
         """Indices of the pops and their counted covers; a non-lattice names
         the first element whose pop does not exist."""
-        image, missing = self._half(direction)[2:]
+        if direction == "down":
+            image, missing = _down_half(self._ids, self._uppers, self._lower_counts)[2:]
+        elif direction == "up":
+            image, missing = _up_half(self._ids, self._uppers)[2:]
+        else:
+            raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
         if missing is not None:
             word, side = ("meet", "lower") if direction == "down" else ("join", "upper")
             raise NotALatticeError(

@@ -289,23 +289,28 @@ def preimage_ending_in_one(x: Word) -> Word:
 
 
 def _preimage_end_one(x: Word) -> Word:
-    """The word of `preimage_ending_in_one`, without recursion.
+    """The word of `preimage_ending_in_one`, in linear time.
 
     A segment of x that takes the values from `least` up has the preimage
     (left)(right)`least`: left and right are the preimages of the segments
     before and after its least entry, left on the values just above `least`
-    and right on those above left's.  The segments wait on a stack, right
-    above left, and the word is written back to front.
+    and right on those above left's.  The segments are the subtrees of x's
+    min-rooted Cartesian tree: the word lists its nodes as a stack pass pops
+    them, each as 1 + its segment's start + its ancestors to its right.
     """
-    backwards, stack = [], [(tuple(x), 1)]
-    while stack:
-        segment, least = stack.pop()
-        if segment:
-            k = segment.index(min(segment))
-            backwards.append(least)
-            stack.append((segment[:k], least + 1))
-            stack.append((segment[k + 1 :], least + 1 + k))
-    return tuple(reversed(backwards))
+    chain, spine = [0] * len(x), []
+    for i in range(len(x) - 1, -1, -1):
+        while spine and spine[-1] > x[i]:
+            spine.pop()
+        chain[i] = len(spine)
+        spine.append(x[i])
+    word, spine = [], []
+    for i, v in enumerate((*x, 0)):  # the 0 pops every entry left
+        while spine and x[spine[-1]] > v:
+            k = spine.pop()
+            word.append((spine[-1] + 2 if spine else 1) + chain[k])
+        spine.append(i)
+    return tuple(word)
 
 
 def preimage_tam_b(x: Word) -> Word:

@@ -11,7 +11,7 @@ from collections import deque
 from poplat import dyck, signed, tamari
 from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import NotALatticeError
-from poplat.lattice import QPoly, kahn_order
+from poplat.lattice import QPoly, _down_half, _up_half, kahn_order
 from poplat.tamari import tam_a_lattice, tam_b_lattice
 from poplat.weak import weak_a_lattice, weak_b_lattice
 from word_stats import flip_orbit, flip_valley, valleys, weak_b_covers
@@ -259,6 +259,19 @@ def key_index(lat):
     return _held_table(lat, "index", lambda lat: {k: i for i, k in enumerate(lat.elements)})
 
 
+_PASSES = {
+    "down": lambda lat: _down_half(lat._ids, lat._uppers, lat._lower_counts),
+    "up": lambda lat: _up_half(lat._ids, lat._uppers),
+}
+
+
+def half(lat, direction):
+    """The kernel's pass of the half of the `FiniteLattice` lat that pops
+    `direction`, (masks, lookup, image, missing), which a census runs and
+    frees; run once for the last lattice asked about."""
+    return _held_table(lat, direction + " half", _PASSES[direction])
+
+
 def _irreducible_closure(n, entries):
     """Irreducible-width masks of a half, indexed by element, and the lookup
     from a mask to the element it belongs to.
@@ -342,7 +355,7 @@ def lower_covers(lat, x):
 
 def leq(lat, x, y):
     """x <= y in the `FiniteLattice` lat: x's down mask is a subset of y's."""
-    index, down = key_index(lat), lat._half("down")[0]
+    index, down = key_index(lat), half(lat, "down")[0]
     below = down[index[x]]
     return below & down[index[y]] == below
 
@@ -350,7 +363,7 @@ def leq(lat, x, y):
 def _pop(lat, direction, x, covers):
     """The AND of x's mask with its `covers`' in the half that pops
     `direction`, read back through that half's lookup."""
-    masks, lookup = lat._half(direction)[:2]
+    masks, lookup = half(lat, direction)[:2]
     i = key_index(lat)[x]
     mask = masks[i]
     for j in covers(i):
@@ -370,6 +383,20 @@ def pop_down(lat, x):
 def pop_up(lat, x):
     """Join of x with everything covering it in the `FiniteLattice` lat."""
     return _pop(lat, "up", x, lat._uppers.__getitem__)
+
+
+def preimage_end_one_by_segments(x):
+    """`tamari._preimage_end_one` by splitting each segment at its least
+    entry, which it finds by a scan: quadratic in the length of x."""
+    backwards, stack = [], [(tuple(x), 1)]
+    while stack:
+        segment, least = stack.pop()
+        if segment:
+            k = segment.index(min(segment))
+            backwards.append(least)
+            stack.append((segment[:k], least + 1))
+            stack.append((segment[k + 1 :], least + 1 + k))
+    return tuple(reversed(backwards))
 
 
 # --- Tamari covers and projections by the program's rules ----------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
-from poplat import dyck, signed, tamari
+from poplat import dyck, lattice, signed, tamari
 from poplat.dyck import j_a_lattice, j_b_lattice
 from poplat.errors import GuardError, NotALatticeError
 from poplat.families import FAMILIES
@@ -20,6 +20,7 @@ from reference import (
     NonIntervalClassError,
     _weak_a_pairs,
     _weak_b_pairs,
+    half,
     half_oracle,
     kahn_view,
     leq,
@@ -363,7 +364,7 @@ def test_kernel_tables_share_one_int_per_index(builder, n):
     lat = builder(n, False)
     ints = {id(i) for row in lat._uppers for i in row}
     for direction in ("down", "up"):
-        _, lookup, image, _ = lat._half(direction)
+        _, lookup, image, _ = half(lat, direction)
         ints.update(id(i) for i in lookup.values() if i is not None)
         ints.update(map(id, image))
     assert len(lat) > 256 and len(ints) == len(lat)
@@ -385,22 +386,52 @@ def reachable(*roots):
 )
 def test_the_kernel_stores_one_cover_tuple_per_element(builder, n):
     """After the build the slots, keys aside, reach the upper-cover table and
-    one cover tuple per element; each built half holds its masks, lookup,
+    one cover tuple per element; each half's pass returns its masks, lookup,
     image and missing pop, and no other table as long as the lattice, so
-    neither the lower-cover tuples nor a table of pop masks is kept."""
+    neither the lower-cover tuples nor a table of pop masks is made."""
     lat = builder.__wrapped__(n)
     slots = [getattr(lat, name) for name in FiniteLattice.__slots__ if name != "elements"]
     tuples = [obj for obj in reachable(*slots) if type(obj) is tuple]
     assert len(tuples) == 1 + len(lat) and lat._uppers in tuples
     ids = lat._ids
     for direction in ("down", "up"):
-        half = lat._half(direction)
-        masks, lookup, image, missing = half
-        assert type(half) is tuple and missing is None
+        passed = half(lat, direction)
+        masks, lookup, image, missing = passed
+        assert type(passed) is tuple and missing is None
         assert all(i is ids[i] for i in image)
-        tables = [obj for obj in reachable(half) if hasattr(obj, "__len__")
+        tables = [obj for obj in reachable(passed) if hasattr(obj, "__len__")
                   and len(obj) >= len(lat)]
         assert sorted(map(id, tables)) == sorted(map(id, (masks, lookup)))
+
+
+def count_passes(monkeypatch, calls):
+    """Append "down" or "up" to `calls` each time the kernel runs that pass."""
+    for direction in ("down", "up"):
+        real = getattr(lattice, f"_{direction}_half")
+
+        def counted(*args, real=real, direction=direction):
+            calls.append(direction)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, f"_{direction}_half", counted)
+
+
+@pytest.mark.parametrize(
+    "builder,n", SHARED_INTS, ids=["weak-a-6", "weak-b-4", "tam-a-6", "tam-b-6", "j-a-8", "j-b-6"]
+)
+def test_a_census_leaves_the_lattice_as_built(builder, n):
+    """The lattice keeps nothing of a census: after both pop polynomials and
+    both images, its slots reach the same objects as right after the build."""
+    lat = builder.__wrapped__(n)
+
+    def slots():
+        return [getattr(lat, name) for name in FiniteLattice.__slots__]
+
+    built = {id(obj): obj for obj in reachable(*slots())}  # held, so no id is reused
+    for direction in ("down", "up"):
+        lat.pop_polynomial(direction)
+        lat.pop_image(direction)
+    assert {id(obj) for obj in reachable(*slots())} == built.keys()
 
 
 @pytest.mark.parametrize(
@@ -408,19 +439,24 @@ def test_the_kernel_stores_one_cover_tuple_per_element(builder, n):
 )
 def test_validation_runs_before_either_half_is_built(builder, n, monkeypatch):
     """Validation reads only the covers, so at its peak, its own table, no
-    mask table exists yet, in a family build or a key-pair build."""
-    seen = []
+    mask table exists yet, in a family build or a key-pair build: each pass
+    runs after it, in the census that reads its half."""
+    calls = []
     real = FiniteLattice._validate
 
     def record(lat):
-        seen.append((lat._down, lat._up))
+        calls.append("validate")
         real(lat)
 
     monkeypatch.setattr(FiniteLattice, "_validate", record)
+    count_passes(monkeypatch, calls)
     builder.cache_clear()
-    builder(n)
-    FiniteLattice.build("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-    assert seen == [(None, None)] * 2
+    for build in (lambda: builder(n), lambda: FiniteLattice.build(
+            "abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])):
+        lat = build()
+        lat.pop_polynomial("down")
+        lat.pop_image("up")
+    assert calls == ["validate", "down", "up"] * 2
 
 
 CROSS_CHECK_TOP = {
@@ -433,16 +469,17 @@ CROSS_CHECK = [(b, n) for b, top in CROSS_CHECK_TOP.items() for n in range(top +
 @pytest.mark.parametrize(
     "builder,n", CROSS_CHECK, ids=[f"{b.__name__}-{n}" for b, n in CROSS_CHECK]
 )
-def test_a_half_is_built_once_by_its_first_read(builder, n):
-    """No half exists after the build; the first read of each builds the
-    irreducible closure of its covers (the up half from the top) and later
-    reads share it."""
+def test_a_half_is_built_once_by_its_first_read(builder, n, monkeypatch):
+    """Each census runs its half's pass once, the irreducible closure of the
+    covers (the up half from the top), equal to the pull-style oracle's."""
     lat = builder.__wrapped__(n)
-    assert lat._down is None and lat._up is None
     for direction in ("down", "up"):
-        half = lat._half(direction)
-        assert half == half_oracle(lat, direction)
-        assert lat._half(direction) is half
+        with monkeypatch.context() as patch:
+            calls = []
+            count_passes(patch, calls)
+            lat.pop_polynomial(direction)
+        assert calls == [direction]
+        assert half(lat, direction) == half_oracle(lat, direction)
 
 
 @pytest.mark.parametrize(
@@ -483,7 +520,7 @@ def test_index_space_builders_match_the_key_pair_oracle(builder, n, monkeypatch)
     meet_irreducibles = [rank[i] for i in reversed(everything) if len(ref.uppers[rank[i]]) == 1]
     down = restricted(ref.down, join_irreducibles)
     up = restricted(ref.up, meet_irreducibles)
-    (down_masks, down_lookup), (up_masks, up_lookup) = lat._half("down")[:2], lat._half("up")[:2]
+    (down_masks, down_lookup), (up_masks, up_lookup) = half(lat, "down")[:2], half(lat, "up")[:2]
     assert down_masks == [down[r] for r in rank]
     assert up_masks == [up[r] for r in rank]
     for masks, lookup in ((down_masks, down_lookup), (up_masks, up_lookup)):
@@ -578,7 +615,7 @@ def test_halves_match_the_pull_closure_oracle_up_to_the_budget(builder, n):
     lat = builder(n, False)
     assert lat._lower_counts == [len(covers) for covers in lower_cover_table(lat)]
     for direction in ("down", "up"):
-        assert lat._half(direction) == half_oracle(lat, direction), direction
+        assert half(lat, direction) == half_oracle(lat, direction), direction
     builder.cache_clear()
 
 
@@ -709,7 +746,7 @@ def test_validation_rejects_the_poset_the_lookup_passes():
         FiniteLattice.build(LOOKUP_BLIND_ELEMENTS, LOOKUP_BLIND_COVERS)
     assert str(exc.value) == message
     lat = FiniteLattice.build(LOOKUP_BLIND_ELEMENTS, LOOKUP_BLIND_COVERS, validate=False)
-    assert len(set(lat._half("down")[0])) == len(lat)
+    assert len(set(half(lat, "down")[0])) == len(lat)
     with pytest.raises(NotALatticeError) as exc:
         lat._validate()
     assert str(exc.value) == message
@@ -732,7 +769,7 @@ WIDTH_BLIND_COVERS = [
 
 def test_validation_rejects_the_poset_the_width_checks_pass():
     lat = FiniteLattice.build(WIDTH_BLIND_ELEMENTS, WIDTH_BLIND_COVERS, validate=False)
-    down, (up, lookup) = lat._half("down")[0], lat._half("up")[:2]
+    down, (up, lookup) = half(lat, "down")[0], half(lat, "up")[:2]
     # the up lookup is injective
     assert len(set(up)) == len(lat) and None not in lookup.values()
     # every element with two or more upper covers is their meet
@@ -795,7 +832,7 @@ def assert_halves_match_the_oracle(lat, ref=None):
     if ref is not None:
         assert counts == [len(ref.lower_covers(x)) for x in lat.elements]
     for direction in ("down", "up"):
-        assert lat._half(direction) == half_oracle(lat, direction), direction
+        assert half(lat, direction) == half_oracle(lat, direction), direction
 
 
 @pytest.mark.parametrize("name", NAMED_POSETS)
@@ -808,12 +845,18 @@ def test_halves_match_the_pull_closure_oracle_on_non_lattices(name):
 
 def test_a_pop_is_read_among_the_elements_before_it():
     lat = later_mask()
-    assert lat._half("down")[3] == LATER_MASK_ELEMENTS.index("j")
-    assert lat._half("down")[1][0b11] == LATER_MASK_ELEMENTS.index("k")
+    assert half(lat, "down")[3] == LATER_MASK_ELEMENTS.index("j")
+    assert half(lat, "down")[1][0b11] == LATER_MASK_ELEMENTS.index("k")
     assert pop_down(lat, "1") == "k"
     with pytest.raises(NotALatticeError) as exc:
         lat.pop_polynomial("down")
     assert str(exc.value) == "no meet of the lower covers of 'j'"
+
+
+def test_a_census_refuses_a_direction_other_than_down_or_up():
+    for census in (chain(3).pop_polynomial, chain(3).pop_image):
+        with pytest.raises(ValueError, match="direction must be 'down' or 'up', got 'left'"):
+            census("left")
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,6 +9,7 @@ from poplat.families import FAMILIES
 from poplat.lattice import FiniteLattice
 from poplat.signed import enumerate_signed
 from poplat.tamari import (
+    _preimage_end_one,
     _project,
     hong_image_predicate,
     pop_tam_a,
@@ -42,6 +43,7 @@ from patterns import P312, P312_STAR, contains_pattern
 from reference import (
     kahn_view,
     pop_up,
+    preimage_end_one_by_segments,
     project_tam_a,
     project_tam_b,
     tam_a_lower_covers,
@@ -595,6 +597,15 @@ def test_preimage_ending_in_one_exhaustive():
             y = preimage_ending_in_one(x)
             assert y[-1] == 1
             assert pop_tam_a(y) == x
+
+
+def test_preimage_tree_matches_the_segment_scan():
+    """The Cartesian-tree construction writes the word that splitting each
+    segment at its least entry writes, on every permutation of up to 8
+    letters (a superset of the type-A image words)."""
+    for m in range(9):
+        for x in itertools.permutations(range(1, m + 1)):
+            assert _preimage_end_one(x) == preimage_end_one_by_segments(x), x
 
 
 def test_preimage_tam_b_examples():
