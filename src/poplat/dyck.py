@@ -131,8 +131,6 @@ def _halves(length: int, closed: bool) -> tuple[int, list, dict]:
     mirror each other, so a = length // 2 balances them; open tails end
     anywhere, so a is the counted split with the fewest heads and tails in
     all (24 310 and 16 684 at length 28; 3 432 and 107 048 at the middle)."""
-    if length < 0:
-        raise ValueError(f"negative length {length}")
     if closed:
         a = length // 2
     else:  # heads of k steps, plus tails from each of their end heights
@@ -276,15 +274,7 @@ def j_b_lattice(n: int) -> FiniteLattice:
 def image_predicate_a(path: str) -> bool:
     """Membership test for the upward pop image: no 'ffrr' factor and no
     interior return to the axis."""
-    check_path(path)
     return "ffrr" not in path and all(v > 0 for v in heights(path)[1:-1])
-
-
-def image_predicate_b(path: str) -> bool:
-    """Type-B variant of the same test, on a symmetric path."""
-    if not is_symmetric(check_path(path)):
-        raise ValueError(f"not symmetric: {path!r}")
-    return image_predicate_a(path)
 
 
 def _up_census(length: int, closed: bool) -> QPoly:

@@ -3,9 +3,10 @@
 A `Family` says how its lattice is sized, built, read and popped; a `Theorem`
 pairs a closed form with the census it is checked against; a `Series` pairs a
 solver with its identity checks.  The command-line interface and the tests
-look everything up here instead of dispatching on names.  Sizes reach the
-program only through it, so each is checked here before any work, against
-the memory budget or the order bound; the library takes any size.
+look everything up here instead of dispatching on names.  Sizes and
+elements reach the program only through it and are checked once, before
+any work: a size against the memory budget or the order bound, an element
+by `Family.parse`.
 """
 from __future__ import annotations
 
@@ -181,13 +182,13 @@ FAMILIES: dict[str, Family] = {
             "weak-a", "--n", math.factorial, weak.weak_a_lattice,
             _parse_permutation, words.format_word, weak.pop_weak, weak.pop_weak_up,
             image_direction="down",
-            predicate=lambda p: weak.image_run_condition(words.check_permutation(p)),
+            predicate=weak.image_run_condition,
         ),
         Family(
             "weak-b", "--n", lambda n: 2**n * math.factorial(n), weak.weak_b_lattice,
             _parse_signed, words.format_word, weak.pop_weak, weak.pop_weak_up,
             image_direction="down",
-            predicate=lambda x: weak.image_run_condition(signed.validate_signed(x)),
+            predicate=weak.image_run_condition,
             predicate_necessary_only=True,
             first_entry_census=(weak.image_census_by_first_entry, formulas.census_prediction),
         ),
@@ -217,7 +218,7 @@ FAMILIES: dict[str, Family] = {
             "j-b", "--n", lambda n: math.comb(2 * n, n), dyck.j_b_lattice,
             _parse_symmetric_path, str, dyck.flip_peaks_down, dyck.flip_valleys_up,
             image_direction="up",
-            predicate=dyck.image_predicate_b,
+            predicate=dyck.image_predicate_a,
         ),
     )
 }

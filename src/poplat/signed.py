@@ -43,8 +43,6 @@ def signed_words(n: int, uppers: list | None = None, ranks: list | None = None) 
     gives c'_k = c_{k+1} + 1 + [2n+1-a < b] and c'_{k+1} = c_k - [2n+1-b < a];
     the central swap (x_{n-1} <= n) adds 1.
     """
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
     m = 2 * n
     word, free = [0] * m, [True] * (m + 1)
     weight = [math.factorial(n - 1 - k) << (n - 1 - k) for k in range(n)]

@@ -44,15 +44,15 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import FiniteLattice, last_size_cache, memoised_builder
-from .signed import complement_reverse, large_blocks, validate_signed
+from .signed import complement_reverse, large_blocks
 from .weak import pop_weak_up
 from .words import (
     Word,
     avoids_312,
     avoids_312_star,
-    check_permutation,
     has_double_descent,
     index_of,
+    is_permutation,
     reduction,
     reverse_runs,
 )
@@ -219,16 +219,10 @@ def _pop(x: Word, floor: int, up: bool) -> Word:
 
 def pop_tam_a(p: Word, up: bool = False) -> Word:
     """Pop on the type-A carrier, or with `up` the dual pop."""
-    p = check_permutation(p)
-    if not avoids_312(p):
-        raise ValueError(f"{p} is not 312-avoiding")
     return _pop(p, 0, up)
 
 
 def pop_tam_b(x: Word, up: bool = False) -> Word:
-    x = validate_signed(x)
-    if not avoids_312_star(x):
-        raise ValueError(f"{x} is not in the type-B carrier")
     return _pop(x, len(x) // 2 + 1, up)
 
 
@@ -253,7 +247,6 @@ def tam_b_image_predicate(x: Word) -> bool:
     block of entries >= n+1, reduced, passes the type-A image test.  The
     tests match this against brute-force image membership.
     """
-    x = validate_signed(x)
     n = len(x) // 2
     if n == 0:
         return True
@@ -278,13 +271,12 @@ def preimage_ending_in_one(x: Word) -> Word:
 
     Split at the position k of 1: both sides are again image elements after
     reduction, and the assembled word (left+1) . (right+k) . 1, each side
-    split the same way, pops back to x.  The postcondition is asserted.
+    split the same way, is in the carrier and pops back to x (asserted).
     """
-    x = check_permutation(x)
     if not hong_image_predicate(x):
         raise ValueError(f"{x} fails the type-A image test")
     y = _preimage_end_one(x)
-    assert pop_tam_a(y) == x, (x, y)
+    assert is_permutation(y) and avoids_312(y) and pop_tam_a(y) == x, (x, y)
     return y
 
 
@@ -323,9 +315,8 @@ def preimage_tam_b(x: Word) -> Word:
     to start with a large value (smallest witness: rank 2, image element 3142,
     whose only preimage 3412 has one block where 3142 has two).  The blocks
     are then interleaved with the reversed complements of the blocks taken in
-    opposite order, and the postcondition pop(y) == x is asserted.
+    opposite order; y in the carrier and pop(y) == x are asserted.
     """
-    x = validate_signed(x)
     if not tam_b_image_predicate(x):
         raise ValueError(f"{x} fails the type-B image test")
     n = len(x) // 2
@@ -341,6 +332,7 @@ def preimage_tam_b(x: Word) -> Word:
     for k in range(count):
         parts.append(new_blocks[k])
         parts.append(complement_reverse(new_blocks[count - 1 - k], 2 * n))
-    y = validate_signed(tuple(itertools.chain.from_iterable(parts)))
-    assert pop_tam_b(y) == x, (x, y)
+    y = tuple(itertools.chain.from_iterable(parts))
+    assert (is_permutation(y) and complement_reverse(y, len(y)) == y
+            and avoids_312_star(y) and pop_tam_b(y) == x), (x, y)
     return y

@@ -178,7 +178,7 @@ def test_criterion_8_image_predicates():
     for n in range(1, 6):
         image = {dyck.flip_valleys_up(p) for p in dyck.symmetric_paths(n)}
         for p in dyck.symmetric_paths(n):
-            assert dyck.image_predicate_b(p) == (p in image), (n, p)
+            assert dyck.image_predicate_a(p) == (p in image), (n, p)
 
     for n in range(1, 5):
         for z in weak.weak_b_lattice(n).pop_image("down"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poplat import cli, dyck, series, weak
+from poplat import cli, dyck, series, tamari, weak
 from poplat.cli import main
 from poplat.families import FAMILIES, FORMULAS, MAX_ORDER, SERIES, THEOREMS
 from poplat.lattice import FiniteLattice
@@ -331,6 +331,49 @@ def test_guard_errors_exit_2(capsys):
                "size n holds words on n+1 letters\n")
     for argv in (["pop", "--up"], ["pop"], ["preimage"]):
         assert run(capsys, *argv, "--lattice", "tam-a", "--x", "", "--json") == (2, "", message)
+
+
+# Each refusal of an element or a formula index, made by the registry before
+# any work: exit 2, nothing on stdout, one `error:` line.
+GATE_REFUSALS = {
+    "pop --lattice tam-a --x 3,1,2": "'3,1,2' is not 312-avoiding",
+    "pop --lattice tam-a --x 3,1,2 --up": "'3,1,2' is not 312-avoiding",
+    "pop --lattice tam-b --x 2,4,1,3": "'2,4,1,3' is not in the type-B Tamari carrier",
+    "pop --lattice tam-b --x 3,1,2": "even length required, got 3",
+    "pop --lattice weak-a --x 2,2,3": "word entries must be distinct: (2, 2, 3)",
+    "pop --lattice weak-b --x 2,3,1,4": "symmetry violated at i=1: 2+4 != 5",
+    "pop --lattice weak-b --x 1,2,3": "even length required, got 3",
+    "pop --lattice j-a --x rfr": "path does not return to the axis: 'rfr'",
+    "pop --lattice j-b --x rrffrfrf": "not symmetric: 'rrffrfrf'",
+    "preimage --lattice tam-a --x 2,1": "(2, 1) fails the type-A image test",
+    "preimage --lattice tam-a --x 3,1,2": "'3,1,2' is not 312-avoiding",
+    "preimage --lattice tam-b --x 2,1,4,3": "(2, 1, 4, 3) fails the type-B image test",
+    "formula --name weak-b --n 0": "--n must be at least 1, got 0",
+    "formula --name tam-a --n 0": "--n must be at least 1, got 0",
+    "formula --name tam-b --n 0": "--n must be at least 1, got 0",
+    "formula --name jay-b --n 0": "--n must be at least 1, got 0",
+    "formula --name jay-b --n 0 --as-printed": "--n must be at least 1, got 0",
+    "formula --name jay-a --n -1": "--n must be at least 0, got -1",
+}
+
+
+@pytest.mark.parametrize("argv", list(GATE_REFUSALS))
+def test_the_gate_refuses_each_bad_element_and_index(capsys, argv):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {GATE_REFUSALS[argv]}\n")
+
+
+@pytest.mark.parametrize("name, x, fault", [
+    ("tam-a", "1,2,3", lambda real, w: (3, 1, 2)),  # a permutation off the carrier
+    ("tam-b", "1,2,3,4", lambda real, w: real(w)[:-1]),  # a letter short
+])
+def test_a_faulty_preimage_construction_exits_3(capsys, monkeypatch, name, x, fault):
+    """The preimage's postcondition is the program's own check, not the
+    user's: a construction that leaves the carrier is an error, code 3."""
+    real = tamari._preimage_end_one
+    monkeypatch.setattr(tamari, "_preimage_end_one", lambda w: fault(real, w))
+    code, out, err = run(capsys, "preimage", "--lattice", name, "--x", x)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: AssertionError: ")
 
 
 def test_verify_tam_b_past_the_guard_exits_2(capsys):

@@ -11,7 +11,6 @@ from poplat.dyck import (
     flippable_peaks,
     heights,
     image_predicate_a,
-    image_predicate_b,
     is_symmetric,
     j_a_lattice,
     j_b_lattice,
@@ -201,10 +200,13 @@ def test_image_predicate_examples():
     assert image_predicate_a("rrff")
     assert not image_predicate_a("rfrf")
     assert not image_predicate_a("rrffrrff")
-    assert image_predicate_b("rrfrfrff")
-    assert not image_predicate_b("rrffrrff")  # symmetric but contains ffrr
-    with pytest.raises(ValueError):
-        image_predicate_b("rrffrfrf")  # valid path, not symmetric
+    # j-b tests its symmetric paths with the same predicate; the registry
+    # refuses a path that is not symmetric before any test
+    assert FAMILIES["j-b"].predicate is image_predicate_a
+    assert image_predicate_a("rrfrfrff")
+    assert not image_predicate_a("rrffrrff")  # symmetric but contains ffrr
+    with pytest.raises(ValueError, match=r"^not symmetric: 'rrffrfrf'$"):
+        FAMILIES["j-b"].parse("rrffrfrf")  # valid path, not symmetric
 
 
 def test_image_predicates_match_brute_force():
@@ -215,7 +217,7 @@ def test_image_predicates_match_brute_force():
     for n in range(1, 6):
         image = {flip_valleys_up(p) for p in symmetric_paths(n)}
         for p in symmetric_paths(n):
-            assert image_predicate_b(p) == (p in image), (n, p)
+            assert image_predicate_a(p) == (p in image), (n, p)
 
 
 def test_statistics_examples():
@@ -260,7 +262,7 @@ def test_image_peaks_all_flippable():
 def test_image_statistic_is_half_peaks():
     for n in range(1, 6):
         for p in symmetric_paths(n):
-            if image_predicate_b(p):
+            if image_predicate_a(p):
                 assert lower_cover_count_b(p) == half_peak_count(p)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from poplat.families import FORMULAS, SERIES
 from poplat.formulas import (
     census_prediction,
     exact_div,
@@ -12,6 +13,7 @@ from poplat.formulas import (
     weak_b_coefficient,
 )
 from poplat.lattice import QPoly
+from poplat.series import ffrr_avoider_series
 from poplat.words import binomial
 
 
@@ -22,8 +24,8 @@ def k_coefficient(n, k):
 
 def test_weak_b_coefficient_values():
     assert [weak_b_coefficient(n) for n in (1, 2, 3, 4, 5)] == [0, 4, 20, 72, 232]
-    with pytest.raises(ValueError):
-        weak_b_coefficient(0)
+    with pytest.raises(ValueError, match=r"^--n must be at least 1, got 0$"):
+        FORMULAS["weak-b"].admit_formula(0)  # refused before the closed form runs
 
 
 def test_census_prediction_totals():
@@ -69,8 +71,9 @@ def test_h_coefficient_small_values():
     assert h_coefficient(2, 1) == 1  # rrff
     assert h_coefficient(2, 2) == 1  # rfrf
     assert h_coefficient(3, 1) == 1
-    with pytest.raises(ValueError):
-        h_coefficient(3, 0)
+    # k = 0 is the constant term: the G check, the only caller to meet it,
+    # reads it off its own branch and calls the closed form from k = 1 up
+    assert SERIES["G"].checks["closed_form_coefficients"](ffrr_avoider_series(3), 3)
 
 
 def test_n_and_k_coefficients():

@@ -81,6 +81,34 @@ def test_every_definition_in_src_is_reached_by_the_program():
     assert unreached(ROOT) == []
 
 
+def unused_imports(root):
+    """`module.name` for each name a `src/poplat` module imports and loads
+    nowhere in that module as a bare name; `__future__` imports and the
+    names `__init__` re-exports through `__all__` are excepted."""
+    unused = []
+    for path in sorted((root / "src" / "poplat").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and "__all__" in [
+                    target.id for target in node.targets if isinstance(target, ast.Name)]:
+                loaded |= set(ast.literal_eval(node.value))
+        unused += [
+            f"{path.stem}.{bound}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for bound in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            if bound not in loaded
+        ]
+    return unused
+
+
+def test_every_import_in_src_is_used_where_it_is_imported():
+    assert unused_imports(ROOT) == []
+
+
 def test_a_method_of_a_string_literal_loads_no_definition():
     loads = {}
     record_loads(ast.parse('", ".join(parts)\nb"".join(parts)\nsep.join(parts)'), loads)

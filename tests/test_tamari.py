@@ -378,8 +378,8 @@ def test_avoids_312_matches_backtracking_search():
         kept = set(filtered_tam_b_elements(n))
         for x in enumerate_signed(n):
             assert avoids_312_star(x) == (x in kept), x
-    with pytest.raises(ValueError):
-        avoids_312_star((3, 1, 2))
+    with pytest.raises(ValueError, match=r"^even length required, got 3$"):
+        FAMILIES["tam-b"].parse("3,1,2")  # the registry refuses an odd host first
 
 
 def test_carrier_guards():
@@ -483,10 +483,11 @@ def test_pop_examples():
     assert pop_tam_b(y) == (1, 7, 2, 4, 3, 5, 8, 10, 9, 11, 6, 12)
     ident = tuple(range(1, 5))
     assert pop_tam_b(ident) == ident
-    with pytest.raises(ValueError):
-        pop_tam_a((3, 1, 2))  # not 312-avoiding
-    with pytest.raises(ValueError):
-        pop_tam_b((2, 4, 1, 3))  # not in the carrier
+    # the registry refuses an element off the carrier before any pop
+    with pytest.raises(ValueError, match=r"^'3,1,2' is not 312-avoiding$"):
+        FAMILIES["tam-a"].parse("3,1,2")
+    with pytest.raises(ValueError, match=r"^'2,4,1,3' is not in the type-B Tamari carrier$"):
+        FAMILIES["tam-b"].parse("2,4,1,3")
 
 
 def test_largest_value_sits_right_of_center_on_image():

@@ -128,10 +128,10 @@ def test_run_condition_is_exactly_the_weak_a_image():
 
 def test_each_weak_family_checks_its_own_input():
     assert FAMILIES["weak-a"].predicate((2, 1, 3))
-    with pytest.raises(ValueError):
-        FAMILIES["weak-a"].predicate((2, 2, 3))
-    with pytest.raises(ValueError):
-        FAMILIES["weak-b"].predicate((2, 3, 1, 4))  # not centrally symmetric
+    with pytest.raises(ValueError, match=r"^word entries must be distinct: \(2, 2, 3\)$"):
+        FAMILIES["weak-a"].parse("2,2,3")
+    with pytest.raises(ValueError, match=r"^symmetry violated at i=1: 2\+4 != 5$"):
+        FAMILIES["weak-b"].parse("2,3,1,4")  # not centrally symmetric
 
 
 def run_condition_image_size(n):
