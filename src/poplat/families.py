@@ -30,8 +30,8 @@ def cost(elements: int, lattice: bool = True) -> int:
     A lattice costs 4 KiB per element (elements, covers, irreducible-width
     tables, scratch) plus N^2/8 bytes for full-width masks.  A command-line
     run builds one such table, validation's N^2/16 bytes, which that term
-    over-covers, and before the irreducible-width tables, which each census
-    builds and frees.  A census without a lattice
+    over-covers, and frees it before a census builds and frees the
+    irreducible-width tables.  A census without a lattice
     marks each image in one byte per path; a second byte per path and 4 MiB
     cover its half-tables, which grow as the square root of N.
     """

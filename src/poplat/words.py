@@ -60,10 +60,7 @@ def reduction(word: Sequence[int]) -> Word:
 
 def index_of(word: Word, value: int) -> int:
     """1-based position of `value` in `word`."""
-    try:
-        return word.index(value) + 1
-    except ValueError:
-        raise ValueError(f"value {value} does not occur in {word}") from None
+    return word.index(value) + 1
 
 
 def _runs(word: Sequence[int], cut_at_ascent: bool) -> list[Word]:
